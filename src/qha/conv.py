@@ -25,25 +25,34 @@ identity is
 with m(xi,-xi) = omega^(xi_1 * xi_2) (see :func:`self_pairing_weight` and
 the oracle report; no orientation removes the weight).  F_sigma is an
 involution.
+
+Both phase-space products are computed through the second and third
+identities (solved for the product, in the pinned orientation), with
+F_sigma a reindexed 2-D FFT and F_weyl an FFT along shifted diagonals, so
+each costs O(N^2 log N); the direct sums survive only as test oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import GroupMismatchError
 from .groups import GroupFunction, convolve, lp_norm
-from .weyl import HilbertOp, PhaseSpace, fourier_weyl, op_parity, parity_op, random_op, weyl
+from .weyl import HilbertOp, PhaseSpace, fourier_weyl, fourier_weyl_inverse, parity_op, random_op
 
-#: Kernel variants for the symplectic transform, as formulas in (x, xi).
-ORIENTATION_VARIANTS = (
-    "sigma(x,xi)",
-    "conj(sigma(x,xi))",
-    "sigma(xi,x)",
-    "conj(sigma(xi,x))",
-)
+#: Sign s per kernel variant, as formulas in (x, xi): the kernel is
+#: omega^(s * (p*b - q*a)) at x = (a,b), xi = (p,q).  By antisymmetry
+#: sigma(xi, x) = conj(sigma(x, xi)), so the four variants collapse to two.
+_VARIANT_SIGNS = {
+    "sigma(x,xi)": 1,
+    "conj(sigma(x,xi))": -1,
+    "sigma(xi,x)": -1,
+    "conj(sigma(xi,x))": 1,
+}
+
+#: Kernel variants for the symplectic transform.
+ORIENTATION_VARIANTS = tuple(_VARIANT_SIGNS)
 
 #: The orientation pinned by the N=3 oracle (equals "sigma(xi,x)" pointwise).
 PINNED_ORIENTATION = "conj(sigma(x,xi))"
@@ -59,67 +68,45 @@ def _check_phase_function(ps: PhaseSpace, f: GroupFunction) -> None:
 
 
 def conv_fn_op(f: GroupFunction, op: HilbertOp) -> HilbertOp:
-    """f * A = (1/N) sum_y f(y) U_y A U_y*; linear in each argument."""
+    """f * A = (1/N) sum_y f(y) U_y A U_y*; linear in each argument.
+
+    Computed as F_weyl^-1(F_sigma(f) . F_weyl(A)).
+    """
     ps = PhaseSpace(op.dim)
     _check_phase_function(ps, f)
-    acc = np.zeros_like(op.matrix)
-    for y in ps.points():
-        u = weyl(ps, y).matrix
-        acc += f.values[ps.index(y)] * (u @ op.matrix @ u.conj().T)
-    return HilbertOp(acc / ps.n)
+    spec = symplectic_fourier(f).values * fourier_weyl(op).values
+    return fourier_weyl_inverse(ps, ps.function(spec))
 
 
 def conv_op_op(a: HilbertOp, b: HilbertOp) -> GroupFunction:
-    """A * B(x) = Tr(A U_x R B R U_x*); commutative, positivity-preserving."""
+    """A * B(x) = Tr(A U_x R B R U_x*); commutative, positivity-preserving.
+
+    Computed as F_sigma(conj(m(xi,-xi)) . F_weyl(A) . F_weyl(B)).
+    """
     if a.dim != b.dim:
         raise GroupMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     ps = PhaseSpace(a.dim)
-    b_par = op_parity(b).matrix
-    vals = np.empty(ps.n * ps.n, dtype=complex)
-    at = a.matrix.T
-    for x in ps.points():
-        u = weyl(ps, x).matrix
-        m = u @ b_par @ u.conj().T
-        vals[ps.index(x)] = (at * m).sum()
-    return ps.function(vals)
-
-
-@lru_cache(maxsize=32)
-def _sigma_kernel(n: int, variant: str) -> np.ndarray:
-    """Kernel matrix K[xi_index, x_index] for the requested orientation.
-
-    With x = (a,b) and xi = (p,q): sigma(x, xi) = omega^(p*b - a*q), and by
-    antisymmetry sigma(xi, x) = conj(sigma(x, xi)), so the four variants
-    collapse to two distinct kernels.
-    """
-    a, b = np.divmod(np.arange(n * n), n)  # columns: x = (a, b)
-    p, q = np.divmod(np.arange(n * n), n)  # rows:   xi = (p, q)
-    expo = p[:, None] * b[None, :] - q[:, None] * a[None, :]
-    signs = {
-        "sigma(x,xi)": 1,
-        "conj(sigma(x,xi))": -1,
-        "sigma(xi,x)": -1,
-        "conj(sigma(xi,x))": 1,
-    }
-    if variant not in signs:
-        raise ValueError(f"unknown orientation variant {variant!r}")
-    kern = np.exp(2j * np.pi * ((signs[variant] * expo) % n) / n)
-    kern.setflags(write=False)
-    return kern
+    spec = self_pairing_weight(ps).conj() * fourier_weyl(a).values * fourier_weyl(b).values
+    return symplectic_fourier(ps.function(spec))
 
 
 def symplectic_fourier(f: GroupFunction, variant: str = PINNED_ORIENTATION) -> GroupFunction:
     """Symplectic Fourier transform, (1/N) sum_x kernel(x, xi) f(x).
 
     The default kernel conj(sigma(x,xi)) is the oracle-pinned orientation;
-    the transform is an involution for every variant.
+    the transform is an involution for every variant.  With sign s of the
+    variant, the sum is a reindexed 2-D DFT: fft2(f)[s*q, -s*p] / N.
     """
     orders = f.group.orders
     if len(orders) != 2 or orders[0] != orders[1]:
         raise GroupMismatchError("symplectic transform needs a function on Z_N x Z_N")
+    if variant not in _VARIANT_SIGNS:
+        raise ValueError(f"unknown orientation variant {variant!r}")
+    s = _VARIANT_SIGNS[variant]
     n = orders[0]
-    kern = _sigma_kernel(n, variant)
-    return GroupFunction(f.group, kern @ f.values / n)
+    p, q = np.indices((n, n))
+    spec = np.fft.fft2(f.values.reshape(n, n))[(s * q) % n, (-s * p) % n]
+    return GroupFunction(f.group, spec.ravel() / n)
 
 
 def self_pairing_weight(ps: PhaseSpace) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatchError
+from .errors import GroupMismatchError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,9 @@ def random_function(group: FiniteAbelianGroup, rng: np.random.Generator) -> Grou
 
 
 def lp_norm(f: GroupFunction, p: float) -> float:
-    """Weighted L^p norm; p = inf gives the sup norm (no weight)."""
+    """Weighted L^p norm for p >= 1; p = inf gives the sup norm (no weight)."""
+    if not p >= 1:
+        raise PreconditionError(f"lp_norm needs p >= 1, got {p}")
     if np.isinf(p):
         return float(np.abs(f.values).max()) if f.values.size else 0.0
     w = f.group.haar_weight
@@ -218,15 +220,32 @@ def read_group_function(path, group: FiniteAbelianGroup) -> GroupFunction:
     return GroupFunction(group, np.array(values))
 
 
+def read_csv_records(path, header) -> list[list[str]]:
+    """Data rows of a CSV with the given header, each with len(header) fields.
+
+    Blank lines and '#' comment lines are skipped; a wrong header, a row
+    with the wrong number of fields, or no data rows raise ValueError.
+    """
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    if not rows or [c.strip() for c in rows[0]] != list(header):
+        raise ValueError(f"{path}: expected header {','.join(header)}")
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: data row {i} has {len(row)} fields, expected {len(header)}")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no data rows")
+    return rows[1:]
+
+
 def _read_indexed_csv(path):
     """Shared reader for index,re,im files; returns (indices, complex values)."""
     indices: list[int] = []
     values: list[complex] = []
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or [c.strip() for c in rows[0]] != list(CSV_HEADER):
-        raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
-    for row in rows[1:]:
+    for row in read_csv_records(path, CSV_HEADER):
+        v = complex(float(row[1]), float(row[2]))
+        if not np.isfinite(v):
+            raise ValueError(f"{path}: non-finite value at index {row[0]}")
         indices.append(int(row[0]))
-        values.append(complex(float(row[1]), float(row[2])))
+        values.append(v)
     return indices, values

@@ -50,17 +50,3 @@ def svd_rank(rows: np.ndarray, rel_tol: float = DEFAULT_ZERO_TOL) -> RankResult:
         )
     return RankResult(rank, svals, warnings)
 
-
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(matrix, ord=2))
-
-
-def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(matrix, compute_uv=False).sum())
-
-
-def hs_norm(matrix: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(matrix))

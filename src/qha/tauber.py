@@ -21,7 +21,7 @@ from .asymptotics.profiles import DecayProfile
 from .asymptotics.windowed import WindowedFunction, WindowedZOperator, window_weyl_matrix
 from .conv import conv_fn_op, conv_op_op
 from .errors import GroupMismatchError, PreconditionError
-from .groups import FiniteAbelianGroup, GroupFunction
+from .groups import FiniteAbelianGroup, GroupFunction, translate
 from .weyl import HilbertOp, PhaseSpace, rank_one, weyl
 
 
@@ -40,17 +40,13 @@ def stft(f: GroupFunction, window: GroupFunction) -> np.ndarray:
         raise GroupMismatchError("transform needs f and window on one group")
     group = f.group
     card = group.cardinality
-    elements = list(group.elements())
-    # table[t, x] = f(t - x)
-    sub = np.empty((card, card), dtype=complex)
-    for x_idx, x in enumerate(elements):
-        for t_idx, t in enumerate(elements):
-            sub[t_idx, x_idx] = f.values[group.index(tuple(a - b for a, b in zip(t, x)))]
-    chars = np.empty((card, card), dtype=complex)
-    for c_idx, freqs in enumerate(elements):
-        chars[:, c_idx] = group.character(freqs).values()
-    weighted_window = window.values[:, None] * chars  # (t, xi)
-    return group.haar_weight * (sub.T @ weighted_window)
+    # Row x is sum_t Phi(t) f(t - x) xi(t) for every character xi at once:
+    # the positive-frequency DFT, ifftn scaled by |G|.
+    phi = window.values.reshape(group.orders)
+    v = np.empty((card, card), dtype=complex)
+    for i, x in enumerate(group.elements()):
+        v[i] = np.fft.ifftn(phi * translate(f, x).values.reshape(group.orders)).ravel()
+    return (group.haar_weight * card) * v
 
 
 def stft_energy(v: np.ndarray, group: FiniteAbelianGroup) -> float:

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError
-from .groups import FiniteAbelianGroup, GroupFunction
+from .groups import FiniteAbelianGroup, GroupFunction, read_csv_records
 
 
 @dataclass(frozen=True)
@@ -197,6 +197,13 @@ def op_modulate(op: HilbertOp, xi) -> HilbertOp:
     return HilbertOp(u @ op.matrix @ u)
 
 
+def _shifted_diagonals(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays [a, t] -> (t - a mod N, t): row a is the a-th shifted
+    diagonal, and every matrix entry appears exactly once."""
+    t = np.arange(n)
+    return (t[None, :] - t[:, None]) % n, np.broadcast_to(t, (n, n))
+
+
 def fourier_weyl(op: HilbertOp) -> GroupFunction:
     """Fourier transform of an operator: xi -> Tr(A U_xi).
 
@@ -204,25 +211,20 @@ def fourier_weyl(op: HilbertOp) -> GroupFunction:
     L^2(phase space, weight 1/N).
     """
     n = op.dim
-    ps = PhaseSpace(n)
-    a_mat = op.matrix
-    t = np.arange(n)
-    vals = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        # Tr(A U_(a,b)) = sum_t A[t-a, t] omega^(b t): a positive-frequency
-        # DFT of the a-th shifted diagonal.
-        diag = a_mat[(t - a) % n, t]
-        vals[a, :] = np.fft.ifft(diag) * n
-    return ps.function(vals.ravel())
+    # Tr(A U_(a,b)) = sum_t A[t-a, t] omega^(b t): a positive-frequency DFT
+    # of the a-th shifted diagonal.
+    vals = np.fft.ifft(op.matrix[_shifted_diagonals(n)], axis=1) * n
+    return PhaseSpace(n).function(vals.ravel())
 
 
 def fourier_weyl_inverse(ps: PhaseSpace, values: GroupFunction) -> HilbertOp:
     """Reconstruction A = (1/N) sum_xi F(xi) U_xi*."""
     n = ps.n
-    acc = np.zeros((n, n), dtype=complex)
-    for x in ps.points():
-        acc += values.values[ps.index(x)] * weyl(ps, x).matrix.conj().T
-    return HilbertOp(acc / n)
+    # U_(a,b)* carries omega^(-b t) at (t-a, t), so the a-th shifted
+    # diagonal is (1/N) sum_b F(a,b) omega^(-b t): a negative-frequency DFT.
+    mat = np.empty((n, n), dtype=complex)
+    mat[_shifted_diagonals(n)] = np.fft.fft(values.values.reshape(n, n), axis=1) / n
+    return HilbertOp(mat)
 
 
 def write_hilbert_op(op: HilbertOp, path, comment: str | None = None) -> None:
@@ -241,17 +243,18 @@ def write_hilbert_op(op: HilbertOp, path, comment: str | None = None) -> None:
 
 
 def read_hilbert_op(path) -> HilbertOp:
-    import csv
-
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or [c.strip() for c in rows[0]] != ["row", "col", "re", "im"]:
-        raise ValueError(f"{path}: expected header row,col,re,im")
-    entries = [(int(r), int(c), complex(float(re), float(im))) for r, c, re, im in rows[1:]]
-    n = max(r for r, _c, _v in entries) + 1 if entries else 0
-    mat = np.zeros((n, n), dtype=complex)
-    for r, c, v in entries:
-        mat[r, c] = v
+    """Inverse of write_hilbert_op: every (row, col) of an N x N matrix once."""
+    cells: dict[tuple[int, int], complex] = {}
+    for r, c, re, im in read_csv_records(path, ("row", "col", "re", "im")):
+        if (int(r), int(c)) in cells:
+            raise ValueError(f"{path}: duplicate entry ({r},{c})")
+        cells[int(r), int(c)] = complex(float(re), float(im))
+    n = max(max(rc) for rc in cells) + 1
+    if min(min(rc) for rc in cells) < 0 or len(cells) != n * n:
+        raise ValueError(f"{path}: entries must cover rows and columns 0..{n - 1} exactly once")
+    mat = np.empty((n, n), dtype=complex)
+    for rc, v in cells.items():
+        mat[rc] = v
     return HilbertOp(mat)
 
 

@@ -192,11 +192,9 @@ def corresponding_space(
                 unit = np.zeros((n, n), dtype=complex)
                 unit[u, v] = 1.0
                 rows.append(conv_fn_op(f, HilbertOp(unit)).matrix.ravel())
-    mat = np.stack(rows)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    smax = svals[0] if svals.size else 0.0
+    _u, s, vh = np.linalg.svd(np.stack(rows), full_matrices=False)
+    smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return []
-    _u, s, vh = np.linalg.svd(mat, full_matrices=False)
     keep = s > threshold * smax
     return [HilbertOp(vh[i].reshape(n, n)) for i in np.flatnonzero(keep)]

@@ -1,0 +1,72 @@
+"""Direct-sum definitions of the phase-space products and transforms.
+
+Test oracles only: each one evaluates its defining formula with dense Weyl
+matrices or explicit characters and shares no code with the FFT routes in
+``qha.conv``, ``qha.weyl`` and ``qha.tauber``.  Costs are O(N^5) for the
+products and O(|G|^3) for the STFT, so the ladders using them stay small.
+"""
+
+import numpy as np
+
+from qha import PhaseSpace, parity_op, weyl
+
+
+def conv_fn_op(ps: PhaseSpace, f, a) -> np.ndarray:
+    """f * A = (1/N) sum_y f(y) U_y A U_y*."""
+    acc = np.zeros((ps.n, ps.n), dtype=complex)
+    for y in ps.points():
+        u = weyl(ps, y).matrix
+        acc += f.values[ps.index(y)] * (u @ a.matrix @ u.conj().T)
+    return acc / ps.n
+
+
+def conv_op_op(ps: PhaseSpace, a, b) -> np.ndarray:
+    """A * B(x) = Tr(A U_x R B R U_x*)."""
+    r = parity_op(ps).matrix
+    rbr = r @ b.matrix @ r
+    out = np.empty(ps.n * ps.n, dtype=complex)
+    for x in ps.points():
+        u = weyl(ps, x).matrix
+        out[ps.index(x)] = np.trace(a.matrix @ u @ rbr @ u.conj().T)
+    return out
+
+
+def sigma_kernel(ps: PhaseSpace, variant: str) -> np.ndarray:
+    """Dense K[xi, x] for the four kernel variants, read off the pairing."""
+    kernel = {
+        "sigma(x,xi)": lambda x, xi: ps.pairing(x, xi),
+        "conj(sigma(x,xi))": lambda x, xi: np.conj(ps.pairing(x, xi)),
+        "sigma(xi,x)": lambda x, xi: ps.pairing(xi, x),
+        "conj(sigma(xi,x))": lambda x, xi: np.conj(ps.pairing(xi, x)),
+    }[variant]
+    pts = ps.points()
+    return np.array([[kernel(x, xi) for x in pts] for xi in pts])
+
+
+def symplectic_fourier(ps: PhaseSpace, f, variant: str) -> np.ndarray:
+    """(1/N) sum_x kernel(x, xi) f(x)."""
+    return sigma_kernel(ps, variant) @ f.values / ps.n
+
+
+def fourier_weyl_inverse(ps: PhaseSpace, values) -> np.ndarray:
+    """(1/N) sum_xi F(xi) U_xi*."""
+    acc = np.zeros((ps.n, ps.n), dtype=complex)
+    for xi in ps.points():
+        acc += values.values[ps.index(xi)] * weyl(ps, xi).matrix.conj().T
+    return acc / ps.n
+
+
+def stft(f, window) -> np.ndarray:
+    """V[x, xi] = haar_weight * sum_t Phi(t) xi(t) f(t - x), character by character."""
+    g = f.group
+    card = g.cardinality
+    out = np.zeros((card, card), dtype=complex)
+    for xi, x in enumerate(g.elements()):
+        for ci, freqs in enumerate(g.elements()):
+            chi = g.character(freqs)
+            out[xi, ci] = g.haar_weight * sum(
+                window.values[g.index(t)] * chi(t)
+                * f.values[g.index(tuple(a - b for a, b in zip(t, x)))]
+                for t in g.elements()
+            )
+    return out

@@ -188,6 +188,34 @@ class TestGroupCommands:
         assert np.allclose(vals, expected, atol=1e-14)
 
 
+MALFORMED_CSVS = {
+    "missing_field": "index,re,im\n0,1.0,0.0\n1,2.0\n",
+    "non_finite": "index,re,im\n0,1.0,0.0\n1,nan,0.0\n",
+    "header_only": "index,re,im\n",
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_CSVS))
+    @pytest.mark.parametrize("command", ["group dft", "group conv", "stft decay", "rk"])
+    def test_usage_error_and_no_output(self, tmp_path, capsys, command, kind):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("index,re,im\n0,1.0,0.0\n1,0.5,0.0\n")
+        bad.write_text(MALFORMED_CSVS[kind])
+        out = tmp_path / "out.csv"
+        argv = {
+            "group dft": ["group", "dft", "--orders", "2", "--input", str(bad)],
+            "group conv": ["group", "conv", "--orders", "2", "--f", str(good), "--g", str(bad)],
+            "stft decay": ["stft", "decay", "--f", str(bad), "--phi", str(good), "--k", "grid:4"],
+            "rk": ["rk", "--family", str(tmp_path)],
+        }[command]
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 2
+        assert "bad.csv" in err
+        assert not out.exists()
+        assert not (tmp_path / "out_tailmass.csv").exists()
+
+
 class TestEmitCsv:
     def test_empty_records_gives_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

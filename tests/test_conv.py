@@ -11,6 +11,7 @@ from qha import (
     conv_op_op,
     convolve,
     fourier_weyl,
+    fourier_weyl_inverse,
     identity_op,
     lp_norm,
     op_translate,
@@ -32,19 +33,13 @@ from qha.conv import (
 )
 from qha.errors import GroupMismatchError
 
+import _reference as ref
+
 
 def _phase_fn(ps, seed):
     rng = np.random.default_rng(seed)
     m = ps.n * ps.n
     return ps.function(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-
-
-def brute_conv_fn_op(ps, f, a):
-    acc = np.zeros((ps.n, ps.n), dtype=complex)
-    for y in ps.points():
-        u = weyl(ps, y).matrix
-        acc += f.values[ps.index(y)] * (u @ a.matrix @ u.conj().T)
-    return acc / ps.n
 
 
 class TestFunctionOperatorConvolution:
@@ -70,7 +65,7 @@ class TestFunctionOperatorConvolution:
         ps = PhaseSpace(4)
         f = _phase_fn(ps, 2)
         a = random_op(4, np.random.default_rng(3))
-        assert np.abs(conv_fn_op(f, a).matrix - brute_conv_fn_op(ps, f, a)).max() < 1e-13
+        assert np.abs(conv_fn_op(f, a).matrix - ref.conv_fn_op(ps, f, a)).max() < 1e-13
 
     def test_mixed_associativity(self):
         ps = PhaseSpace(4)
@@ -237,6 +232,55 @@ class TestConvolutionTheorems:
         lhs = symplectic_fourier(conv_op_op(a, b)).values * self_pairing_weight(ps)
         rhs = fourier_weyl(a).values * fourier_weyl(b).values
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+# The ladder stops at N=9, where the references still take ~0.02 s: the
+# sigma kernel is built from O(N^4) Python pairing calls (~0.2 s per variant
+# at N=16, ~0.65 s at N=24), so larger rungs would add seconds to the suite
+# without covering a new parity of N.
+LADDER = [1, 2, 3, 4, 5, 8, 9]
+
+
+def _rel_err(fast, reference):
+    scale = np.abs(reference).max()
+    return np.abs(fast - reference).max() / (scale if scale > 0 else 1.0)
+
+
+class TestFastRoutesMatchReference:
+    """The FFT routes against the direct sums of tests/_reference.py."""
+
+    @pytest.mark.parametrize("n", LADDER)
+    @pytest.mark.parametrize("variant", ORIENTATION_VARIANTS)
+    def test_symplectic_fourier(self, n, variant):
+        ps = PhaseSpace(n)
+        f = _phase_fn(ps, n)
+        fast = symplectic_fourier(f, variant).values
+        assert _rel_err(fast, ref.symplectic_fourier(ps, f, variant)) <= 1e-12
+
+    @pytest.mark.parametrize("n", LADDER)
+    def test_conv_fn_op(self, n):
+        ps = PhaseSpace(n)
+        f = _phase_fn(ps, n)
+        a = random_op(n, np.random.default_rng(100 + n))
+        assert _rel_err(conv_fn_op(f, a).matrix, ref.conv_fn_op(ps, f, a)) <= 1e-12
+
+    @pytest.mark.parametrize("n", LADDER)
+    def test_conv_op_op(self, n):
+        ps = PhaseSpace(n)
+        rng = np.random.default_rng(200 + n)
+        a, b = random_op(n, rng), random_op(n, rng)
+        assert _rel_err(conv_op_op(a, b).values, ref.conv_op_op(ps, a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("n", LADDER)
+    def test_fourier_weyl_inverse(self, n):
+        ps = PhaseSpace(n)
+        f = _phase_fn(ps, 300 + n)
+        fast = fourier_weyl_inverse(ps, f).matrix
+        assert _rel_err(fast, ref.fourier_weyl_inverse(ps, f)) <= 1e-12
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError):
+            symplectic_fourier(_phase_fn(PhaseSpace(3), 0), "sigma(x,x)")
 
 
 class TestNormEstimates:

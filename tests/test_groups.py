@@ -18,7 +18,7 @@ from qha import (
     random_function,
     translate,
 )
-from qha.errors import GroupMismatchError
+from qha.errors import GroupMismatchError, PreconditionError
 from qha.groups import read_group_function, write_group_function
 
 GROUPS = st.sampled_from([(4,), (5,), (6,), (2, 3), (2, 2, 2)])
@@ -138,6 +138,9 @@ class TestTranslateParityModulate:
         for p in (1, 2, np.inf):
             assert lp_norm(translate(f, x), p) == pytest.approx(lp_norm(f, p), rel=1e-12)
             assert lp_norm(modulate(f, chi), p) == pytest.approx(lp_norm(f, p), rel=1e-12)
+        for p in (0, -1, 0.5, np.nan, -np.inf):
+            with pytest.raises(PreconditionError):
+                lp_norm(f, p)
 
 
 class TestFourier:

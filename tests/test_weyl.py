@@ -183,3 +183,21 @@ class TestHilbertOp:
         path = tmp_path / "op.csv"
         write_hilbert_op(a, path, comment="roundtrip")
         assert np.array_equal(read_hilbert_op(path).matrix, a.matrix)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param("0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,1\n", id="missing_field"),
+            pytest.param("0,0,1,0\n0,1,0,0\n1,0,0,0\n", id="missing_entry"),
+            pytest.param("0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,1,0\n0,1,2,0\n", id="duplicate"),
+            pytest.param("0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,1,0\n-1,0,0,0\n", id="out_of_range"),
+            pytest.param("", id="no_entries"),
+        ],
+    )
+    def test_csv_read_rejects_malformed_entries(self, tmp_path, body):
+        from qha.weyl import read_hilbert_op
+
+        path = tmp_path / "op.csv"
+        path.write_text("row,col,re,im\n" + body)
+        with pytest.raises(ValueError):
+            read_hilbert_op(path)
