@@ -8,6 +8,7 @@ projections exact.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,34 @@ def modulated_box_operator(h: float, x_lo: float, x_hi: float, freq: float) -> G
     action on any fixed smooth vector fades as |freq| grows.
     """
     box = box_convolution_operator(h, x_lo, x_hi)
-    phase = np.exp(-1j * freq * box.grid())
-    mat = phase[:, None] * box.matrix * phase.conj()[None, :]
-    return GridOperator(h, x_lo, x_hi, mat)
+    return GridOperator(h, x_lo, x_hi, _modulate(box, freq))
+
+
+def _modulate(op: GridOperator, freq: float) -> np.ndarray:
+    """Matrix of Phi op Phi* with Phi = diag(e^(-i freq x)) on op's grid."""
+    phase = np.exp(-1j * freq * op.grid())
+    return phase[:, None] * op.matrix * phase.conj()[None, :]
+
+
+class ModulationOrbit(Sequence):
+    """Read-only orbit M_k = Phi_k B Phi_k* of a grid operator B, where
+    Phi_k = diag(e^(-i k step x)) and k = 0..steps-1; items are matrices.
+
+    Phi_i* Phi_j = Phi_(j-i), so ||M_i - M_j|| = ||M_0 - M_(j-i)||: a norm
+    of a difference depends only on j - i.  Item 0 equals B.
+    """
+
+    def __init__(self, base: GridOperator, step: float, steps: int):
+        self.h = base.h
+        self._items = tuple(_modulate(base, step * k) for k in range(steps))
+        for item in self._items:
+            item.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, k):
+        return self._items[k]
 
 
 def _interval_mask(grid_lo: float, h: float, size: int, a: float, b: float) -> np.ndarray:

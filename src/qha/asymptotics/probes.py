@@ -9,12 +9,14 @@ hierarchy norm => strong* => weak* holds for the measured quantities.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import PreconditionError
-from .gridops import box_convolution_operator, modulated_box_operator
+from .gridops import GridOperator, ModulationOrbit, box_convolution_operator
 from .windowed import WindowedZOperator, halmos_operator, parity_window, shift_operator
 
 CLASSIFICATIONS = ("norm", "strong*", "weak*", "divergent")
@@ -57,18 +59,23 @@ def _normalize(vec: np.ndarray, weight: float) -> np.ndarray:
 def _coerce_sequence(sequence) -> tuple[list[np.ndarray], float]:
     """Unwrap operator objects to matrices; return the inner-product weight.
 
-    Windowed operators must share one window, grid operators one grid; plain
-    matrices pass through with weight 1.
+    Windowed operators must share one window, grid operators one grid; a
+    modulation orbit carries its grid step; plain matrices pass through with
+    weight 1.
     """
+    if isinstance(sequence, ModulationOrbit):
+        return list(sequence), float(sequence.h)
     first = sequence[0]
-    if hasattr(first, "lo") and hasattr(first, "hi"):
+    if isinstance(first, WindowedZOperator):
         frame = (first.lo, first.hi)
-        if any((op.lo, op.hi) != frame for op in sequence):
+        if any(not isinstance(op, WindowedZOperator) or (op.lo, op.hi) != frame
+               for op in sequence):
             raise PreconditionError("windowed operators must share one window")
         return [op.matrix for op in sequence], 1.0
-    if hasattr(first, "h") and hasattr(first, "grid"):
+    if isinstance(first, GridOperator):
         frame = (first.h, first.x_lo, first.x_hi)
-        if any((op.h, op.x_lo, op.x_hi) != frame for op in sequence):
+        if any(not isinstance(op, GridOperator) or (op.h, op.x_lo, op.x_hi) != frame
+               for op in sequence):
             raise PreconditionError("grid operators must share one grid")
         return [op.matrix for op in sequence], float(first.h)
     return [np.asarray(m, dtype=complex) for m in sequence], 1.0
@@ -83,14 +90,18 @@ def topology_probe(
     tail_fraction: float = 0.5,
 ) -> TopologyProbeResult:
     """Classify the strongest topology whose tail pairwise differences stay
-    within tol.
+    within tol (finite and >= 0).
 
     The sequence may hold windowed operators, grid operators (their common
     window/grid is validated and the grid quadrature weight is picked up
-    automatically), or plain matrices.  trace_tests are (u, w) pairs standing
-    for the rank-one pairing B -> <Bu, w> in the weighted inner product; both
-    factors are normalized so the pairing is dominated by the operator norm.
+    automatically), or plain matrices, or be a ModulationOrbit, for which one
+    spectral norm per shift difference j - i serves every pair.  trace_tests
+    are (u, w) pairs standing for the rank-one pairing B -> <Bu, w> in the
+    weighted inner product; both factors are normalized so the pairing is
+    dominated by the operator norm.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise PreconditionError(f"tolerance must be finite and >= 0, got {tol}")
     if not len(sequence):
         raise ValueError("empty operator sequence")
     if not test_vectors or not trace_tests:
@@ -103,11 +114,16 @@ def topology_probe(
 
     count = len(matrices)
     tail_start = min(count - 1, int(np.ceil(count * (1.0 - tail_fraction))))
+    orbit = isinstance(sequence, ModulationOrbit)
+    norms: dict = {}
     rows: list[ProbeRow] = []
     for i in range(count):
         for j in range(i + 1, count):
             d = matrices[i] - matrices[j]
-            nd = float(np.linalg.norm(d, ord=2))
+            key = j - i if orbit else (i, j)
+            if key not in norms:
+                norms[key] = float(np.linalg.norm(d, ord=2))
+            nd = norms[key]
             sd = 0.0
             dH = d.conj().T
             for v in vecs:
@@ -141,7 +157,7 @@ class ProbeCase:
     """A canonical operator sequence plus its test sets."""
 
     name: str
-    matrices: list[np.ndarray]
+    matrices: Sequence[np.ndarray]
     test_vectors: list[np.ndarray]
     trace_tests: list[tuple[np.ndarray, np.ndarray]]
     weight: float
@@ -224,8 +240,7 @@ def box_modulation_case(
     equivalence) while the action on a fixed Gaussian fades with frequency."""
     box = box_convolution_operator(h, -half_width, half_width)
     grid = box.grid()
-    mats = [modulated_box_operator(h, -half_width, half_width, freq_step * i).matrix
-            for i in range(steps)]
+    mats = ModulationOrbit(box, freq_step, steps)
     gauss = np.exp(-(grid**2) / (2 * gauss_width**2))
     bump = np.exp(-((grid - 1.0) ** 2) / (2 * gauss_width**2))
     vecs = [gauss, bump]

@@ -237,6 +237,12 @@ def _cmd_run(args) -> int:
     if not isinstance(man, dict) or "subcommand" not in man or "params" not in man:
         print("error: manifest needs 'subcommand' and 'params' keys", file=sys.stderr)
         return 2
+    outputs = man.get("outputs")
+    if (not isinstance(man["subcommand"], str) or not isinstance(man["params"], dict)
+            or not isinstance(outputs, (dict, type(None)))):
+        print("error: manifest 'subcommand' must be a string, 'params' an object and "
+              "'outputs' an object or null", file=sys.stderr)
+        return 2
     argv = man["subcommand"].split()
     for key, value in man["params"].items():
         if isinstance(value, bool):
@@ -246,7 +252,7 @@ def _cmd_run(args) -> int:
             argv += [f"--{key}", str(value)]
     if "seed" in man:
         argv += ["--seed", str(man["seed"])]
-    for key, value in (man.get("outputs") or {}).items():
+    for key, value in (outputs or {}).items():
         argv += [f"--{key}", str(value)]
     return dispatch(argv)
 

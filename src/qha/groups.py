@@ -117,6 +117,8 @@ class GroupFunction:
             raise ValueError(
                 f"values must have length {self.group.cardinality}, got shape {vals.shape}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("function values must be finite")
         vals.setflags(write=False)
         self.values = vals
 

@@ -88,6 +88,19 @@ class TestDispatch:
         header = out_path.read_text().splitlines()[1]
         assert header == "i,j,norm_diff,strongstar_diff,weakstar_diff"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_probe_topology_rejects_bad_tolerance(self, tmp_path, capsys, tol):
+        out_path = tmp_path / "probe.csv"
+        code, out, err = run(
+            ["probe", "topology", "--case", "parity-shift", "--tol", tol,
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "tolerance" in err
+        assert "classification" not in out
+        assert not out_path.exists()
+
 
 class TestExampleAndProfileCommands:
     def test_example_halmos_profile(self, tmp_path, capsys):
@@ -286,6 +299,20 @@ class TestManifests:
         code, _, err = run(["run", str(man_path)], capsys)
         assert code == 2
         assert "subcommand" in err
+
+    @pytest.mark.parametrize("manifest", [
+        {"subcommand": 5, "params": {}},
+        {"subcommand": "probe topology", "params": [1]},
+        {"subcommand": "weyl check", "params": {"n": 3}, "outputs": ["out.csv"]},
+        {"subcommand": "weyl check", "params": {"n": 3}, "outputs": "out.csv"},
+    ])
+    def test_wrongly_typed_fields_are_usage_errors(self, tmp_path, capsys, manifest):
+        man_path = tmp_path / "typed.json"
+        man_path.write_text(json.dumps(manifest))
+        code, out, err = run(["run", str(man_path)], capsys)
+        assert code == 2
+        assert "must be" in err
+        assert out == ""
 
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         man_path = tmp_path / "broken.json"

@@ -74,6 +74,11 @@ class TestStructure:
         chi = g.character((2, 3))
         assert np.allclose(np.abs(chi.values()), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GroupFunction(FiniteAbelianGroup((4,)), [1.0, bad, 0.5, 0.0])
+
     def test_group_mismatch_raises(self):
         f = delta(FiniteAbelianGroup((4,)))
         g = delta(FiniteAbelianGroup((5,)))

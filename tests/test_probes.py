@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from qha.asymptotics import (
+    ModulationOrbit,
+    box_convolution_operator,
     box_modulation_case,
     halmos_shift_case,
+    modulated_box_operator,
     parity_shift_case,
     topology_probe,
 )
@@ -44,11 +47,13 @@ class TestClassifier:
 
     def test_hierarchy_of_measured_quantities(self):
         # normalized tests make weak* <= strong* <= norm row by row
-        case = halmos_shift_case(blocks=4, steps=4)
-        res = topology_probe(case.matrices, case.test_vectors, case.trace_tests, tol=0.1)
-        for row in res.rows:
-            assert row.weakstar_diff <= row.strongstar_diff + 1e-9
-            assert row.strongstar_diff <= row.norm_diff + 1e-9
+        for case in (halmos_shift_case(blocks=4, steps=4), box_modulation_case(h=0.25, steps=5)):
+            res = topology_probe(
+                case.matrices, case.test_vectors, case.trace_tests, tol=0.1, weight=case.weight
+            )
+            for row in res.rows:
+                assert row.weakstar_diff <= row.strongstar_diff + 1e-9
+                assert row.strongstar_diff <= row.norm_diff + 1e-9
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
@@ -78,6 +83,10 @@ class TestClassifier:
 
         with pytest.raises(PreconditionError):
             topology_probe([halmos_operator(3), halmos_operator(4)], vecs, tests, 0.1)
+        with pytest.raises(PreconditionError):
+            topology_probe([halmos_operator(3), np.eye(6)], vecs, tests, 0.1)
+        with pytest.raises(PreconditionError):
+            topology_probe([grids[0], np.eye(grids[0].size)], g_vec, [(g_vec[0], g_vec[0])], 0.1)
 
 
 class TestCanonicalCases:
@@ -126,3 +135,36 @@ class TestCanonicalCases:
         profile = DecayProfile(freqs[1:], vals[1:])  # skip freq 0 for the log fit
         assert profile.loglog_slope() < -0.5
         assert vals[-1] < 0.05 < vals[0]
+
+
+class TestModulationOrbit:
+    @pytest.mark.parametrize("params", [{}, {"h": 0.25, "steps": 5}], ids=["default", "small"])
+    def test_orbit_route_matches_dense_route(self, params):
+        case = box_modulation_case(**params)
+        assert isinstance(case.matrices, ModulationOrbit)
+        h = case.weight
+        for m, freq in zip(case.matrices, case.meta["freqs"]):
+            ref = modulated_box_operator(h, -6.0, 6.0, freq).matrix
+            assert m.tobytes() == ref.tobytes()
+        args = (case.test_vectors, case.trace_tests, 0.1)
+        orbit = topology_probe(case.matrices, *args, weight=h)
+        dense = topology_probe(list(case.matrices), *args, weight=h)
+        assert orbit.classification == dense.classification
+        assert orbit.tail_start == dense.tail_start
+        assert [(r.i, r.j) for r in orbit.rows] == [(r.i, r.j) for r in dense.rows]
+        for a, b in zip(orbit.rows, dense.rows):
+            assert a.norm_diff == pytest.approx(b.norm_diff, rel=1e-12)
+            assert a.strongstar_diff == b.strongstar_diff
+            assert a.weakstar_diff == b.weakstar_diff
+
+    def test_read_only_items_and_inferred_weight(self):
+        box = box_convolution_operator(0.25, 0.0, 4.0)
+        orbit = ModulationOrbit(box, 3.0, 4)
+        assert len(orbit) == 4
+        assert np.array_equal(orbit[0], box.matrix)
+        with pytest.raises(ValueError):
+            orbit[1][0, 0] = 0.0
+        vec = [np.ones(box.size)]
+        res = topology_probe(orbit, vec, [(vec[0], vec[0])], tol=1e-12)
+        dense = topology_probe(list(orbit), vec, [(vec[0], vec[0])], tol=1e-12, weight=0.25)
+        assert [r.strongstar_diff for r in res.rows] == [r.strongstar_diff for r in dense.rows]
