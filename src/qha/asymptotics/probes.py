@@ -247,8 +247,7 @@ def box_modulation_case(
     tests = [(gauss, bump), (bump, gauss)]
     return ProbeCase(
         "box-modulation", mats, vecs, tests, h,
-        {"freqs": [freq_step * i for i in range(steps)],
-         "box_norm": box.op_norm(), "h": h},
+        {"freqs": [freq_step * i for i in range(steps)], "h": h},
     )
 
 

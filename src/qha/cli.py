@@ -120,6 +120,8 @@ def _cmd_conv_audit(args) -> int:
 
 
 def _cmd_wiener_verify(args) -> int:
+    if args.samples < (0 if args.degenerate else 1):
+        raise ValueError("samples must be >= 1, or >= 0 with --degenerate")
     rng = np.random.default_rng(args.seed)
     cases = []
     for i in range(args.samples):

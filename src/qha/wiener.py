@@ -17,7 +17,7 @@ import numpy as np
 
 from .groups import GroupFunction, fourier, translate
 from .numerics import DEFAULT_ZERO_TOL, svd_rank
-from .weyl import HilbertOp, PhaseSpace, fourier_weyl, op_translate
+from .weyl import HilbertOp, PhaseSpace, fourier_weyl, op_translate_stack
 
 
 @dataclass
@@ -35,18 +35,29 @@ class RegularityReport:
         return (self.translate_span_rank == self.ambient_dim) == self.is_regular
 
 
-def _joint_magnitude(transforms: list[np.ndarray]) -> np.ndarray:
-    """Pointwise l2 combination; zero exactly on the common zero set."""
-    stacked = np.stack([np.abs(t) ** 2 for t in transforms])
-    return np.sqrt(stacked.sum(axis=0))
-
-
-def _zero_set(joint: np.ndarray, threshold: float, points) -> tuple[list, float]:
-    scale = float(joint.max()) if joint.size else 0.0
-    cut = threshold * scale
+def _report(transforms, points, rows, threshold: float, ambient_dim: int) -> RegularityReport:
+    """Both predicates of one set: the common zero set of the transforms
+    (where their pointwise l2 combination is below threshold times its
+    maximum) and the SVD rank of the stacked translates."""
+    joint = np.sqrt(np.stack([np.abs(t) ** 2 for t in transforms]).sum(axis=0))
+    cut = threshold * (float(joint.max()) if joint.size else 0.0)
     pts = list(points)
     zeros = [pts[i] for i in np.flatnonzero(joint <= cut)]
-    return zeros, scale
+    rank = svd_rank(rows, threshold)
+    report = RegularityReport(
+        min_abs_transform=float(joint.min()),
+        zero_set=zeros,
+        translate_span_rank=rank.rank,
+        is_regular=not zeros,
+        ambient_dim=ambient_dim,
+        warnings=list(rank.warnings),
+    )
+    if not report.predicates_agree:
+        report.warnings.append(
+            "transform zero set and translate-span rank disagree; "
+            "inputs sit on the decision threshold"
+        )
+    return report
 
 
 def regular_fn(g: GroupFunction, threshold: float = DEFAULT_ZERO_TOL) -> RegularityReport:
@@ -68,29 +79,9 @@ def regular_set_fn(
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     group = functions[0].group
+    rows = np.stack([translate(f, x).values for f in functions for x in group.elements()])
     transforms = [fourier(f).values for f in functions]
-    joint = _joint_magnitude(transforms)
-    zeros, _scale = _zero_set(joint, threshold, group.elements())
-
-    rows = np.stack(
-        [translate(f, x).values for f in functions for x in group.elements()]
-    )
-    rank = svd_rank(rows, threshold)
-
-    report = RegularityReport(
-        min_abs_transform=float(joint.min()),
-        zero_set=zeros,
-        translate_span_rank=rank.rank,
-        is_regular=not zeros,
-        ambient_dim=group.cardinality,
-        warnings=list(rank.warnings),
-    )
-    if not report.predicates_agree:
-        report.warnings.append(
-            "transform zero set and translate-span rank disagree; "
-            "inputs sit on the decision threshold"
-        )
-    return report
+    return _report(transforms, group.elements(), rows, threshold, group.cardinality)
 
 
 def regular_op_set(
@@ -110,29 +101,11 @@ def regular_op_set(
     if any(op.dim != n for op in operators):
         raise ValueError("operators must share one dimension")
     ps = PhaseSpace(n)
+    rows = np.concatenate(
+        [op_translate_stack(op, ps.points()).reshape(n * n, n * n) for op in operators]
+    )
     transforms = [fourier_weyl(op).values for op in operators]
-    joint = _joint_magnitude(transforms)
-    zeros, _scale = _zero_set(joint, threshold, ps.points())
-
-    rows = np.stack(
-        [op_translate(op, x).matrix.ravel() for op in operators for x in ps.points()]
-    )
-    rank = svd_rank(rows, threshold)
-
-    report = RegularityReport(
-        min_abs_transform=float(joint.min()),
-        zero_set=zeros,
-        translate_span_rank=rank.rank,
-        is_regular=not zeros,
-        ambient_dim=n * n,
-        warnings=list(rank.warnings),
-    )
-    if not report.predicates_agree:
-        report.warnings.append(
-            "transform zero set and translate-span rank disagree; "
-            "inputs sit on the decision threshold"
-        )
-    return report
+    return _report(transforms, ps.points(), rows, threshold, n * n)
 
 
 def degenerate_operator_set(n: int, seed: int = 0) -> dict[str, HilbertOp]:

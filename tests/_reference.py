@@ -3,7 +3,8 @@
 Test oracles only: each one evaluates its defining formula with dense Weyl
 matrices or explicit characters and shares no code with the FFT routes in
 ``qha.conv``, ``qha.weyl`` and ``qha.tauber``.  Costs are O(N^5) for the
-products and O(|G|^3) for the STFT, so the ladders using them stay small.
+products, O(N^6) for the identity loop and O(|G|^3) for the STFT, so the
+ladders using them stay small.
 """
 
 import numpy as np
@@ -29,6 +30,55 @@ def conv_op_op(ps: PhaseSpace, a, b) -> np.ndarray:
         u = weyl(ps, x).matrix
         out[ps.index(x)] = np.trace(a.matrix @ u @ rbr @ u.conj().T)
     return out
+
+
+def op_translate(ps: PhaseSpace, a) -> np.ndarray:
+    """alpha_x(A) = U_x A U_x* for every x, stacked in point order."""
+    us = [weyl(ps, x).matrix for x in ps.points()]
+    return np.stack([u @ a.matrix @ u.conj().T for u in us])
+
+
+def weyl_identity_residuals(n: int) -> dict[str, float]:
+    """The defining identities pair by pair: dense Weyl products, the
+    multiplier point by point, and the pairing through the orthogonality
+    of distinct characters (S S* = N^2 I for S[y, x] = sigma(x, y))."""
+    ps = PhaseSpace(n)
+    pts = ps.points()
+    us = {x: weyl(ps, x).matrix for x in pts}
+    r = parity_op(ps).matrix
+
+    proj = 0.0
+    for x in pts:
+        for y in pts:
+            lhs = us[x] @ us[y]
+            rhs = ps.multiplier(x, y) * us[ps.add(x, y)]
+            proj = max(proj, float(np.abs(lhs - rhs).max()))
+
+    par = max(
+        float(np.abs(r @ us[x] @ r - us[ps.neg(x)]).max()) for x in pts
+    )
+
+    coc = 0.0
+    sym = 0.0
+    for x in pts:
+        for y in pts:
+            sym = max(sym, abs(ps.multiplier(x, y) - ps.multiplier(ps.neg(x), ps.neg(y))))
+            for z in pts:
+                lhs = ps.multiplier(ps.add(x, y), z) * ps.multiplier(x, y)
+                rhs = ps.multiplier(x, ps.add(y, z)) * ps.multiplier(y, z)
+                coc = max(coc, abs(lhs - rhs))
+
+    s = np.array([[ps.pairing(x, y) for x in pts] for y in pts])
+    gram = s @ s.conj().T / (n * n)
+    pairing_ok = 0.0 if np.abs(gram - np.eye(n * n)).max() <= 1e-9 else 1.0
+
+    return {
+        "projective": proj,
+        "parity": par,
+        "cocycle": coc,
+        "parity_symmetric": sym,
+        "pairing_perfect": pairing_ok,
+    }
 
 
 def sigma_kernel(ps: PhaseSpace, variant: str) -> np.ndarray:

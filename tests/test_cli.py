@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, CSV schemas, manifest determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ class TestDispatch:
         lines = out_path.read_text().splitlines()
         assert lines[1] == "case,min_abs_transform,rank,is_regular,agreement"
         assert all(l.endswith("true") for l in lines[2:])
+
+    def test_wiener_verify_matches_golden_bytes(self, capsys):
+        golden = Path(__file__).parent / "golden" / "wiener_verify_n12_s10_seed3_degenerate.csv"
+        code, out, _ = run(
+            ["wiener", "verify", "--n", "12", "--samples", "10", "--seed", "3", "--degenerate"],
+            capsys,
+        )
+        assert code == 0
+        assert out.encode() == golden.read_bytes()
 
     def test_probe_topology_expectation(self, tmp_path, capsys):
         out_path = tmp_path / "probe.csv"
@@ -227,6 +237,25 @@ class TestMalformedInput:
         assert "bad.csv" in err
         assert not out.exists()
         assert not (tmp_path / "out_tailmass.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra", [["--samples", "-1"], ["--samples", "0"], ["--samples", "-1", "--degenerate"]]
+    )
+    def test_wiener_verify_rejects_empty_run(self, tmp_path, capsys, extra):
+        out = tmp_path / "out.csv"
+        argv = ["wiener", "verify", "--n", "3", "--seed", "1", "--out", str(out)]
+        code, stdout, err = run(argv + extra, capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_wiener_verify_degenerate_only(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = ["wiener", "verify", "--n", "3", "--samples", "0", "--seed", "1", "--degenerate"]
+        code, _, _ = run(argv + ["--out", str(out)], capsys)
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 2 + 7
 
 
 class TestEmitCsv:

@@ -117,7 +117,7 @@ class TestCanonicalCases:
             case.matrices, case.test_vectors, case.trace_tests, tol=0.1, weight=case.weight
         )
         assert res.classification == "strong*"
-        assert abs(case.meta["box_norm"] - 2.0) <= 0.02
+        assert abs(np.linalg.norm(case.matrices[0], 2) - 2.0) <= 0.02
         norms = [np.linalg.norm(m, 2) for m in case.matrices]
         assert max(norms) - min(norms) < 1e-10  # constant operator norm
 

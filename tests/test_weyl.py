@@ -19,10 +19,13 @@ from qha import (
     weyl_identity_residuals,
 )
 from qha.errors import PreconditionError
+from qha.weyl import op_translate_stack
+
+import _reference as ref
 
 
 class TestPhaseSpace:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_defining_identities_exhaustive(self, n):
         res = weyl_identity_residuals(n)
         assert res["projective"] <= 1e-12
@@ -39,6 +42,56 @@ class TestPhaseSpace:
 
     def test_haar_weight(self):
         assert PhaseSpace(6).as_group().haar_weight == pytest.approx(1 / 6)
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_exponent_forms_give_point_values(self, n):
+        ps = PhaseSpace(n)
+        roots = ps.roots()
+        for x in ps.points():
+            for y in ps.points():
+                assert ps.multiplier(x, y) == roots[ps.multiplier_exponent(x, y)]
+                assert ps.pairing(x, y) == roots[ps.pairing_exponent(x, y)]
+
+
+class TestIdentityResiduals:
+    """The array route against the pair-by-pair loop, and against broken
+    multipliers and pairings it must report."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_reference_loop(self, n):
+        fast, slow = weyl_identity_residuals(n), ref.weyl_identity_residuals(n)
+        assert fast.keys() == slow.keys()
+        for key in fast:
+            assert abs(fast[key] - slow[key]) <= 1e-15, key
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_degenerate_pairing_reported(self, monkeypatch, n):
+        monkeypatch.setattr(PhaseSpace, "pairing_exponent", lambda self, x, y: 0 * x[0] * y[0])
+        assert PhaseSpace(n).pairing((1, 0), (0, 1)) == 1.0
+        assert weyl_identity_residuals(n)["pairing_perfect"] == 1.0
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_wrong_sign_multiplier_breaks_projective(self, monkeypatch, n):
+        monkeypatch.setattr(PhaseSpace, "multiplier_exponent", lambda self, x, y: x[0] * y[1] % self.n)
+        res = weyl_identity_residuals(n)
+        assert res["projective"] > 1e-12
+        # omega^(+ad) is a bicharacter too, so it still satisfies the cocycle relation.
+        assert res["cocycle"] <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_sign_flip_at_one_pair_breaks_projective_and_cocycle(self, monkeypatch, n):
+        exponent = PhaseSpace.multiplier_exponent
+        value = PhaseSpace(n).multiplier((1, 1), (1, 1))
+
+        def flipped(self, x, y):
+            at = (x[0] == 1) & (x[1] == 1) & (y[0] == 1) & (y[1] == 1)
+            return (exponent(self, x, y) + np.where(at, self.n // 2, 0)) % self.n
+
+        monkeypatch.setattr(PhaseSpace, "multiplier_exponent", flipped)
+        assert PhaseSpace(n).multiplier((1, 1), (1, 1)) == pytest.approx(-value)
+        res = weyl_identity_residuals(n)
+        assert res["projective"] > 1e-12
+        assert res["cocycle"] > 1e-12
 
 
 class TestWeylOperators:
@@ -74,6 +127,19 @@ class TestOperatorActions:
     def test_translate_at_origin(self):
         a = random_op(4, np.random.default_rng(0))
         assert np.allclose(op_translate(a, (0, 0)).matrix, a.matrix)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
+    def test_translate_matches_dense_reference(self, n):
+        ps = PhaseSpace(n)
+        a = random_op(n, np.random.default_rng(20 + n))
+        dense = ref.op_translate(ps, a)
+        assert np.abs(op_translate_stack(a, ps.points()) - dense).max() <= 1e-13
+        for x, expected in zip(ps.points(), dense):
+            assert np.abs(op_translate(a, x).matrix - expected).max() <= 1e-13
+
+    def test_translate_reduces_points_mod_n(self):
+        a = random_op(5, np.random.default_rng(12))
+        assert np.array_equal(op_translate(a, (-1, 7)).matrix, op_translate(a, (4, 2)).matrix)
 
     def test_translate_composition_n5(self):
         ps = PhaseSpace(5)

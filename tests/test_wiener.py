@@ -20,6 +20,8 @@ from qha import (
 )
 from qha.wiener import degenerate_operator_set
 
+import _reference as ref
+
 
 class TestFunctionRegularity:
     def test_delta_regular_on_z8(self):
@@ -105,6 +107,26 @@ class TestOperatorRegularity:
         for name, op in degenerate_operator_set(n).items():
             rep = regular_op_set([op])
             assert rep.predicates_agree, name
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
+    def test_translate_rows_match_dense_reference(self, monkeypatch, n):
+        import qha.wiener
+        from qha.numerics import svd_rank
+
+        seen = []
+
+        def spy(rows, threshold):
+            seen.append(rows)
+            return svd_rank(rows, threshold)
+
+        monkeypatch.setattr(qha.wiener, "svd_rank", spy)
+        ps = PhaseSpace(n)
+        rng = np.random.default_rng(30 + n)
+        ops = [random_op(n, rng), rank_one(rng.standard_normal(n))]
+        regular_op_set(ops)
+        dense = np.concatenate([ref.op_translate(ps, op).reshape(n * n, n * n) for op in ops])
+        assert seen[0].shape == dense.shape
+        assert np.abs(seen[0] - dense).max() <= 1e-13
 
     def test_weyl_operator_span_is_one_dimensional(self):
         from qha import weyl
