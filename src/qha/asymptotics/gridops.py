@@ -8,16 +8,23 @@ projections exact.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import PreconditionError
+from ..numerics import spectral_norm
 
 
 def _near_int(x: float, tol: float = 1e-9) -> bool:
     return abs(x - round(x)) <= tol
+
+
+def _check_step(h: float) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise PreconditionError(f"step h must be finite and positive, got {h}")
 
 
 @dataclass
@@ -28,8 +35,7 @@ class GridOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise PreconditionError("step h must be positive")
+        _check_step(self.h)
         steps = (self.x_hi - self.x_lo) / self.h
         if not _near_int(steps):
             raise PreconditionError(
@@ -58,7 +64,7 @@ class GridOperator:
     def op_norm(self) -> float:
         # The uniform weight cancels, so the weighted operator norm is the
         # plain spectral norm of the matrix.
-        return float(np.linalg.norm(self.matrix, ord=2))
+        return spectral_norm(self.matrix)
 
 
 def box_convolution_operator(h: float, x_lo: float, x_hi: float) -> GridOperator:
@@ -67,6 +73,7 @@ def box_convolution_operator(h: float, x_lo: float, x_hi: float) -> GridOperator
     Symmetric Toeplitz; interior row sums are 2 + h, and the operator norm
     tends to 2 (the peak of the kernel's transform) as h -> 0.
     """
+    _check_step(h)
     if h > 0.5:
         raise PreconditionError("box_convolution_operator needs h <= 0.5")
     if x_hi <= x_lo:
@@ -181,6 +188,7 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
+    _check_step(h)
     if h > 0.5:
         raise PreconditionError("step h must satisfy h <= 0.5")
     if not _near_int(0.5 / h):
@@ -207,9 +215,12 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
         masks[n] = mask
         proj += (h / n) * np.outer(mask, mask)
     projector = GridOperator(h, x_lo, x_hi, proj)
-    product = GridOperator(h, x_lo, x_hi, box.matrix @ proj @ box.matrix)
+    # C is real symmetric, so C A C = sum_n (h/n) (C m_n)(C m_n)^T.
+    smoothed = box.matrix.real @ np.stack(list(masks.values()), axis=1)
+    weights = h / np.arange(1, n_max + 1)
+    product = GridOperator(h, x_lo, x_hi, (smoothed * weights) @ smoothed.T)
 
-    projection_residual = float(np.linalg.norm(proj @ proj - proj, ord=2))
+    projection_residual = spectral_norm(proj @ proj - proj)
 
     # Discrete smoothing of each interval indicator with the half-open box
     # (offsets in [-1, 1)), against the closed-form trapezoid.

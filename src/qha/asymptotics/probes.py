@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PreconditionError
+from ..numerics import spectral_norm
 from .gridops import GridOperator, ModulationOrbit, box_convolution_operator
 from .windowed import WindowedZOperator, halmos_operator, parity_window, shift_operator
 
@@ -122,7 +123,7 @@ def topology_probe(
             d = matrices[i] - matrices[j]
             key = j - i if orbit else (i, j)
             if key not in norms:
-                norms[key] = float(np.linalg.norm(d, ord=2))
+                norms[key] = spectral_norm(d)
             nd = norms[key]
             sd = 0.0
             dH = d.conj().T

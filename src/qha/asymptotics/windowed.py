@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PreconditionError
+from ..numerics import singular_values
 from .profiles import DecayProfile
 
 
@@ -37,9 +38,6 @@ class WindowedFunction:
         if nz.size == 0:
             return (0, -1)
         return (self.lo + int(nz[0]), self.lo + int(nz[-1]))
-
-    def l1_norm(self) -> float:
-        return float(np.abs(self.values).sum())
 
 
 @dataclass
@@ -222,8 +220,7 @@ def compactness_proxy(builder, sizes: list[int], epsilon: float) -> CompactnessT
         raise PreconditionError("sizes must be strictly increasing")
     counts = []
     for size in sizes:
-        op = builder(size)
-        svals = np.linalg.svd(op.matrix, compute_uv=False)
+        svals = singular_values(builder(size).matrix)
         counts.append(int(np.count_nonzero(svals >= epsilon)))
     if len(counts) >= 2 and all(b > a for a, b in zip(counts, counts[1:])):
         verdict = "non-compact-trend"

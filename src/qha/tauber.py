@@ -297,7 +297,7 @@ def windowed_compactness_profile(
         for th2 in angles:
             moved = shift_operator(b_ref, int(y), float(th2)).matrix
             for sa in shifted_as:
-                best = max(best, abs(np.trace(sa @ moved)))
+                best = max(best, abs((sa * moved.T).sum()))  # Tr(sa @ moved)
         out[yi] = best
     return DecayProfile(np.asarray(shifts, dtype=float), out)
 

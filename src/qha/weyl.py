@@ -125,18 +125,6 @@ class HilbertOp:
     def hs_norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
 
-    def adjoint(self) -> "HilbertOp":
-        return HilbertOp(self.matrix.conj().T)
-
-    def __add__(self, other: "HilbertOp") -> "HilbertOp":
-        return HilbertOp(self.matrix + other.matrix)
-
-    def __sub__(self, other: "HilbertOp") -> "HilbertOp":
-        return HilbertOp(self.matrix - other.matrix)
-
-    def __matmul__(self, other: "HilbertOp") -> "HilbertOp":
-        return HilbertOp(self.matrix @ other.matrix)
-
     def __repr__(self) -> str:
         return f"HilbertOp(dim={self.dim})"
 

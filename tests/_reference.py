@@ -1,8 +1,10 @@
-"""Direct-sum definitions of the phase-space products and transforms.
+"""Direct-sum definitions of the phase-space products and transforms, and
+dense singular values.
 
 Test oracles only: each one evaluates its defining formula with dense Weyl
-matrices or explicit characters and shares no code with the FFT routes in
-``qha.conv``, ``qha.weyl`` and ``qha.tauber``.  Costs are O(N^5) for the
+matrices, explicit characters or one dense LAPACK SVD, and shares no code
+with the FFT routes in ``qha.conv``, ``qha.weyl`` and ``qha.tauber`` or the
+structured spectral norms in ``qha.numerics``.  Costs are O(N^5) for the
 products, O(N^6) for the identity loop and O(|G|^3) for the STFT, so the
 ladders using them stay small.
 """
@@ -120,3 +122,13 @@ def stft(f, window) -> np.ndarray:
                 for t in g.elements()
             )
     return out
+
+
+def singular_values(m) -> np.ndarray:
+    """All min(R, C) singular values, descending, by one dense SVD."""
+    return np.linalg.svd(np.asarray(m), compute_uv=False)
+
+
+def spectral_norm(m) -> float:
+    """Dense operator 2-norm."""
+    return float(np.linalg.norm(np.asarray(m), 2))

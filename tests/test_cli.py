@@ -128,6 +128,16 @@ class TestExampleAndProfileCommands:
         body = out.read_text()
         assert "projection_residual" in body and "product_norm_n2" in body
 
+    @pytest.mark.parametrize("h", ["0", "-0.25", "nan", "inf"])
+    def test_example_cac_rejects_bad_step(self, tmp_path, capsys, h):
+        out = tmp_path / "cac.csv"
+        code, stdout, err = run(["example", "cac", "--h", h, "--nmax", "2", "--out", str(out)],
+                                capsys)
+        assert code == 2
+        assert err.startswith("error:") and "finite and positive" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_stft_decay_windowed(self, tmp_path, capsys):
         import csv as _csv
 

@@ -32,6 +32,13 @@ class TestBoxOperator:
         assert abs(norms[-1] - 2.0) < abs(norms[0] - 2.0) + 0.05
         assert abs(box_convolution_operator(0.02, -6.0, 6.0).op_norm() - 2.0) < 0.02
 
+    @pytest.mark.parametrize("h", [0.0, -0.25, float("nan"), float("inf")])
+    def test_non_finite_or_non_positive_step(self, h):
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            box_convolution_operator(h, 0.0, 5.0)
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            cac_example(h, 2)
+
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
             box_convolution_operator(0.6, 0.0, 5.0)
@@ -104,6 +111,12 @@ class TestCacExample:
     def test_plateau_exact_at_interior_points(self):
         rec = cac_example(0.05, 4)
         assert max(rec.plateau_max_dev.values()) <= 1e-12
+
+    def test_product_matches_dense_sandwich(self):
+        rec = cac_example(0.05, 4)
+        box, proj = rec.box.matrix, rec.projector.matrix
+        dense = box @ proj @ box
+        assert np.abs(rec.product.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_kernel_domination(self):
         rec = cac_example(0.05, 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qha.asymptotics import (
+    PROBE_CASES,
     ModulationOrbit,
     box_convolution_operator,
     box_modulation_case,
@@ -12,6 +13,8 @@ from qha.asymptotics import (
     parity_shift_case,
     topology_probe,
 )
+
+import _reference as ref
 
 
 def _constant_case(n=6, items=4):
@@ -135,6 +138,24 @@ class TestCanonicalCases:
         profile = DecayProfile(freqs[1:], vals[1:])  # skip freq 0 for the log fit
         assert profile.loglog_slope() < -0.5
         assert vals[-1] < 0.05 < vals[0]
+
+
+class TestNormsAgainstDenseSvd:
+    @pytest.mark.parametrize("name", sorted(PROBE_CASES))
+    def test_norm_diff_matches_dense_norm(self, name):
+        # The only probe norm check sharing no code with qha.numerics; on a
+        # modulation orbit one dense norm per shift difference j - i.
+        case = PROBE_CASES[name]()
+        res = topology_probe(
+            case.matrices, case.test_vectors, case.trace_tests, 0.1, weight=case.weight
+        )
+        orbit = isinstance(case.matrices, ModulationOrbit)
+        dense = {}
+        for r in res.rows:
+            key = r.j - r.i if orbit else (r.i, r.j)
+            if key not in dense:
+                dense[key] = ref.spectral_norm(case.matrices[r.i] - case.matrices[r.j])
+            assert r.norm_diff == pytest.approx(dense[key], rel=1e-12)
 
 
 class TestModulationOrbit:

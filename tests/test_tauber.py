@@ -26,7 +26,14 @@ from qha import (
     uniform_compactness_profile,
     windowed_stft_profile,
 )
-from qha.asymptotics import WindowedFunction, WindowedZOperator, point_mass_operator
+from qha.asymptotics import (
+    WindowedFunction,
+    WindowedZOperator,
+    point_mass_operator,
+    reflect_operator,
+    shift_operator,
+    window_weyl_matrix,
+)
 from qha.errors import PreconditionError
 from qha.tauber import (
     modulate_family_is_regular,
@@ -305,11 +312,24 @@ class TestUniformCompactnessProfile:
         a = WindowedZOperator(lo, hi, a_mat)
         b = point_mass_operator(lo, hi, at=0)
         shifts = np.arange(-12, 13)
-        prof = windowed_compactness_profile(a, b, [(0, 0.0), (1, 0.4)], shifts, theta_points=8)
+        points = [(0, 0.0), (1, 0.4)]
+        prof = windowed_compactness_profile(a, b, points, shifts, theta_points=8)
         inside = np.abs(prof.params) <= 3
         outside = np.abs(prof.params) >= 10
         assert prof.values[inside].max() > 1e-3
         assert prof.values[outside].max() < 1e-6
+        # the trace form Tr(W A . alpha_y(reflect B)) with the dense product
+        b_ref = reflect_operator(b)
+        angles = 2 * np.pi * np.arange(8) / 8
+        traces = [
+            max(
+                abs(np.trace(window_weyl_matrix(lo, hi, k, th) @ a.matrix
+                             @ shift_operator(b_ref, int(y), float(th2)).matrix))
+                for k, th in points for th2 in angles
+            )
+            for y in shifts
+        ]
+        assert np.abs(prof.values - traces).max() <= 1e-12 * max(traces)
 
     def test_needs_points(self):
         with pytest.raises(PreconditionError):
