@@ -126,10 +126,10 @@ def topology_probe(
                 norms[key] = spectral_norm(d)
             nd = norms[key]
             sd = 0.0
-            dH = d.conj().T
             for v in vecs:
                 sd = max(sd, np.sqrt(weight) * float(np.linalg.norm(d @ v)))
-                sd = max(sd, np.sqrt(weight) * float(np.linalg.norm(dH @ v)))
+                # ||d* v|| = ||v* d||, since d* v = conj(v* d): no adjoint copy
+                sd = max(sd, np.sqrt(weight) * float(np.linalg.norm(v.conj() @ d)))
             wd = 0.0
             for u, w in pairs:
                 wd = max(wd, abs(weight * np.vdot(w, d @ u)))

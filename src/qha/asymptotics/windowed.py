@@ -119,17 +119,6 @@ def parity_window(lo: int, hi: int) -> WindowedZOperator:
     return WindowedZOperator(lo, hi, mat, provenance="reflection")
 
 
-def window_weyl_matrix(lo: int, hi: int, k: int, theta: float) -> np.ndarray:
-    """Compression of the shift-and-phase unitary a(n) -> e^(i theta n) a(n-k)."""
-    size = hi - lo + 1
-    j = np.arange(lo, hi + 1)
-    mat = np.zeros((size, size), dtype=complex)
-    src = j - k
-    ok = (src >= lo) & (src <= hi)
-    mat[(j - lo)[ok], (src - lo)[ok]] = np.exp(1j * theta * j[ok])
-    return mat
-
-
 def shift_operator(op: WindowedZOperator, k: int, theta: float = 0.0) -> WindowedZOperator:
     """Phase-space shift by (k, e^(i theta)) acting by compression.
 
@@ -148,12 +137,6 @@ def shift_operator(op: WindowedZOperator, k: int, theta: float = 0.0) -> Windowe
     phase = np.exp(1j * theta * j)
     out = phase[:, None] * out * phase.conj()[None, :]
     return WindowedZOperator(op.lo, op.hi, out, provenance=f"{op.provenance}<<({k},{theta:g})")
-
-
-def reflect_operator(op: WindowedZOperator) -> WindowedZOperator:
-    """Conjugation by the reflection about 0 (symmetric windows only)."""
-    r = parity_window(op.lo, op.hi).matrix
-    return WindowedZOperator(op.lo, op.hi, r @ op.matrix @ r, provenance=f"reflect({op.provenance})")
 
 
 def column_row_profiles(op: WindowedZOperator) -> tuple[DecayProfile, DecayProfile]:

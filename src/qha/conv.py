@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import GroupMismatchError
 from .groups import GroupFunction, convolve, lp_norm
-from .weyl import HilbertOp, PhaseSpace, fourier_weyl, fourier_weyl_inverse, parity_op, random_op
+from .weyl import HilbertOp, PhaseSpace, fourier_weyl, fourier_weyl_inverse, random_op
 
 #: Sign s per kernel variant, as formulas in (x, xi): the kernel is
 #: omega^(s * (p*b - q*a)) at x = (a,b), xi = (p,q).  By antisymmetry
@@ -265,10 +265,8 @@ def sharpness_witness(n: int, seed: int = 0) -> float:
     """Ratio ||A*B||_inf / (||A||_tr ||B||_op) for A = B = phi (x) phi with
     a reflection-symmetric unit vector phi; equals 1, attained at the origin."""
     rng = np.random.default_rng(seed)
-    ps = PhaseSpace(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    r = parity_op(ps).matrix
-    phi = v + r @ v
+    phi = v + v[(-np.arange(n)) % n]  # v + R v
     if np.linalg.norm(phi) < 1e-9:  # reflection-antisymmetric draw
         phi = v + 1.0
     phi = phi / np.linalg.norm(phi)

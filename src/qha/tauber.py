@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics.profiles import DecayProfile
-from .asymptotics.windowed import WindowedFunction, WindowedZOperator, window_weyl_matrix
+from .asymptotics.windowed import WindowedFunction
 from .conv import conv_fn_op, conv_op_op
 from .errors import GroupMismatchError, PreconditionError
 from .groups import FiniteAbelianGroup, GroupFunction, translate
-from .weyl import HilbertOp, PhaseSpace, rank_one, weyl
+from .weyl import HilbertOp, _shift_tables, rank_one
 
 
 # --- short-time Fourier transform --------------------------------------------
@@ -257,49 +257,11 @@ def uniform_compactness_profile(
     """Profile over y of sup_{x in points} |((U_x A) * B)(y)| on the phase space."""
     if not points:
         raise PreconditionError("need a nonempty set of phase-space points")
-    ps = PhaseSpace(a.dim)
-    sup = None
-    for x in points:
-        shifted = HilbertOp(weyl(ps, x).matrix @ a.matrix)
-        vals = np.abs(conv_op_op(shifted, b).values)
-        sup = vals if sup is None else np.maximum(sup, vals)
-    return DecayProfile(np.arange(ps.n * ps.n, dtype=float), sup)
-
-
-def windowed_compactness_profile(
-    a: WindowedZOperator,
-    b: WindowedZOperator,
-    points: list[tuple[int, float]],
-    shifts: np.ndarray,
-    theta_points: int = 16,
-) -> DecayProfile:
-    """Windowed analogue: profile over integer shifts y of
-    sup over (k, theta) in points and theta' on a grid of
-    |Tr((W_(k,theta) A) alpha_(y,theta')(reflect(B)))|.
-
-    Exact only while every shift keeps the supports inside the window; the
-    caller chooses a boundary-free shift range.
-    """
-    if not points:
-        raise PreconditionError("need a nonempty set of phase-space points")
-    if (a.lo, a.hi) != (b.lo, b.hi):
-        raise GroupMismatchError("operators must share one window")
-    from .asymptotics.windowed import reflect_operator, shift_operator
-
-    b_ref = reflect_operator(b)
-    angles = 2 * np.pi * np.arange(theta_points) / theta_points
-    shifted_as = [
-        window_weyl_matrix(a.lo, a.hi, k, th) @ a.matrix for (k, th) in points
-    ]
-    out = np.zeros(len(shifts))
-    for yi, y in enumerate(np.asarray(shifts, dtype=int)):
-        best = 0.0
-        for th2 in angles:
-            moved = shift_operator(b_ref, int(y), float(th2)).matrix
-            for sa in shifted_as:
-                best = max(best, abs((sa * moved.T).sum()))  # Tr(sa @ moved)
-        out[yi] = best
-    return DecayProfile(np.asarray(shifts, dtype=float), out)
+    n = a.dim
+    rows, phase = _shift_tables(n, points)
+    shifted = phase[:, :, None] * a.matrix[rows]  # U_x A for every x
+    sup = np.max([np.abs(conv_op_op(HilbertOp(m), b).values) for m in shifted], axis=0)
+    return DecayProfile(np.arange(n * n, dtype=float), sup)
 
 
 def modulate_family_is_regular(window: GroupFunction, threshold: float = 1e-8) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .groups import GroupFunction, fourier, translate
 from .numerics import DEFAULT_ZERO_TOL, svd_rank
-from .weyl import HilbertOp, PhaseSpace, fourier_weyl, op_translate_stack
+from .weyl import HilbertOp, PhaseSpace, fourier_weyl, op_translate_stack, weyl
 
 
 @dataclass
@@ -35,14 +35,22 @@ class RegularityReport:
         return (self.translate_span_rank == self.ambient_dim) == self.is_regular
 
 
-def _report(transforms, points, rows, threshold: float, ambient_dim: int) -> RegularityReport:
-    """Both predicates of one set: the common zero set of the transforms
-    (where their pointwise l2 combination is below threshold times its
-    maximum) and the SVD rank of the stacked translates."""
+def _common_zeros(transforms, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pointwise l2 combination of the transforms and the mask where it is
+    at most threshold times its maximum: the common zero set."""
+    if not threshold > 0:  # also rejects NaN
+        raise ValueError("threshold must be positive")
     joint = np.sqrt(np.stack([np.abs(t) ** 2 for t in transforms]).sum(axis=0))
     cut = threshold * (float(joint.max()) if joint.size else 0.0)
+    return joint, joint <= cut
+
+
+def _report(transforms, points, rows, threshold: float, ambient_dim: int) -> RegularityReport:
+    """Both predicates of one set: the common zero set of the transforms and
+    the SVD rank of the stacked translates."""
+    joint, zero = _common_zeros(transforms, threshold)
     pts = list(points)
-    zeros = [pts[i] for i in np.flatnonzero(joint <= cut)]
+    zeros = [pts[i] for i in np.flatnonzero(zero)]
     rank = svd_rank(rows, threshold)
     report = RegularityReport(
         min_abs_transform=float(joint.min()),
@@ -76,8 +84,6 @@ def regular_set_fn(
     """
     if not functions:
         raise ValueError("regular_set_fn needs a nonempty set of functions")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     group = functions[0].group
     rows = np.stack([translate(f, x).values for f in functions for x in group.elements()])
     transforms = [fourier(f).values for f in functions]
@@ -95,8 +101,6 @@ def regular_op_set(
     """
     if not operators:
         raise ValueError("regular_op_set needs a nonempty set of operators")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     n = operators[0].dim
     if any(op.dim != n for op in operators):
         raise ValueError("operators must share one dimension")
@@ -114,12 +118,12 @@ def degenerate_operator_set(n: int, seed: int = 0) -> dict[str, HilbertOp]:
     Identity, a diagonal point mass, three Weyl unitaries, the reflection
     operator, and a rank-one built from a reflection-symmetric vector.
     """
-    from .weyl import identity_op, parity_op, rank_one, weyl  # local to avoid cycle noise
+    from .weyl import identity_op, parity_op, rank_one  # local to avoid cycle noise
 
     ps = PhaseSpace(n)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    phi = v + parity_op(ps).matrix @ v
+    phi = v + v[(-np.arange(n)) % n]  # v + R v
     nrm = np.linalg.norm(phi)
     if nrm < 1e-12:  # reflection-antisymmetric draw; perturb deterministically
         phi = v + 1.0
@@ -141,33 +145,30 @@ def degenerate_operator_set(n: int, seed: int = 0) -> dict[str, HilbertOp]:
 def corresponding_space(
     ps: PhaseSpace, d0_basis: list[GroupFunction], threshold: float = DEFAULT_ZERO_TOL
 ) -> list[HilbertOp]:
-    """Orthonormal (HS) basis of span{A * f : A a matrix unit, f in d0_basis}.
+    """Orthonormal (HS) basis of span{f * A : A an operator, f in d0_basis}.
+
+    F_weyl(f * A) = F_sigma(f) . F_weyl(A) makes A -> f * A diagonal in the
+    Weyl basis, so the span is that of the U_xi* with xi outside the common
+    zero set of the F_sigma(f), decided by the joint-magnitude rule of the
+    regularity reports (the joint magnitude is exactly the singular-value
+    profile of the stacked maps A -> f * A).  The basis is canonical: U_xi* /
+    sqrt(N) for each such xi in point order; no SVD is taken.
 
     Returns [] for an empty basis.  Enlarging d0_basis never shrinks the
-    result, and repeating the construction on its own output is idempotent
-    up to unitary re-mixing of the basis.
-
-    At finite dimension every translation-invariant function space that
-    separates points produces the full matrix space here (the compact and
-    bounded operator classes coincide), so the construction distinguishes
-    only proper subspaces such as the constants (which give the identity
-    line, since 1 * A = Tr(A) I).
+    result.  At finite dimension every translation-invariant function space
+    that separates points produces the full matrix space here (the compact
+    and bounded operator classes coincide), so the construction
+    distinguishes only proper subspaces such as the constants (which give
+    the identity line, since 1 * A = Tr(A) I).
     """
-    from .conv import conv_fn_op
+    from .conv import _check_phase_function, symplectic_fourier
 
     if not d0_basis:
         return []
-    n = ps.n
-    rows = []
     for f in d0_basis:
-        for u in range(n):
-            for v in range(n):
-                unit = np.zeros((n, n), dtype=complex)
-                unit[u, v] = 1.0
-                rows.append(conv_fn_op(f, HilbertOp(unit)).matrix.ravel())
-    _u, s, vh = np.linalg.svd(np.stack(rows), full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return []
-    keep = s > threshold * smax
-    return [HilbertOp(vh[i].reshape(n, n)) for i in np.flatnonzero(keep)]
+        _check_phase_function(ps, f)
+    _joint, zero = _common_zeros([symplectic_fourier(f).values for f in d0_basis], threshold)
+    return [
+        HilbertOp(weyl(ps, xi).matrix.conj().T / np.sqrt(ps.n))
+        for xi, z in zip(ps.points(), zero) if not z
+    ]

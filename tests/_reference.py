@@ -1,17 +1,19 @@
-"""Direct-sum definitions of the phase-space products and transforms, and
-dense singular values.
+"""Direct-sum definitions of the phase-space products, transforms and
+operator actions, the corresponding space by one SVD, and dense singular
+values.
 
 Test oracles only: each one evaluates its defining formula with dense Weyl
 matrices, explicit characters or one dense LAPACK SVD, and shares no code
-with the FFT routes in ``qha.conv``, ``qha.weyl`` and ``qha.tauber`` or the
-structured spectral norms in ``qha.numerics``.  Costs are O(N^5) for the
+with the FFT routes and index gathers in ``qha.conv``, ``qha.weyl``,
+``qha.wiener`` and ``qha.tauber`` or the structured spectral norms in
+``qha.numerics``.  Costs are O(N^5) for the
 products, O(N^6) for the identity loop and O(|G|^3) for the STFT, so the
 ladders using them stay small.
 """
 
 import numpy as np
 
-from qha import PhaseSpace, parity_op, weyl
+from qha import HilbertOp, PhaseSpace, parity_op, weyl
 
 
 def conv_fn_op(ps: PhaseSpace, f, a) -> np.ndarray:
@@ -38,6 +40,44 @@ def op_translate(ps: PhaseSpace, a) -> np.ndarray:
     """alpha_x(A) = U_x A U_x* for every x, stacked in point order."""
     us = [weyl(ps, x).matrix for x in ps.points()]
     return np.stack([u @ a.matrix @ u.conj().T for u in us])
+
+
+def op_parity(ps: PhaseSpace, a) -> np.ndarray:
+    """beta(A) = R A R with the dense reflection."""
+    r = parity_op(ps).matrix
+    return r @ a.matrix @ r
+
+
+def op_modulate(ps: PhaseSpace, b, xi) -> np.ndarray:
+    """gamma_xi(B) = U B U for U = U_{-xi/2}, the dense Weyl matrix (odd N)."""
+    inv2 = pow(2, -1, ps.n)
+    u = weyl(ps, (-xi[0] * inv2, -xi[1] * inv2)).matrix
+    return u @ b.matrix @ u
+
+
+def uniform_compactness_profile(ps: PhaseSpace, a, b, points) -> np.ndarray:
+    """max over x in points of |(U_x A) * B|, with dense U_x A and the direct sum."""
+    return np.max(
+        [np.abs(conv_op_op(ps, HilbertOp(weyl(ps, x).matrix @ a.matrix), b)) for x in points],
+        axis=0,
+    )
+
+
+def corresponding_space(ps: PhaseSpace, d0_basis, threshold: float = 1e-8) -> list[np.ndarray]:
+    """Orthonormal basis of span{f * E_uv : E_uv a matrix unit, f in d0_basis}:
+    one SVD of the stacked direct sums, keeping singular values above
+    threshold times the largest."""
+    n = ps.n
+    rows = []
+    for f in d0_basis:
+        for k in range(n * n):
+            unit = np.zeros(n * n, dtype=complex)
+            unit[k] = 1.0
+            rows.append(conv_fn_op(ps, f, HilbertOp(unit.reshape(n, n))).ravel())
+    _u, s, vh = np.linalg.svd(np.stack(rows), full_matrices=False)
+    if not s.size or s[0] == 0.0:
+        return []
+    return [vh[i].reshape(n, n) for i in np.flatnonzero(s > threshold * s[0])]
 
 
 def weyl_identity_residuals(n: int) -> dict[str, float]:

@@ -26,20 +26,9 @@ from qha import (
     uniform_compactness_profile,
     windowed_stft_profile,
 )
-from qha.asymptotics import (
-    WindowedFunction,
-    WindowedZOperator,
-    point_mass_operator,
-    reflect_operator,
-    shift_operator,
-    window_weyl_matrix,
-)
+from qha.asymptotics import WindowedFunction
 from qha.errors import PreconditionError
-from qha.tauber import (
-    modulate_family_is_regular,
-    tail_bound_trial,
-    windowed_compactness_profile,
-)
+from qha.tauber import modulate_family_is_regular, tail_bound_trial
 
 import _reference as ref
 
@@ -303,33 +292,14 @@ class TestUniformCompactnessProfile:
         prof = uniform_compactness_profile(a, identity_op(n), [(0, 0), (1, 1), (2, 3)])
         assert prof.values.max() - prof.values.min() < 1e-10
 
-    def test_windowed_finite_rank_profile_decays(self):
-        lo, hi = -40, 40
-        size = hi - lo + 1
-        rng = np.random.default_rng(13)
-        a_mat = np.zeros((size, size), dtype=complex)
-        a_mat[38:43, 38:43] = np.outer(rng.standard_normal(5), rng.standard_normal(5))
-        a = WindowedZOperator(lo, hi, a_mat)
-        b = point_mass_operator(lo, hi, at=0)
-        shifts = np.arange(-12, 13)
-        points = [(0, 0.0), (1, 0.4)]
-        prof = windowed_compactness_profile(a, b, points, shifts, theta_points=8)
-        inside = np.abs(prof.params) <= 3
-        outside = np.abs(prof.params) >= 10
-        assert prof.values[inside].max() > 1e-3
-        assert prof.values[outside].max() < 1e-6
-        # the trace form Tr(W A . alpha_y(reflect B)) with the dense product
-        b_ref = reflect_operator(b)
-        angles = 2 * np.pi * np.arange(8) / 8
-        traces = [
-            max(
-                abs(np.trace(window_weyl_matrix(lo, hi, k, th) @ a.matrix
-                             @ shift_operator(b_ref, int(y), float(th2)).matrix))
-                for k, th in points for th2 in angles
-            )
-            for y in shifts
-        ]
-        assert np.abs(prof.values - traces).max() <= 1e-12 * max(traces)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
+    def test_matches_dense_reference(self, n):
+        ps = PhaseSpace(n)
+        rng = np.random.default_rng(50 + n)
+        a, b = qha_random_op(n, 60 + n), qha_random_op(n, 70 + n)
+        points = [tuple(p) for p in rng.integers(0, n, size=(4, 2))]
+        got = uniform_compactness_profile(a, b, points).values
+        assert np.abs(got - ref.uniform_compactness_profile(ps, a, b, points)).max() <= 1e-13
 
     def test_needs_points(self):
         with pytest.raises(PreconditionError):

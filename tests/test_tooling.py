@@ -29,3 +29,9 @@ def test_hilbert_singular_values_is_a_cached_property():
     from qha.weyl import HilbertOp
 
     assert isinstance(HilbertOp.__dict__["singular_values"], functools.cached_property)
+
+
+def test_every_asymptotics_export_resolves():
+    asymptotics = importlib.import_module("qha.asymptotics")
+    for name in asymptotics.__all__:
+        assert hasattr(asymptotics, name), name

@@ -1,7 +1,13 @@
 """Projective Weyl system: exhaustive identity checks and transform oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qha import (
     HilbertOp,
@@ -15,6 +21,7 @@ from qha import (
     parity_op,
     random_op,
     rank_one,
+    uniform_compactness_profile,
     weyl,
     weyl_identity_residuals,
 )
@@ -163,13 +170,57 @@ class TestOperatorActions:
         a = random_op(6, np.random.default_rng(3))
         assert np.allclose(op_parity(op_parity(a)).matrix, a.matrix)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
+    def test_parity_matches_dense_reference(self, n):
+        a = random_op(n, np.random.default_rng(30 + n))
+        assert np.abs(op_parity(a).matrix - ref.op_parity(PhaseSpace(n), a)).max() <= 1e-13
+
     def test_modulate_zero_is_identity_n5(self):
         b = random_op(5, np.random.default_rng(4))
         assert np.allclose(op_modulate(b, (0, 0)).matrix, b.matrix)
 
+    @pytest.mark.parametrize("n", [1, 3, 5, 9])
+    def test_modulate_matches_dense_reference(self, n):
+        ps = PhaseSpace(n)
+        b = random_op(n, np.random.default_rng(40 + n))
+        for xi in ps.points():
+            got = op_modulate(b, xi).matrix
+            assert np.abs(got - ref.op_modulate(ps, b, xi)).max() <= 1e-13, xi
+
     def test_modulate_even_dimension_rejected(self):
         with pytest.raises(PreconditionError):
             op_modulate(random_op(4, np.random.default_rng(0)), (1, 1))
+
+
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_gathers_match_dense_oracles(n, seed, data):
+    """Parity, modulation and the left Weyl multiplication inside the uniform
+    compactness profile against dense products, over drawn N, xi and points."""
+    ps = PhaseSpace(n)
+    rng = np.random.default_rng(seed)
+    a, b = random_op(n, rng), random_op(n, rng)
+    point = st.tuples(st.integers(-2 * n, 2 * n), st.integers(-2 * n, 2 * n))
+    assert np.abs(op_parity(a).matrix - ref.op_parity(ps, a)).max() <= 1e-13
+    if n % 2:
+        xi = data.draw(point)
+        assert np.abs(op_modulate(b, xi).matrix - ref.op_modulate(ps, b, xi)).max() <= 1e-13
+    points = data.draw(st.lists(point, min_size=1, max_size=4))
+    got = uniform_compactness_profile(a, b, points).values
+    assert np.abs(got - ref.uniform_compactness_profile(ps, a, b, points)).max() <= 1e-13
+
+
+def test_identity_check_leaves_numpy_ma_unloaded():
+    """The distinctness test of the pairing avoids np.unique, whose first call
+    imports numpy.ma (~14 ms for every `qha weyl check` process)."""
+    import qha
+
+    src = str(Path(qha.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, qha; qha.weyl_identity_residuals(5); print('numpy.ma' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestFourierWeyl:

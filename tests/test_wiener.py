@@ -17,6 +17,7 @@ from qha import (
     regular_fn,
     regular_op_set,
     regular_set_fn,
+    symplectic_fourier,
 )
 from qha.wiener import degenerate_operator_set
 
@@ -175,6 +176,42 @@ class TestCorrespondingSpace:
             [[np.trace(u.matrix.conj().T @ v.matrix) for v in big] for u in big]
         )
         assert np.abs(gram - np.eye(len(big))).max() < 1e-10
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
+    def test_matches_svd_reference(self, n):
+        # F_sigma is an involution, so f = F_sigma(masked spectrum) has exactly
+        # that support: the span is partial, not the whole matrix space.
+        ps = PhaseSpace(n)
+        rng = np.random.default_rng(80 + n)
+        idx = np.arange(n * n)
+        spectra = [
+            np.where(idx % 3 == 0, rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n), 0),
+            np.where(idx % 5 == 1, rng.standard_normal(n * n), 0) + np.where(idx == 2, 1e-12, 0),
+        ]
+        basis = [symplectic_fourier(ps.function(s)) for s in spectra]
+        for fs in (basis[:1], basis[1:], basis):
+            got = [op.matrix for op in corresponding_space(ps, fs)]
+            want = ref.corresponding_space(ps, fs)
+            assert len(got) == len(want)
+            assert np.abs(_projector(got, n) - _projector(want, n)).max() <= 1e-10
+
+
+def _projector(mats, n):
+    """HS-orthogonal projector onto the span of orthonormal n x n matrices."""
+    vecs = np.array([m.ravel() for m in mats], dtype=complex).reshape(len(mats), n * n)
+    return vecs.T @ vecs.conj()
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+def test_bad_threshold_rejected(threshold):
+    ps = PhaseSpace(3)
+    with pytest.raises(ValueError, match="threshold"):
+        regular_fn(ps.function(np.ones(9)), threshold)
+    with pytest.raises(ValueError, match="threshold"):
+        regular_op_set([identity_op(3)], threshold)
+    with pytest.raises(ValueError, match="threshold"):
+        corresponding_space(ps, [ps.function(np.ones(9))], threshold)
 
 
 def test_equivalence_audit_randomized():
