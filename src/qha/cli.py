@@ -28,11 +28,11 @@ from .groups import (
     read_group_function,
     write_group_function,
 )
+from .io import write_table
 from .numerics import DEFAULT_EQ_TOL
 from .tauber import NetCertificate, certified_tail_bound, rk_moduli, windowed_stft_profile
-from .weyl import weyl_identity_residuals
+from .weyl import random_op, weyl_identity_residuals
 from .wiener import degenerate_operator_set, regular_op_set
-from .weyl import random_op
 
 
 def format_value(v) -> str:
@@ -50,18 +50,8 @@ def emit_csv(path, header, rows, manifest: dict | None = None) -> None:
     comment line; path '-' writes to stdout."""
     if len(header) and rows and any(len(r) != len(header) for r in rows):
         raise ValueError("record arity does not match header")
-    lines = []
-    if manifest is not None:
-        lines.append("# manifest: " + json.dumps(manifest, sort_keys=True))
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path == "-" or path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    comment = None if manifest is None else "manifest: " + json.dumps(manifest, sort_keys=True)
+    write_table(path, header, "%s", [(",".join(map(format_value, row)),) for row in rows], comment)
 
 
 def _manifest(subcommand: str, params: dict, seed=None, outputs: dict | None = None) -> dict:
@@ -184,19 +174,19 @@ def _read_windowed(path) -> WindowedFunction:
     from .groups import _read_indexed_csv
 
     indices, values = _read_indexed_csv(path)
-    if indices != list(range(indices[0], indices[0] + len(indices))):
+    if not np.array_equal(indices, indices[0] + np.arange(len(indices))):
         raise ValueError(f"{path}: indices must be contiguous")
-    return WindowedFunction(indices[0], np.array(values))
+    return WindowedFunction(int(indices[0]), values)
 
 
 def _cmd_stft_decay(args) -> int:
-    f = _read_windowed(args.f)
-    phi = _read_windowed(args.phi)
     if args.k == "all":
         raise PreconditionError("the lattice dual is a torus; use --k grid:M")
-    if not args.k.startswith("grid:"):
-        raise PreconditionError("--k must be 'grid:M'")
-    m = int(args.k.split(":", 1)[1])
+    m = int(args.k[5:]) if args.k.startswith("grid:") and args.k[5:].isdecimal() else 0
+    if m < 1:
+        raise PreconditionError("--k grid:M needs an integer M >= 1")
+    f = _read_windowed(args.f)
+    phi = _read_windowed(args.phi)
     angles = 2 * np.pi * np.arange(m) / m
     profile = windowed_stft_profile(f, phi, angles)
     man = _manifest("stft decay", {"f": args.f, "phi": args.phi, "k": args.k},

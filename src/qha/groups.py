@@ -11,7 +11,6 @@ pure functions, so values can be shared freely between threads.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, PreconditionError
+from .io import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -206,48 +206,17 @@ CSV_HEADER = ("index", "re", "im")
 
 def write_group_function(f: GroupFunction, path, comment: str | None = None) -> None:
     """CSV with header index,re,im; rows in lexicographic index order."""
-    with open(path, "w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i, v in enumerate(f.values):
-            writer.writerow([i, f"{v.real:.17g}", f"{v.imag:.17g}"])
+    rows = list(zip(range(f.values.size), f.values.real.tolist(), f.values.imag.tolist()))
+    write_table(path, CSV_HEADER, "%d,%.17g,%.17g", rows, comment, eol="\r\n")
 
 
 def read_group_function(path, group: FiniteAbelianGroup) -> GroupFunction:
     indices, values = _read_indexed_csv(path)
-    if indices != list(range(group.cardinality)):
+    if not np.array_equal(indices, np.arange(group.cardinality)):
         raise ValueError(f"{path}: expected indices 0..{group.cardinality - 1} in order")
-    return GroupFunction(group, np.array(values))
-
-
-def read_csv_records(path, header) -> list[list[str]]:
-    """Data rows of a CSV with the given header, each with len(header) fields.
-
-    Blank lines and '#' comment lines are skipped; a wrong header, a row
-    with the wrong number of fields, or no data rows raise ValueError.
-    """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or [c.strip() for c in rows[0]] != list(header):
-        raise ValueError(f"{path}: expected header {','.join(header)}")
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: data row {i} has {len(row)} fields, expected {len(header)}")
-    if len(rows) == 1:
-        raise ValueError(f"{path}: no data rows")
-    return rows[1:]
+    return GroupFunction(group, values)
 
 
 def _read_indexed_csv(path):
-    """Shared reader for index,re,im files; returns (indices, complex values)."""
-    indices: list[int] = []
-    values: list[complex] = []
-    for row in read_csv_records(path, CSV_HEADER):
-        v = complex(float(row[1]), float(row[2]))
-        if not np.isfinite(v):
-            raise ValueError(f"{path}: non-finite value at index {row[0]}")
-        indices.append(int(row[0]))
-        values.append(v)
-    return indices, values
+    """Shared reader for index,re,im files; returns (indices, complex values) arrays."""
+    return read_table(path, CSV_HEADER)

@@ -19,10 +19,10 @@ import numpy as np
 
 from .asymptotics.profiles import DecayProfile
 from .asymptotics.windowed import WindowedFunction
-from .conv import conv_fn_op, conv_op_op
+from .conv import conv_fn_op, self_pairing_weight, symplectic_fourier
 from .errors import GroupMismatchError, PreconditionError
 from .groups import FiniteAbelianGroup, GroupFunction, translate
-from .weyl import HilbertOp, _shift_tables, rank_one
+from .weyl import HilbertOp, PhaseSpace, _shift_tables, fourier_weyl, rank_one
 
 
 # --- short-time Fourier transform --------------------------------------------
@@ -68,18 +68,15 @@ def windowed_stft_profile(
         raise PreconditionError("window function is identically zero")
     if s_lo < f.lo or s_hi > f.hi:
         raise PreconditionError("window support exceeds the function window")
-    x_lo = s_hi - f.hi
-    x_hi = s_lo - f.lo
     angles = np.asarray(angles, dtype=float)
     sup_t = np.arange(s_lo, s_hi + 1)
     phi = window.values[s_lo - window.lo : s_hi - window.lo + 1]
-    xs = np.arange(x_lo, x_hi + 1)
-    vals = np.empty(xs.size)
-    char = np.exp(1j * np.outer(angles, sup_t))  # (angle, t)
-    weighted = char * phi[None, :]
-    for i, x in enumerate(xs):
-        seg = f.values[s_lo - x - f.lo : s_hi - x - f.lo + 1]
-        vals[i] = float(np.abs(weighted @ seg).max())
+    xs = np.arange(s_hi - f.hi, s_lo - f.lo + 1)
+    weighted = np.exp(1j * np.outer(angles, sup_t)) * phi  # (angle, t)
+    # win[s_lo - x - f.lo] is f(t - x) on the support; stacked matvecs, 512 shifts a block.
+    win, starts = np.lib.stride_tricks.sliding_window_view(f.values, sup_t.size), s_lo - xs - f.lo
+    vals = np.concatenate([np.abs(weighted @ win[starts[i : i + 512], :, None]).max(axis=(1, 2))
+                           for i in range(0, xs.size, 512)])
     return DecayProfile(xs.astype(float), vals)
 
 
@@ -257,11 +254,16 @@ def uniform_compactness_profile(
     """Profile over y of sup_{x in points} |((U_x A) * B)(y)| on the phase space."""
     if not points:
         raise PreconditionError("need a nonempty set of phase-space points")
-    n = a.dim
-    rows, phase = _shift_tables(n, points)
+    if a.dim != b.dim:
+        raise GroupMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    ps = PhaseSpace(a.dim)
+    rows, phase = _shift_tables(ps.n, points)
     shifted = phase[:, :, None] * a.matrix[rows]  # U_x A for every x
-    sup = np.max([np.abs(conv_op_op(HilbertOp(m), b).values) for m in shifted], axis=0)
-    return DecayProfile(np.arange(n * n, dtype=float), sup)
+    # conv_op_op per x, with the factors that do not move with x taken once.
+    w, fb = self_pairing_weight(ps).conj(), fourier_weyl(b).values
+    spectra = [w * fourier_weyl(HilbertOp(m)).values * fb for m in shifted]
+    sup = np.max([np.abs(symplectic_fourier(ps.function(s)).values) for s in spectra], axis=0)
+    return DecayProfile(np.arange(ps.n * ps.n, dtype=float), sup)
 
 
 def modulate_family_is_regular(window: GroupFunction, threshold: float = 1e-8) -> bool:

@@ -21,7 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError
-from .groups import FiniteAbelianGroup, GroupFunction, read_csv_records
+from .groups import FiniteAbelianGroup, GroupFunction
+from .io import read_table, write_table
+
+OP_HEADER = ("row", "col", "re", "im")
 
 
 @dataclass(frozen=True)
@@ -247,33 +250,20 @@ def fourier_weyl_inverse(ps: PhaseSpace, values: GroupFunction) -> HilbertOp:
 
 def write_hilbert_op(op: HilbertOp, path, comment: str | None = None) -> None:
     """Dense CSV with header row,col,re,im, row-major order."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("row", "col", "re", "im"))
-        for r in range(op.dim):
-            for c in range(op.dim):
-                v = op.matrix[r, c]
-                writer.writerow([r, c, f"{v.real:.17g}", f"{v.imag:.17g}"])
+    re, im = op.matrix.real.ravel().tolist(), op.matrix.imag.ravel().tolist()
+    rows = [(*rc, x, y) for rc, x, y in zip(np.ndindex(op.matrix.shape), re, im)]
+    write_table(path, OP_HEADER, "%d,%d,%.17g,%.17g", rows, comment, eol="\r\n")
 
 
 def read_hilbert_op(path) -> HilbertOp:
     """Inverse of write_hilbert_op: every (row, col) of an N x N matrix once."""
-    cells: dict[tuple[int, int], complex] = {}
-    for r, c, re, im in read_csv_records(path, ("row", "col", "re", "im")):
-        if (int(r), int(c)) in cells:
-            raise ValueError(f"{path}: duplicate entry ({r},{c})")
-        cells[int(r), int(c)] = complex(float(re), float(im))
-    n = max(max(rc) for rc in cells) + 1
-    if min(min(rc) for rc in cells) < 0 or len(cells) != n * n:
+    r, c, values = read_table(path, OP_HEADER)
+    n = int(max(r.max(), c.max())) + 1  # the size test first bounds the bincount
+    if min(r.min(), c.min()) < 0 or r.size != n * n or np.bincount(r * n + c).max() > 1:
         raise ValueError(f"{path}: entries must cover rows and columns 0..{n - 1} exactly once")
-    mat = np.empty((n, n), dtype=complex)
-    for rc, v in cells.items():
-        mat[rc] = v
-    return HilbertOp(mat)
+    mat = np.empty(n * n, dtype=complex)
+    mat[r * n + c] = values
+    return HilbertOp(mat.reshape(n, n))
 
 
 def weyl_identity_residuals(n: int) -> dict[str, float]:

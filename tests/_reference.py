@@ -1,6 +1,7 @@
 """Direct-sum definitions of the phase-space products, transforms and
-operator actions, the corresponding space by one SVD, and dense singular
-values.
+operator actions, the corresponding space by one SVD, dense singular
+values, the windowed transform profile shift by shift, and the CSV
+readers and writers on the ``csv`` module with per-field conversion.
 
 Test oracles only: each one evaluates its defining formula with dense Weyl
 matrices, explicit characters or one dense LAPACK SVD, and shares no code
@@ -10,6 +11,10 @@ with the FFT routes and index gathers in ``qha.conv``, ``qha.weyl``,
 products, O(N^6) for the identity loop and O(|G|^3) for the STFT, so the
 ladders using them stay small.
 """
+
+import csv
+import json
+import sys
 
 import numpy as np
 
@@ -172,3 +177,117 @@ def singular_values(m) -> np.ndarray:
 def spectral_norm(m) -> float:
     """Dense operator 2-norm."""
     return float(np.linalg.norm(np.asarray(m), 2))
+
+
+def windowed_stft_profile(f, window, angles) -> np.ndarray:
+    """sup over the angles of |V(x, .)|, one matrix-vector product per shift x."""
+    s_lo, s_hi = window.support()
+    phi = window.values[s_lo - window.lo : s_hi - window.lo + 1]
+    weighted = np.exp(1j * np.outer(np.asarray(angles, dtype=float), np.arange(s_lo, s_hi + 1)))
+    weighted = weighted * phi[None, :]
+    xs = np.arange(s_hi - f.hi, s_lo - f.lo + 1)
+    return np.array(
+        [float(np.abs(weighted @ f.values[s_lo - x - f.lo : s_hi - x - f.lo + 1]).max()) for x in xs]
+    )
+
+
+# --- CSV: the csv-module readers and writers ------------------------------------
+
+
+def read_csv_records(path, header) -> list[list[str]]:
+    """Data rows of a CSV with the given header, each with len(header) fields.
+
+    Blank lines and '#' comment lines are skipped; a wrong header, a row
+    with the wrong number of fields, or no data rows raise ValueError.
+    """
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    if not rows or [c.strip() for c in rows[0]] != list(header):
+        raise ValueError(f"{path}: expected header {','.join(header)}")
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: data row {i} has {len(row)} fields, expected {len(header)}")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no data rows")
+    return rows[1:]
+
+
+def read_indexed_csv(path):
+    """Shared reader for index,re,im files; returns (indices, complex values)."""
+    indices: list[int] = []
+    values: list[complex] = []
+    for row in read_csv_records(path, ("index", "re", "im")):
+        v = complex(float(row[1]), float(row[2]))
+        if not np.isfinite(v):
+            raise ValueError(f"{path}: non-finite value at index {row[0]}")
+        indices.append(int(row[0]))
+        values.append(v)
+    return indices, values
+
+
+def read_hilbert_op(path) -> HilbertOp:
+    """Every (row, col) of an N x N matrix once."""
+    cells: dict[tuple[int, int], complex] = {}
+    for r, c, re, im in read_csv_records(path, ("row", "col", "re", "im")):
+        if (int(r), int(c)) in cells:
+            raise ValueError(f"{path}: duplicate entry ({r},{c})")
+        cells[int(r), int(c)] = complex(float(re), float(im))
+    n = max(max(rc) for rc in cells) + 1
+    if min(min(rc) for rc in cells) < 0 or len(cells) != n * n:
+        raise ValueError(f"{path}: entries must cover rows and columns 0..{n - 1} exactly once")
+    mat = np.empty((n, n), dtype=complex)
+    for rc, v in cells.items():
+        mat[rc] = v
+    return HilbertOp(mat)
+
+
+def write_group_function(f, path, comment: str | None = None) -> None:
+    """CSV with header index,re,im; rows in lexicographic index order."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(("index", "re", "im"))
+        for i, v in enumerate(f.values):
+            writer.writerow([i, f"{v.real:.17g}", f"{v.imag:.17g}"])
+
+
+def write_hilbert_op(op, path, comment: str | None = None) -> None:
+    """Dense CSV with header row,col,re,im, row-major order."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(("row", "col", "re", "im"))
+        for r in range(op.dim):
+            for c in range(op.dim):
+                v = op.matrix[r, c]
+                writer.writerow([r, c, f"{v.real:.17g}", f"{v.imag:.17g}"])
+
+
+def format_value(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    if isinstance(v, (np.floating,)):
+        return f"{float(v):.17g}"
+    return str(v)
+
+
+def emit_csv(path, header, rows, manifest: dict | None = None) -> None:
+    """Rows with 17-significant-digit reals and an optional manifest line."""
+    if len(header) and rows and any(len(r) != len(header) for r in rows):
+        raise ValueError("record arity does not match header")
+    lines = []
+    if manifest is not None:
+        lines.append("# manifest: " + json.dumps(manifest, sort_keys=True))
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(format_value(v) for v in row))
+    text = "\n".join(lines) + "\n"
+    if path == "-" or path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)

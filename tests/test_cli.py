@@ -160,6 +160,21 @@ class TestExampleAndProfileCommands:
         assert code == 0
         assert out.read_text().splitlines()[1] == "x,sup_abs"
 
+    @pytest.mark.parametrize("k", ["grid:0", "grid:-2", "grid:x", "grid:1.5", "grid:", "foo"])
+    @pytest.mark.parametrize("readable", [True, False])
+    def test_stft_decay_rejects_bad_grid_before_reading(self, tmp_path, capsys, k, readable):
+        f_path, out = tmp_path / "f.csv", tmp_path / "d.csv"
+        if readable:
+            f_path.write_text("index,re,im\n-1,0,0\n0,1,0\n1,0,0\n")
+        code, stdout, err = run(
+            ["stft", "decay", "--f", str(f_path), "--phi", str(f_path), "--k", k, "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "--k grid:M needs an integer M >= 1" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_stft_decay_rejects_all_dual(self, tmp_path, capsys):
         f_path = tmp_path / "f.csv"
         f_path.write_text("index,re,im\n0,1,0\n")

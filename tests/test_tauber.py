@@ -7,10 +7,12 @@ import pytest
 from qha import (
     FiniteAbelianGroup,
     GroupFunction,
+    HilbertOp,
     NetCertificate,
     PhaseSpace,
     certified_tail_bound,
     constant,
+    conv_op_op,
     convolve,
     delta,
     greedy_l1_net,
@@ -27,7 +29,7 @@ from qha import (
     windowed_stft_profile,
 )
 from qha.asymptotics import WindowedFunction
-from qha.errors import PreconditionError
+from qha.errors import GroupMismatchError, PreconditionError
 from qha.tauber import modulate_family_is_regular, tail_bound_trial
 
 import _reference as ref
@@ -158,6 +160,19 @@ class TestWindowedDecayProfile:
                 for ang in angles
             )
             assert profile.values[xi] == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("half, support, n_angles", [(12, 2, 3), (700, 20, 64), (600, 88, 5)])
+    def test_bitwise_equal_to_shift_loop(self, half, support, n_angles):
+        # The stacked matrix-vector products must give the per-shift loop's
+        # bits, also across the 512-shift blocks (1361 and 1025 shifts).
+        rng = np.random.default_rng(half)
+        idx = np.arange(-half, half + 1)
+        f = WindowedFunction(-half, rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size))
+        w_vals = np.where(np.abs(idx) <= support, rng.standard_normal(idx.size), 0.0).astype(complex)
+        w = WindowedFunction(-half, w_vals)
+        angles = 2 * np.pi * np.arange(n_angles) / n_angles
+        got = windowed_stft_profile(f, w, angles).values
+        assert np.array_equal(got, ref.windowed_stft_profile(f, w, angles))
 
 
 class TestCertifiedTailBound:
@@ -304,6 +319,22 @@ class TestUniformCompactnessProfile:
     def test_needs_points(self):
         with pytest.raises(PreconditionError):
             uniform_compactness_profile(identity_op(3), identity_op(3), [])
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_bitwise_equal_to_conv_op_op_per_point(self, n):
+        # The hoisted F_weyl(B) and self-pairing weight keep conv_op_op's bits.
+        from qha.weyl import _shift_tables
+
+        a, b = qha_random_op(n, 80 + n), qha_random_op(n, 90 + n)
+        points = [(0, 0), (1, n - 1), (n // 2, 3)]
+        rows, phase = _shift_tables(n, points)
+        shifted = phase[:, :, None] * a.matrix[rows]
+        expected = np.max([np.abs(conv_op_op(HilbertOp(m), b).values) for m in shifted], axis=0)
+        assert np.array_equal(uniform_compactness_profile(a, b, points).values, expected)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(GroupMismatchError):
+            uniform_compactness_profile(identity_op(3), identity_op(4), [(0, 0)])
 
 
 def qha_random_op(n, seed):
