@@ -191,11 +191,16 @@ def fourier(f: GroupFunction) -> GroupFunction:
     return GroupFunction(f.group.dual(), spec.ravel())
 
 
+def _convolve(f: np.ndarray, g: np.ndarray, weight: float, axes=None) -> np.ndarray:
+    """weight * circular convolution of f and g over `axes` (all by default)."""
+    prod = np.fft.fftn(f, axes=axes) * np.fft.fftn(g, axes=axes)
+    return np.fft.ifftn(prod, axes=axes) * weight
+
+
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """result(x) = haar_weight * sum_y f(y) g(x - y)."""
     _same_group(f.group, g.group)
-    prod = np.fft.fftn(f._reshaped()) * np.fft.fftn(g._reshaped())
-    vals = np.fft.ifftn(prod) * f.group.haar_weight
+    vals = _convolve(f._reshaped(), g._reshaped(), f.group.haar_weight)
     return GroupFunction(f.group, vals.ravel())
 
 

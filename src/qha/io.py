@@ -45,10 +45,13 @@ def read_table(path, header) -> tuple[np.ndarray, ...]:
         values.imag = table[f"c{nkeys + 1}"]
         if np.isfinite(values).all():
             return (*(table[f"c{k}"] for k in range(nkeys)), values)
-    except ValueError:
+    except (ValueError, csv.Error):
         pass
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        try:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ValueError(f"{path}: {exc}") from None
     if not rows or [c.strip() for c in rows[0]] != list(header):
         raise ValueError(f"{path}: expected header {','.join(header)}")
     for i, row in enumerate(rows[1:], start=1):

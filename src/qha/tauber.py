@@ -19,10 +19,10 @@ import numpy as np
 
 from .asymptotics.profiles import DecayProfile
 from .asymptotics.windowed import WindowedFunction
-from .conv import conv_fn_op, self_pairing_weight, symplectic_fourier
+from .conv import _conv_op_op, conv_fn_op
 from .errors import GroupMismatchError, PreconditionError
-from .groups import FiniteAbelianGroup, GroupFunction, translate
-from .weyl import HilbertOp, PhaseSpace, _shift_tables, fourier_weyl, rank_one
+from .groups import FiniteAbelianGroup, GroupFunction
+from .weyl import HilbertOp, _shift_tables, rank_one
 
 
 # --- short-time Fourier transform --------------------------------------------
@@ -39,14 +39,14 @@ def stft(f: GroupFunction, window: GroupFunction) -> np.ndarray:
     ):
         raise GroupMismatchError("transform needs f and window on one group")
     group = f.group
-    card = group.cardinality
+    orders, card = group.orders, group.cardinality
     # Row x is sum_t Phi(t) f(t - x) xi(t) for every character xi at once:
-    # the positive-frequency DFT, ifftn scaled by |G|.
-    phi = window.values.reshape(group.orders)
-    v = np.empty((card, card), dtype=complex)
-    for i, x in enumerate(group.elements()):
-        v[i] = np.fft.ifftn(phi * translate(f, x).values.reshape(group.orders)).ravel()
-    return (group.haar_weight * card) * v
+    # the positive-frequency DFT, ifftn scaled by |G|, of the x-th translate.
+    coords = np.indices(orders).reshape(len(orders), 1, card)
+    moved = f.values[np.ravel_multi_index(coords - coords.swapaxes(1, 2), orders, mode="wrap")]
+    phi = window.values.reshape(orders)
+    v = np.fft.ifftn(phi * moved.reshape(card, *orders), axes=tuple(range(1, len(orders) + 1)))
+    return (group.haar_weight * card) * v.reshape(card, card)
 
 
 def stft_energy(v: np.ndarray, group: FiniteAbelianGroup) -> float:
@@ -256,14 +256,10 @@ def uniform_compactness_profile(
         raise PreconditionError("need a nonempty set of phase-space points")
     if a.dim != b.dim:
         raise GroupMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    ps = PhaseSpace(a.dim)
-    rows, phase = _shift_tables(ps.n, points)
+    rows, phase = _shift_tables(a.dim, points)
     shifted = phase[:, :, None] * a.matrix[rows]  # U_x A for every x
-    # conv_op_op per x, with the factors that do not move with x taken once.
-    w, fb = self_pairing_weight(ps).conj(), fourier_weyl(b).values
-    spectra = [w * fourier_weyl(HilbertOp(m)).values * fb for m in shifted]
-    sup = np.max([np.abs(symplectic_fourier(ps.function(s)).values) for s in spectra], axis=0)
-    return DecayProfile(np.arange(ps.n * ps.n, dtype=float), sup)
+    sup = np.abs(_conv_op_op(shifted, b.matrix)).max(axis=0).ravel()
+    return DecayProfile(np.arange(a.dim**2, dtype=float), sup)
 
 
 def modulate_family_is_regular(window: GroupFunction, threshold: float = 1e-8) -> bool:

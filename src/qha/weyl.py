@@ -112,7 +112,7 @@ class HilbertOp:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
+        sv = _singular_values(self.matrix)
         sv.setflags(write=False)
         return sv
 
@@ -130,6 +130,11 @@ class HilbertOp:
 
     def __repr__(self) -> str:
         return f"HilbertOp(dim={self.dim})"
+
+
+def _singular_values(mats: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of each matrix on the trailing two axes."""
+    return np.linalg.svd(mats, compute_uv=False)
 
 
 def identity_op(n: int) -> HilbertOp:
@@ -225,27 +230,36 @@ def _shifted_diagonals(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (t[None, :] - t[:, None]) % n, np.broadcast_to(t, (n, n))
 
 
+def _fourier_weyl(mats: np.ndarray) -> np.ndarray:
+    """F_weyl on the trailing (N, N) axes: [..., a, b] = Tr(A U_(a,b))."""
+    n = mats.shape[-1]
+    # Tr(A U_(a,b)) = sum_t A[t-a, t] omega^(b t): a positive-frequency DFT
+    # of the a-th shifted diagonal.
+    return np.fft.ifft(mats[(..., *_shifted_diagonals(n))], axis=-1) * n
+
+
+def _fourier_weyl_inverse(spec: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_fourier_weyl` on the trailing (N, N) axes."""
+    n = spec.shape[-1]
+    # U_(a,b)* carries omega^(-b t) at (t-a, t), so the a-th shifted
+    # diagonal is (1/N) sum_b F(a,b) omega^(-b t): a negative-frequency DFT.
+    mats = np.empty(spec.shape, dtype=complex)
+    mats[(..., *_shifted_diagonals(n))] = np.fft.fft(spec, axis=-1) / n
+    return mats
+
+
 def fourier_weyl(op: HilbertOp) -> GroupFunction:
     """Fourier transform of an operator: xi -> Tr(A U_xi).
 
     Linear, injective, and an isometry from the HS norm into
     L^2(phase space, weight 1/N).
     """
-    n = op.dim
-    # Tr(A U_(a,b)) = sum_t A[t-a, t] omega^(b t): a positive-frequency DFT
-    # of the a-th shifted diagonal.
-    vals = np.fft.ifft(op.matrix[_shifted_diagonals(n)], axis=1) * n
-    return PhaseSpace(n).function(vals.ravel())
+    return PhaseSpace(op.dim).function(_fourier_weyl(op.matrix).ravel())
 
 
 def fourier_weyl_inverse(ps: PhaseSpace, values: GroupFunction) -> HilbertOp:
     """Reconstruction A = (1/N) sum_xi F(xi) U_xi*."""
-    n = ps.n
-    # U_(a,b)* carries omega^(-b t) at (t-a, t), so the a-th shifted
-    # diagonal is (1/N) sum_b F(a,b) omega^(-b t): a negative-frequency DFT.
-    mat = np.empty((n, n), dtype=complex)
-    mat[_shifted_diagonals(n)] = np.fft.fft(values.values.reshape(n, n), axis=1) / n
-    return HilbertOp(mat)
+    return HilbertOp(_fourier_weyl_inverse(values.values.reshape(ps.n, ps.n)))
 
 
 def write_hilbert_op(op: HilbertOp, path, comment: str | None = None) -> None:

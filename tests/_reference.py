@@ -10,6 +10,11 @@ with the FFT routes and index gathers in ``qha.conv``, ``qha.weyl``,
 ``qha.numerics``.  Costs are O(N^5) for the
 products, O(N^6) for the identity loop and O(|G|^3) for the STFT, so the
 ladders using them stay small.
+
+The exception is the per-item loops (the STFT one translate at a time, the
+norm audit and the convolution-theorem residuals one sample at a time):
+they call the public single-item functions of ``qha`` and are oracles for
+the sample-stacked passes, which must equal them bit for bit.
 """
 
 import csv
@@ -18,7 +23,9 @@ import sys
 
 import numpy as np
 
+import qha
 from qha import HilbertOp, PhaseSpace, parity_op, weyl
+from qha.conv import INEQUALITY_NAMES, PINNED_ORIENTATION
 
 
 def conv_fn_op(ps: PhaseSpace, f, a) -> np.ndarray:
@@ -167,6 +174,83 @@ def stft(f, window) -> np.ndarray:
                 for t in g.elements()
             )
     return out
+
+
+def stft_loop(f, window) -> np.ndarray:
+    """V[x, xi], one translate and one inverse DFT per group element x."""
+    group = f.group
+    card = group.cardinality
+    phi = window.values.reshape(group.orders)
+    v = np.empty((card, card), dtype=complex)
+    for i, x in enumerate(group.elements()):
+        v[i] = np.fft.ifftn(phi * qha.translate(f, x).values.reshape(group.orders)).ravel()
+    return (group.haar_weight * card) * v
+
+
+# --- the audits, one sample at a time through the public products -------------
+
+
+def _random_phase_function(ps: PhaseSpace, rng: np.random.Generator):
+    m = ps.n * ps.n
+    return ps.function(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+
+
+def _ratio(num: float, den: float) -> float:
+    return 0.0 if den == 0.0 else num / den
+
+
+def convolution_theorem_residuals(n: int, seed: int, samples: int = 5,
+                                  variant: str = PINNED_ORIENTATION) -> dict[str, float]:
+    """Max residuals of the three transform identities and the weighted one."""
+    ps = PhaseSpace(n)
+    rng = np.random.default_rng(seed)
+    w = qha.self_pairing_weight(ps)
+    out = {"fn_fn": 0.0, "fn_op": 0.0, "op_op": 0.0, "op_op_weighted": 0.0}
+    for _ in range(samples):
+        f = _random_phase_function(ps, rng)
+        g = _random_phase_function(ps, rng)
+        a = qha.random_op(n, rng)
+        b = qha.random_op(n, rng)
+
+        lhs = qha.symplectic_fourier(qha.convolve(f, g), variant).values
+        rhs = qha.symplectic_fourier(f, variant).values * qha.symplectic_fourier(g, variant).values
+        out["fn_fn"] = max(out["fn_fn"], float(np.abs(lhs - rhs).max()))
+
+        lhs = qha.fourier_weyl(qha.conv_fn_op(f, a)).values
+        rhs = qha.symplectic_fourier(f, variant).values * qha.fourier_weyl(a).values
+        out["fn_op"] = max(out["fn_op"], float(np.abs(lhs - rhs).max()))
+
+        lhs = qha.symplectic_fourier(qha.conv_op_op(a, b), variant).values
+        rhs = qha.fourier_weyl(a).values * qha.fourier_weyl(b).values
+        out["op_op"] = max(out["op_op"], float(np.abs(lhs - rhs).max()))
+        out["op_op_weighted"] = max(
+            out["op_op_weighted"], float(np.abs(lhs * w - rhs).max())
+        )
+    return out
+
+
+def verify_norm_estimates(n: int, samples: int, seed: int) -> tuple[dict, dict]:
+    """(max ratio, index of the first sample attaining it) per inequality."""
+    ps = PhaseSpace(n)
+    rng = np.random.default_rng(seed)
+    max_ratio = dict.fromkeys(INEQUALITY_NAMES, 0.0)
+    argmax_index = dict.fromkeys(INEQUALITY_NAMES, 0)
+    for i in range(samples):
+        f = _random_phase_function(ps, rng)
+        g = _random_phase_function(ps, rng)
+        a = qha.random_op(n, rng)
+        b = qha.random_op(n, rng)
+        ratios = {
+            "fn_fn_sup": _ratio(qha.lp_norm(qha.convolve(f, g), np.inf), qha.lp_norm(f, 1) * qha.lp_norm(g, np.inf)),
+            "fn_op_op": _ratio(qha.conv_fn_op(f, b).op_norm, qha.lp_norm(f, 1) * b.op_norm),
+            "op_fn_op": _ratio(qha.conv_fn_op(g, a).op_norm, a.trace_norm * qha.lp_norm(g, np.inf)),
+            "op_op_sup": _ratio(qha.lp_norm(qha.conv_op_op(a, b), np.inf), a.trace_norm * b.op_norm),
+        }
+        for name, r in ratios.items():
+            if r > max_ratio[name]:
+                max_ratio[name] = r
+                argmax_index[name] = i
+    return max_ratio, argmax_index
 
 
 def singular_values(m) -> np.ndarray:

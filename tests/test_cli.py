@@ -86,6 +86,16 @@ class TestDispatch:
         assert code == 0
         assert out.encode() == golden.read_bytes()
 
+    @pytest.mark.parametrize("n,samples,seed", [(8, 50, 5), (16, 20, 7), (24, 5, 11)])
+    def test_conv_audit_matches_golden_bytes(self, capsys, n, samples, seed):
+        golden = Path(__file__).parent / "golden" / f"conv_audit_n{n}_s{samples}_seed{seed}.csv"
+        code, out, _ = run(
+            ["conv", "audit", "--n", str(n), "--samples", str(samples), "--seed", str(seed)],
+            capsys,
+        )
+        assert code == 0
+        assert out.encode() == golden.read_bytes()
+
     def test_probe_topology_expectation(self, tmp_path, capsys):
         out_path = tmp_path / "probe.csv"
         code, out, _ = run(
@@ -240,6 +250,10 @@ MALFORMED_CSVS = {
     "missing_field": "index,re,im\n0,1.0,0.0\n1,2.0\n",
     "non_finite": "index,re,im\n0,1.0,0.0\n1,nan,0.0\n",
     "header_only": "index,re,im\n",
+    # Longer than the csv module's field limit (131,072 characters): before
+    # the header, and as a quoted field, which takes the csv-module route.
+    "long_comment": "#" + "x" * 140_000 + "\nindex,re,im\n0,1.0,0.0\n1,0.5,0.0\n",
+    "long_quoted_field": 'index,re,im\n0,1.0,0.0\n1,"0.' + "5" * 140_000 + '",0.0\n',
 }
 
 
@@ -259,7 +273,8 @@ class TestMalformedInput:
         }[command]
         code, _, err = run(argv + ["--out", str(out)], capsys)
         assert code == 2
-        assert "bad.csv" in err
+        assert err.startswith("error:") and "bad.csv" in err
+        assert "Traceback" not in err
         assert not out.exists()
         assert not (tmp_path / "out_tailmass.csv").exists()
 

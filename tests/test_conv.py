@@ -1,8 +1,15 @@
 """Convolution calculus: algebra identities, transform theorems at the
 orientation pinned by the oracle, and the norm-estimate audit."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import qha.conv
+from qha.groups import _convolve
+from qha.weyl import _fourier_weyl, _fourier_weyl_inverse
 
 from qha import (
     HilbertOp,
@@ -304,3 +311,95 @@ class TestNormEstimates:
 
     def test_rank_one_sharpness(self):
         assert sharpness_witness(5, seed=0) >= 0.999
+
+
+def _hex(values: dict) -> dict:
+    return {k: float(v).hex() for k, v in values.items()}
+
+
+STACKED = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+class TestSampleStackedAudits:
+    """The audits draw and transform whole blocks of samples at once; they must
+    equal the per-sample loops of ``_reference`` bit for bit, argmax included.
+    The drawn block size splits the runs into blocks of 1, 2, ... samples."""
+
+    @STACKED
+    @given(n=st.integers(1, 9), samples=st.integers(1, 8), seed=st.integers(0, 2**63),
+           block=st.sampled_from([1, 2, 3, 5, 2**16]))
+    def test_norm_audit_equals_per_sample_loop(self, n, samples, seed, block):
+        with mock.patch.object(qha.conv, "_BLOCK_ENTRIES", block * n * n):
+            report = verify_norm_estimates(n, samples, seed)
+        max_ratio, argmax = ref.verify_norm_estimates(n, samples, seed)
+        assert _hex(report.max_ratio) == _hex(max_ratio)
+        assert report.argmax_index == argmax
+
+    @STACKED
+    @given(n=st.integers(1, 9), samples=st.integers(1, 8), seed=st.integers(0, 2**63),
+           variant=st.sampled_from(ORIENTATION_VARIANTS), block=st.sampled_from([1, 3, 2**16]))
+    def test_theorem_residuals_equal_per_sample_loop(self, n, samples, seed, variant, block):
+        with mock.patch.object(qha.conv, "_BLOCK_ENTRIES", block * n * n):
+            got = convolution_theorem_residuals(n, seed, samples, variant)
+        assert _hex(got) == _hex(ref.convolution_theorem_residuals(n, seed, samples, variant))
+
+    def test_stacked_kernels_equal_single_item_products(self):
+        # 40 x 24 x 24 complex entries are over numpy's 256 KiB threshold for
+        # computing into a temporary operand, where an unnamed right factor
+        # would swap the (not bitwise commutative) complex product.
+        n, samples = 24, 40
+        [(_, f, g, a, b)] = qha.conv._sample_blocks(n, samples, seed=4)
+        ps = PhaseSpace(n)
+        stacked = {
+            "fn_op": qha.conv._conv_fn_op(f, a),
+            "op_op": qha.conv._conv_op_op(a, b),
+            "sf": qha.conv._symplectic_fourier(f, 1),
+            "fw": _fourier_weyl(a),
+            "fwi": _fourier_weyl_inverse(f),
+            "conv": _convolve(f, g, 1.0 / n, (-2, -1)),
+        }
+        for i in range(samples):
+            fi, gi = ps.function(f[i].ravel()), ps.function(g[i].ravel())
+            ai, bi = HilbertOp(a[i]), HilbertOp(b[i])
+            single = {
+                "fn_op": conv_fn_op(fi, ai).matrix,
+                "op_op": conv_op_op(ai, bi).values,
+                "sf": symplectic_fourier(fi, "sigma(x,xi)").values,
+                "fw": fourier_weyl(ai).values,
+                "fwi": fourier_weyl_inverse(ps, fi).matrix,
+                "conv": convolve(fi, gi).values,
+            }
+            for key, value in single.items():
+                assert stacked[key][i].tobytes() == value.tobytes(), (key, i)
+
+    def test_blocks_of_the_fixed_size(self):
+        # 2**16 entries hold 28 samples at N = 48: blocks of 28, 28 and 4,
+        # with the maxima of this seed in all three.
+        report = verify_norm_estimates(48, 60, seed=2)
+        max_ratio, argmax = ref.verify_norm_estimates(48, 60, 2)
+        assert _hex(report.max_ratio) == _hex(max_ratio)
+        assert report.argmax_index == argmax
+        assert {i // 28 for i in argmax.values()} == {0, 1, 2}
+        got = convolution_theorem_residuals(48, 5, 30, "sigma(x,xi)")
+        assert _hex(got) == _hex(ref.convolution_theorem_residuals(48, 5, 30, "sigma(x,xi)"))
+        # One block of 130 samples at N = 16, where the fn_fn maximum moves if
+        # a complex product in the pass is evaluated with swapped operands.
+        got = convolution_theorem_residuals(16, 7, 130, "sigma(x,xi)")
+        assert _hex(got) == _hex(ref.convolution_theorem_residuals(16, 7, 130, "sigma(x,xi)"))
+
+    @pytest.mark.parametrize("n", [1, 48, 255, 300])
+    def test_blocks_bound_memory_and_keep_the_stream(self, n):
+        samples = 3 if n > 200 else 40
+        blocks = list(qha.conv._sample_blocks(n, samples, seed=9))
+        assert all(f.size <= max(2**16, n * n) for _, f, *_ in blocks)
+        assert [start for start, *_ in blocks] == list(range(0, samples, len(blocks[0][1])))
+        rng = np.random.default_rng(9)
+        for _, *parts in blocks:
+            for i in range(len(parts[0])):
+                for part in parts:  # f, g, A, B; real part, then imaginary part
+                    re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+                    assert np.array_equal(part[i], re + 1j * im)
+
+    def test_zero_bound_side_gives_zero_ratio(self):
+        ratios = qha.conv._ratio(np.array([1.0, 2.0, 0.0]), np.array([0.0, 4.0, 0.0]))
+        assert ratios.tolist() == [0.0, 0.5, 0.0]

@@ -45,6 +45,13 @@ class TestStft:
             f, w = random_function(g, rng), random_function(g, rng)
             assert np.abs(stft(f, w) - ref.stft(f, w)).max() < 1e-12, orders
 
+    @pytest.mark.parametrize("orders", [(512,), (16, 16), (3, 4, 5), (1,), (7,)])
+    def test_bitwise_equal_to_translate_loop(self, orders):
+        g = FiniteAbelianGroup(orders, haar_weight=0.25)
+        rng = np.random.default_rng(len(orders))
+        f, w = random_function(g, rng), random_function(g, rng)
+        assert stft(f, w).tobytes() == ref.stft_loop(f, w).tobytes()
+
     def test_unit_mass_delta_window_reads_out_reflection(self):
         g = FiniteAbelianGroup((5,), haar_weight=0.5)
         w = GroupFunction(g, delta(g).values / g.haar_weight)
