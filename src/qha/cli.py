@@ -12,6 +12,7 @@ precondition error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,7 +52,7 @@ def emit_csv(path, header, rows, manifest: dict | None = None) -> None:
     if len(header) and rows and any(len(r) != len(header) for r in rows):
         raise ValueError("record arity does not match header")
     comment = None if manifest is None else "manifest: " + json.dumps(manifest, sort_keys=True)
-    write_table(path, header, "%s", [(",".join(map(format_value, row)),) for row in rows], comment)
+    write_table(path, header, "%s", [[",".join(map(format_value, row)) for row in rows]], comment)
 
 
 def _manifest(subcommand: str, params: dict, seed=None, outputs: dict | None = None) -> dict:
@@ -236,6 +237,9 @@ def _cmd_run(args) -> int:
               "'outputs' an object or null", file=sys.stderr)
         return 2
     argv = man["subcommand"].split()
+    if argv[:1] == ["run"]:
+        print("error: a manifest cannot name the 'run' subcommand", file=sys.stderr)
+        return 2
     for key, value in man["params"].items():
         if isinstance(value, bool):
             if value:
@@ -252,7 +256,9 @@ def _cmd_run(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="qha",
         description="Finite phase-space harmonic analysis workbench",

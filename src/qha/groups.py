@@ -211,8 +211,8 @@ CSV_HEADER = ("index", "re", "im")
 
 def write_group_function(f: GroupFunction, path, comment: str | None = None) -> None:
     """CSV with header index,re,im; rows in lexicographic index order."""
-    rows = list(zip(range(f.values.size), f.values.real.tolist(), f.values.imag.tolist()))
-    write_table(path, CSV_HEADER, "%d,%.17g,%.17g", rows, comment, eol="\r\n")
+    columns = (range(f.values.size), f.values.real.tolist(), f.values.imag.tolist())
+    write_table(path, CSV_HEADER, "%d,%.17g,%.17g", columns, comment, eol="\r\n")
 
 
 def read_group_function(path, group: FiniteAbelianGroup) -> GroupFunction:

@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import csv
 import sys
-from itertools import chain
 
 import numpy as np
 
 
-def write_table(path, header, row_format: str, rows, comment=None, eol="\n") -> None:
-    """Write ``row_format % row`` per row under the header, as one write;
-    path '-' or None is stdout."""
+def write_table(path, header, row_format: str, columns, comment=None, eol="\n") -> None:
+    """Write ``row_format % row`` per row under the header, as one write; row i
+    takes entry i of each of the equal-length columns.  Path '-' or None is stdout."""
+    nrows, ncols = len(columns[0]), len(columns)
+    fields = [None] * (nrows * ncols)
+    for k, col in enumerate(columns):
+        fields[k::ncols] = col
     text = ("" if comment is None else f"# {comment}\n") + ",".join(header) + eol
-    text += (row_format + eol) * len(rows) % tuple(chain.from_iterable(rows))
+    text += (row_format + eol) * nrows % tuple(fields)
     if path is None or path == "-":
         sys.stdout.write(text)
     else:

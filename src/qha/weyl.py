@@ -264,9 +264,10 @@ def fourier_weyl_inverse(ps: PhaseSpace, values: GroupFunction) -> HilbertOp:
 
 def write_hilbert_op(op: HilbertOp, path, comment: str | None = None) -> None:
     """Dense CSV with header row,col,re,im, row-major order."""
+    row, col = np.divmod(np.arange(op.matrix.size), op.dim)
     re, im = op.matrix.real.ravel().tolist(), op.matrix.imag.ravel().tolist()
-    rows = [(*rc, x, y) for rc, x, y in zip(np.ndindex(op.matrix.shape), re, im)]
-    write_table(path, OP_HEADER, "%d,%d,%.17g,%.17g", rows, comment, eol="\r\n")
+    columns = (row.tolist(), col.tolist(), re, im)
+    write_table(path, OP_HEADER, "%d,%d,%.17g,%.17g", columns, comment, eol="\r\n")
 
 
 def read_hilbert_op(path) -> HilbertOp:

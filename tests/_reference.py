@@ -14,7 +14,9 @@ ladders using them stay small.
 The exception is the per-item loops (the STFT one translate at a time, the
 norm audit and the convolution-theorem residuals one sample at a time):
 they call the public single-item functions of ``qha`` and are oracles for
-the sample-stacked passes, which must equal them bit for bit.
+the sample-stacked passes, which must equal them bit for bit.  The rk
+modulus loop, one shifted copy per member and shift, is likewise the bitwise
+oracle for the block-stacked strided differences in ``qha.tauber``.
 """
 
 import csv
@@ -273,6 +275,22 @@ def windowed_stft_profile(f, window, angles) -> np.ndarray:
     return np.array(
         [float(np.abs(weighted @ f.values[s_lo - x - f.lo : s_hi - x - f.lo + 1]).max()) for x in xs]
     )
+
+
+def rk_modulus(family, shifts) -> np.ndarray:
+    """sup over the family of ||shift_s(h) - h||_1, one shifted copy per (member, shift)."""
+    modulus = np.zeros(shifts.size)
+    for h in family:
+        vals = h.values
+        for i, s in enumerate(shifts):
+            if s >= vals.size:
+                diff = 2 * float(np.abs(vals).sum())
+            else:
+                shifted = np.zeros_like(vals)
+                shifted[s:] = vals[:-s]
+                diff = float(np.abs(shifted - vals).sum())
+            modulus[i] = max(modulus[i], diff)
+    return modulus
 
 
 # --- CSV: the csv-module readers and writers ------------------------------------

@@ -290,6 +290,17 @@ class TestMalformedInput:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["run self.json", "run", " run   self.json"])
+    def test_manifest_naming_run_is_usage_error(self, tmp_path, capsys, monkeypatch, subcommand):
+        # A manifest that re-runs itself would recurse until RecursionError.
+        monkeypatch.chdir(tmp_path)
+        Path("self.json").write_text(json.dumps({"subcommand": subcommand, "params": {}}))
+        code, out, err = run(["run", "self.json"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "'run'" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_wiener_verify_degenerate_only(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
         argv = ["wiener", "verify", "--n", "3", "--samples", "0", "--seed", "1", "--degenerate"]
@@ -411,6 +422,15 @@ class TestManifests:
 
 
 class TestParserCoverage:
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        parser = build_parser()
+        assert build_parser() is parser
+        man_path = tmp_path / "w.json"
+        man_path.write_text(json.dumps({"subcommand": "weyl check", "params": {"n": 2}}))
+        assert run(["run", str(man_path)], capsys)[0] == 0  # nested dispatch on the same parser
+        assert run(["weyl", "check", "--n", "2"], capsys)[0] == 0
+        assert build_parser() is parser
+
     def test_every_diagnostic_reachable(self):
         parser = build_parser()
         # top-level subcommands enumerate the full library surface

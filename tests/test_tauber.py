@@ -1,9 +1,13 @@
 """Windowed transforms, certified tail bounds, compactness moduli and
 localization operators."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qha.tauber
 from qha import (
     FiniteAbelianGroup,
     GroupFunction,
@@ -268,6 +272,69 @@ class TestRkModuli:
         m1, _ = rk_moduli([WindowedFunction(-40, bump)], max_shift=10)
         m2, _ = rk_moduli([WindowedFunction(-40, bump), WindowedFunction(-40, 2 * bump)], max_shift=10)
         assert np.allclose(m2.values, 2 * m1.values, rtol=1e-12)
+
+
+@st.composite
+def rk_families(draw, common_size=False):
+    """1-4 members of sizes 1..60 (one shared size if asked) at mixed lo,
+    with a max_shift below or above the sizes."""
+    count = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(1, 60))] * count if common_size else draw(
+        st.lists(st.integers(1, 60), min_size=count, max_size=count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = [WindowedFunction(draw(st.integers(-80, 80)), rng.standard_normal(n) + 1j * rng.standard_normal(n))
+              for n in sizes]
+    return family, draw(st.integers(1, 2 * max(sizes) + 2))
+
+
+def _rk_hex(family, max_shift):
+    modulus, _ = rk_moduli(family, max_shift=max_shift)
+    assert np.array_equal(modulus.params, np.arange(1, max_shift + 1))
+    return [float(v).hex() for v in modulus.values]
+
+
+def _loop_hex(family, max_shift):
+    return [float(v).hex() for v in ref.rk_modulus(family, np.arange(1, max_shift + 1))]
+
+
+RK_PROPERTY = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+class TestRkModulusBlocks:
+    """The modulus is one subtract/abs/sum pass per block of shifts over a
+    strided view; it must equal the loop over members and shifts bit for bit."""
+
+    @RK_PROPERTY
+    @given(drawn=rk_families())
+    def test_equals_per_shift_loop(self, drawn):
+        family, max_shift = drawn
+        assert _rk_hex(family, max_shift) == _loop_hex(family, max_shift)
+
+    @RK_PROPERTY
+    @given(drawn=rk_families(common_size=True), rows=st.sampled_from([1, 2, 3]))
+    def test_block_boundaries_equal_per_shift_loop(self, drawn, rows):
+        family, max_shift = drawn
+        with mock.patch.object(qha.tauber, "_BLOCK_ENTRIES", rows * family[0].values.size):
+            got = _rk_hex(family, max_shift)
+        assert got == _loop_hex(family, max_shift)
+
+    def test_benchmark_shape_crosses_blocks(self):
+        # 16 members of 4001 values and 1000 shifts: blocks of 8 rows each.
+        rng = np.random.default_rng(2024)
+        family = [WindowedFunction(-2000, rng.standard_normal(4001) + 1j * rng.standard_normal(4001))
+                  for _ in range(16)]
+        assert qha.tauber._BLOCK_ENTRIES // 4001 < 1000
+        assert _rk_hex(family, 1000) == _loop_hex(family, 1000)
+
+    def test_whole_lattice_convention_beyond_the_window(self):
+        vals = np.array([1.0, -2.0, 0.5j])
+        modulus, _ = rk_moduli([WindowedFunction(0, vals)], max_shift=4)
+        # s < 3: the part shifted past the right end is dropped; s >= 3: 2 ||h||_1.
+        assert modulus.values.tolist() == [1.0 + 3.0 + abs(0.5j + 2.0), 1.0 + 2.0 + abs(0.5j - 1.0), 7.0, 7.0]
+
+    def test_nan_member_leaves_the_sup_as_the_loop_does(self):
+        family = [WindowedFunction(0, [1.0, np.nan, 2.0]), WindowedFunction(-1, [0.5, 1.0, -1.0, 3.0])]
+        assert _rk_hex(family, 5) == _loop_hex(family, 5)
 
 
 class TestLocalizationOperator:
