@@ -45,6 +45,8 @@ class GridOperator:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (size, size):
             raise ValueError(f"matrix shape {mat.shape} does not match grid size {size}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
         self.matrix = mat
 
     @property

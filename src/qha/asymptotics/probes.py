@@ -174,12 +174,7 @@ def halmos_shift_case(
     pad = blocks
     hi = total * steps + total - 1
     base = halmos_operator(blocks)
-    window = WindowedZOperator(
-        -pad,
-        hi,
-        _embed(base, -pad, hi),
-        provenance=base.provenance,
-    )
+    window = WindowedZOperator(-pad, hi, _embed(base, -pad, hi))
     thetas = 2 * np.pi * np.arange(theta_points) / theta_points
     mats = []
     shifts = [total * i for i in range(steps)]

@@ -27,6 +27,8 @@ class WindowedFunction:
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.ndim != 1:
             raise ValueError("windowed function values must be one-dimensional")
+        if not np.isfinite(self.values).all():
+            raise ValueError("windowed function values must be finite")
 
     @property
     def hi(self) -> int:
@@ -45,23 +47,19 @@ class WindowedZOperator:
     lo: int
     hi: int
     matrix: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         size = self.hi - self.lo + 1
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (size, size):
             raise ValueError(f"matrix shape {mat.shape} does not match window size {size}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
         self.matrix = mat
 
     @property
     def size(self) -> int:
         return self.hi - self.lo + 1
-
-    def offset(self, j: int) -> int:
-        if not self.lo <= j <= self.hi:
-            raise IndexError(f"index {j} outside window [{self.lo}, {self.hi}]")
-        return j - self.lo
 
     def indices(self) -> np.ndarray:
         return np.arange(self.lo, self.hi + 1)
@@ -86,11 +84,11 @@ def halmos_operator(blocks: int, pad: int = 0) -> WindowedZOperator:
     for n in range(1, blocks + 1):
         mat[start : start + n, start : start + n] = 1.0 / n
         start += n
-    return WindowedZOperator(-pad, total - 1, mat, provenance=f"halmos(blocks={blocks})")
+    return WindowedZOperator(-pad, total - 1, mat)
 
 
 def identity_window(lo: int, hi: int) -> WindowedZOperator:
-    return WindowedZOperator(lo, hi, np.eye(hi - lo + 1), provenance="identity")
+    return WindowedZOperator(lo, hi, np.eye(hi - lo + 1))
 
 
 def point_mass_operator(lo: int, hi: int, at: int = 0) -> WindowedZOperator:
@@ -98,14 +96,12 @@ def point_mass_operator(lo: int, hi: int, at: int = 0) -> WindowedZOperator:
     size = hi - lo + 1
     mat = np.zeros((size, size))
     mat[at - lo, at - lo] = 1.0
-    return WindowedZOperator(lo, hi, mat, provenance=f"point_mass(at={at})")
+    return WindowedZOperator(lo, hi, mat)
 
 
 def diagonal_decay_operator(size: int) -> WindowedZOperator:
     """diag(1, 1/2, ..., 1/size): compact-consistent reference."""
-    return WindowedZOperator(
-        0, size - 1, np.diag(1.0 / np.arange(1, size + 1)), provenance="diag(1/n)"
-    )
+    return WindowedZOperator(0, size - 1, np.diag(1.0 / np.arange(1, size + 1)))
 
 
 def parity_window(lo: int, hi: int) -> WindowedZOperator:
@@ -116,7 +112,7 @@ def parity_window(lo: int, hi: int) -> WindowedZOperator:
     mat = np.zeros((size, size))
     j = np.arange(lo, hi + 1)
     mat[j - lo, (-j) - lo] = 1.0
-    return WindowedZOperator(lo, hi, mat, provenance="reflection")
+    return WindowedZOperator(lo, hi, mat)
 
 
 def shift_operator(op: WindowedZOperator, k: int, theta: float = 0.0) -> WindowedZOperator:
@@ -136,7 +132,7 @@ def shift_operator(op: WindowedZOperator, k: int, theta: float = 0.0) -> Windowe
     j = np.arange(op.lo, op.hi + 1)
     phase = np.exp(1j * theta * j)
     out = phase[:, None] * out * phase.conj()[None, :]
-    return WindowedZOperator(op.lo, op.hi, out, provenance=f"{op.provenance}<<({k},{theta:g})")
+    return WindowedZOperator(op.lo, op.hi, out)
 
 
 def column_row_profiles(op: WindowedZOperator) -> tuple[DecayProfile, DecayProfile]:

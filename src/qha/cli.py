@@ -46,56 +46,44 @@ def format_value(v) -> str:
     return str(v)
 
 
-def emit_csv(path, header, rows, manifest: dict | None = None) -> None:
-    """Write rows with 17-significant-digit reals and an optional manifest
-    comment line; path '-' writes to stdout."""
+def emit_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write rows with 17-significant-digit reals under an optional comment
+    line; path '-' writes to stdout."""
     if len(header) and rows and any(len(r) != len(header) for r in rows):
         raise ValueError("record arity does not match header")
-    comment = None if manifest is None else "manifest: " + json.dumps(manifest, sort_keys=True)
     write_table(path, header, "%s", [[",".join(map(format_value, row)) for row in rows]], comment)
 
 
-def _manifest(subcommand: str, params: dict, seed=None, outputs: dict | None = None) -> dict:
+def _manifest(args, subcommand: str, params: dict, seed=None) -> str:
+    """The manifest comment of a run; 'outputs' is present only when --out is given."""
     man = {"subcommand": subcommand, "params": params}
     if seed is not None:
         man["seed"] = seed
-    if outputs:
-        man["outputs"] = outputs
-    return man
+    if getattr(args, "out", None):
+        man["outputs"] = {"out": args.out}
+    return "manifest: " + json.dumps(man, sort_keys=True)
 
 
 # --- subcommand implementations ------------------------------------------------
 
 
 def _cmd_group(args) -> int:
-    orders = tuple(int(s) for s in args.orders.split(","))
-    group = FiniteAbelianGroup(orders, args.weight)
+    group = FiniteAbelianGroup(tuple(int(s) for s in args.orders.split(",")), args.weight)
     if args.group_cmd == "dft":
-        f = read_group_function(args.input, group)
-        out = fourier(f)
-        man = _manifest("group dft", {"orders": args.orders, "weight": args.weight},
-                        outputs={"out": args.out})
+        out = fourier(read_group_function(args.input, group))
     else:
-        f = read_group_function(args.f, group)
-        g = read_group_function(args.g, group)
-        out = convolve(f, g)
-        man = _manifest("group conv", {"orders": args.orders, "weight": args.weight},
-                        outputs={"out": args.out})
-    write_group_function(out, args.out, comment="manifest: " + json.dumps(man, sort_keys=True))
+        out = convolve(read_group_function(args.f, group), read_group_function(args.g, group))
+    man = _manifest(args, f"group {args.group_cmd}", {"orders": args.orders, "weight": args.weight})
+    write_group_function(out, args.out, comment=man)
     return 0
 
 
 def _cmd_weyl_check(args) -> int:
-    residuals = weyl_identity_residuals(args.n)
-    rows = []
-    failed = False
-    for name, res in residuals.items():
-        ok = res <= 1e-12
-        failed = failed or not ok
-        rows.append((name, res, "PASS" if ok else "FAIL"))
+    rows = [(name, res, "PASS" if res <= 1e-12 else "FAIL")
+            for name, res in weyl_identity_residuals(args.n).items()]
     emit_csv("-", ("identity", "max_residual", "status"), rows,
-             manifest=_manifest("weyl check", {"n": args.n}))
-    return 1 if failed else 0
+             _manifest(args, "weyl check", {"n": args.n}))
+    return 1 if any(status == "FAIL" for *_, status in rows) else 0
 
 
 def _cmd_conv_audit(args) -> int:
@@ -104,9 +92,8 @@ def _cmd_conv_audit(args) -> int:
         (name, report.max_ratio[name], report.argmax_index[name])
         for name in sorted(report.max_ratio)
     ]
-    man = _manifest("conv audit", {"n": args.n, "samples": args.samples}, seed=args.seed,
-                    outputs={"out": args.out} if args.out else None)
-    emit_csv(args.out or "-", ("inequality", "max_ratio", "argmax_seed_index"), rows, man)
+    emit_csv(args.out or "-", ("inequality", "max_ratio", "argmax_seed_index"), rows,
+             _manifest(args, "conv audit", {"n": args.n, "samples": args.samples}, args.seed))
     return 1 if report.worst() > 1.0 + DEFAULT_EQ_TOL else 0
 
 
@@ -114,31 +101,24 @@ def _cmd_wiener_verify(args) -> int:
     if args.samples < (0 if args.degenerate else 1):
         raise ValueError("samples must be >= 1, or >= 0 with --degenerate")
     rng = np.random.default_rng(args.seed)
-    cases = []
-    for i in range(args.samples):
-        cases.append((f"random_{i}", random_op(args.n, rng)))
+    cases = [(f"random_{i}", random_op(args.n, rng)) for i in range(args.samples)]
     if args.degenerate:
         cases.extend(degenerate_operator_set(args.n, seed=args.seed).items())
     rows = []
-    all_agree = True
     for name, op in cases:
         rep = regular_op_set([op])
         rows.append((name, rep.min_abs_transform, rep.translate_span_rank,
                      rep.is_regular, rep.predicates_agree))
-        all_agree = all_agree and rep.predicates_agree
-    man = _manifest("wiener verify",
-                    {"n": args.n, "samples": args.samples, "degenerate": bool(args.degenerate)},
-                    seed=args.seed, outputs={"out": args.out} if args.out else None)
+    params = {"n": args.n, "samples": args.samples, "degenerate": bool(args.degenerate)}
     emit_csv(args.out or "-", ("case", "min_abs_transform", "rank", "is_regular", "agreement"),
-             rows, man)
-    return 0 if all_agree else 1
+             rows, _manifest(args, "wiener verify", params, args.seed))
+    return 0 if all(agree for *_, agree in rows) else 1
 
 
 def _cmd_example_halmos(args) -> int:
-    op = asymptotics.halmos_operator(args.blocks)
-    cols, _rows = asymptotics.column_row_profiles(op)
-    man = _manifest("example halmos", {"blocks": args.blocks}, outputs={"out": args.out})
-    emit_csv(args.out, ("param", "value"), list(zip(cols.params, cols.values)), man)
+    cols = asymptotics.column_row_profiles(asymptotics.halmos_operator(args.blocks))[0]
+    emit_csv(args.out, ("param", "value"), list(zip(cols.params, cols.values)),
+             _manifest(args, "example halmos", {"blocks": args.blocks}))
     return 0
 
 
@@ -151,8 +131,8 @@ def _cmd_example_cac(args) -> int:
     rows += [(f"g_max_error_n{n}", e) for n, e in sorted(record.g_max_errors.items())]
     rows += [(f"plateau_dev_n{n}", e) for n, e in sorted(record.plateau_max_dev.items())]
     rows += [(f"product_norm_n{n}", v) for n, v in sorted(record.product_norms.items())]
-    man = _manifest("example cac", {"h": args.h, "nmax": args.nmax}, outputs={"out": args.out})
-    emit_csv(args.out, ("param", "value"), rows, man)
+    emit_csv(args.out, ("param", "value"), rows,
+             _manifest(args, "example cac", {"h": args.h, "nmax": args.nmax}))
     return 0
 
 
@@ -162,9 +142,8 @@ def _cmd_probe_topology(args) -> int:
         case.matrices, case.test_vectors, case.trace_tests, args.tol, weight=case.weight
     )
     rows = [(r.i, r.j, r.norm_diff, r.strongstar_diff, r.weakstar_diff) for r in result.rows]
-    man = _manifest("probe topology", {"case": args.case, "tol": args.tol},
-                    outputs={"out": args.out} if args.out else None)
-    emit_csv(args.out or "-", ("i", "j", "norm_diff", "strongstar_diff", "weakstar_diff"), rows, man)
+    emit_csv(args.out or "-", ("i", "j", "norm_diff", "strongstar_diff", "weakstar_diff"), rows,
+             _manifest(args, "probe topology", {"case": args.case, "tol": args.tol}))
     print(f"classification,{result.classification}")
     if args.expect and result.classification != args.expect:
         return 1
@@ -190,9 +169,8 @@ def _cmd_stft_decay(args) -> int:
     phi = _read_windowed(args.phi)
     angles = 2 * np.pi * np.arange(m) / m
     profile = windowed_stft_profile(f, phi, angles)
-    man = _manifest("stft decay", {"f": args.f, "phi": args.phi, "k": args.k},
-                    outputs={"out": args.out})
-    emit_csv(args.out, ("x", "sup_abs"), list(zip(profile.params, profile.values)), man)
+    emit_csv(args.out, ("x", "sup_abs"), list(zip(profile.params, profile.values)),
+             _manifest(args, "stft decay", {"f": args.f, "phi": args.phi, "k": args.k}))
     return 0
 
 
@@ -210,13 +188,11 @@ def _cmd_rk(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.family, "*.csv")))
     if not paths:
         raise PreconditionError(f"no CSV files in {args.family}")
-    family = [_read_windowed(p) for p in paths]
-    modulus, tailmass = rk_moduli(family)
-    man = _manifest("rk", {"family": args.family}, outputs={"out": args.out})
-    emit_csv(args.out, ("param", "value"), list(zip(modulus.params, modulus.values)), man)
+    curves = rk_moduli([_read_windowed(p) for p in paths])
+    man = _manifest(args, "rk", {"family": args.family})
     stem, ext = os.path.splitext(args.out)
-    emit_csv(stem + "_tailmass" + ext, ("param", "value"),
-             list(zip(tailmass.params, tailmass.values)), man)
+    for path, curve in zip((args.out, stem + "_tailmass" + ext), curves):
+        emit_csv(path, ("param", "value"), list(zip(curve.params, curve.values)), man)
     return 0
 
 

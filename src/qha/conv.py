@@ -38,8 +38,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GroupMismatchError
-from .groups import GroupFunction, _convolve, lp_norm
-from .weyl import HilbertOp, PhaseSpace, _fourier_weyl, _fourier_weyl_inverse, _singular_values
+from .groups import GroupFunction, _convolve, _same_group, lp_norm
+from .weyl import (
+    HilbertOp, PhaseSpace, _fourier_weyl, _fourier_weyl_inverse, _singular_values, rank_one,
+    reflection_symmetric_unit,
+)
 
 #: Sign s per kernel variant, as formulas in (x, xi): the kernel is
 #: omega^(s * (p*b - q*a)) at x = (a,b), xi = (p,q).  By antisymmetry
@@ -57,15 +60,6 @@ ORIENTATION_VARIANTS = tuple(_VARIANT_SIGNS)
 #: The orientation pinned by the N=3 oracle (equals "sigma(xi,x)" pointwise).
 PINNED_ORIENTATION = "conj(sigma(x,xi))"
 _PINNED_SIGN = _VARIANT_SIGNS[PINNED_ORIENTATION]
-
-
-def _check_phase_function(ps: PhaseSpace, f: GroupFunction) -> None:
-    g = ps.as_group()
-    if f.group.orders != g.orders or not np.isclose(f.group.haar_weight, g.haar_weight):
-        raise GroupMismatchError(
-            f"function lives on {f.group}, expected phase space Z_{ps.n} x Z_{ps.n} "
-            f"with weight 1/{ps.n}"
-        )
 
 
 # The kernels below act on the trailing (N, N) axes of stacked arrays: a
@@ -105,7 +99,7 @@ def _sign(variant: str) -> int:
 def conv_fn_op(f: GroupFunction, op: HilbertOp) -> HilbertOp:
     """f * A = (1/N) sum_y f(y) U_y A U_y*; linear in each argument."""
     n = op.dim
-    _check_phase_function(PhaseSpace(n), f)
+    _same_group(f.group, PhaseSpace(n).as_group())
     return HilbertOp(_conv_fn_op(f.values.reshape(n, n), op.matrix))
 
 
@@ -153,10 +147,6 @@ class OrientationReport:
     residuals: dict[str, tuple[float, float, float]]
     weighted_op_op: dict[str, float]
     pinned: str | None
-
-    def rows(self):
-        for name, (r1, r2, r3) in self.residuals.items():
-            yield name, r1, r2, r3, self.weighted_op_op[name]
 
 
 #: Samples per stacked block: at most 2**16 complex entries per (k, N, N) array.
@@ -288,11 +278,5 @@ def verify_norm_estimates(n: int, samples: int, seed: int) -> NormAuditReport:
 def sharpness_witness(n: int, seed: int = 0) -> float:
     """Ratio ||A*B||_inf / (||A||_tr ||B||_op) for A = B = phi (x) phi with
     a reflection-symmetric unit vector phi; equals 1, attained at the origin."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    phi = v + v[(-np.arange(n)) % n]  # v + R v
-    if np.linalg.norm(phi) < 1e-9:  # reflection-antisymmetric draw
-        phi = v + 1.0
-    phi = phi / np.linalg.norm(phi)
-    a = HilbertOp(np.outer(phi, phi.conj()))
+    a = rank_one(reflection_symmetric_unit(n, np.random.default_rng(seed)))
     return float(_ratio(lp_norm(conv_op_op(a, a), np.inf), a.trace_norm * a.op_norm))

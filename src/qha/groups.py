@@ -75,9 +75,6 @@ class FiniteAbelianGroup:
     def character(self, frequencies) -> "Character":
         return Character(self, self.element(frequencies))
 
-    def trivial_character(self) -> "Character":
-        return Character(self, self.identity)
-
 
 @dataclass(frozen=True)
 class Character:
@@ -130,7 +127,7 @@ class GroupFunction:
 
 
 def _same_group(a: FiniteAbelianGroup, b: FiniteAbelianGroup) -> None:
-    if a.orders != b.orders or not np.isclose(a.haar_weight, b.haar_weight, rtol=1e-12):
+    if a.orders != b.orders or not np.isclose(a.haar_weight, b.haar_weight, rtol=1e-12, atol=0):
         raise GroupMismatchError(f"group mismatch: {a} vs {b}")
 
 

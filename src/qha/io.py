@@ -1,10 +1,10 @@
 """The CSV format: one table writer and one table reader.
 
-Function ``index,re,im`` and operator ``row,col,re,im`` files have CRLF rows
-(the ``csv``-module dialect), result tables LF rows; a ``# comment`` line
-ends with LF.  Accepted number syntax: the file as the ``csv`` module reads
-it, keys as ``int`` and values as ``float`` parse them (whitespace, sign,
-``_``, quotes, ``nan``/``inf``/``infinity`` in any case; no ``3.0`` key).
+Function ``index,re,im`` files have CRLF rows (the ``csv``-module dialect),
+result tables LF rows; a ``# comment`` line ends with LF.  Accepted number
+syntax: the file as the ``csv`` module reads it, keys as ``int`` and values
+as ``float`` parse them (whitespace, sign, ``_``, quotes,
+``nan``/``inf``/``infinity`` in any case; no ``3.0`` key).
 """
 from __future__ import annotations
 

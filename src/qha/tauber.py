@@ -21,7 +21,7 @@ from .asymptotics.profiles import DecayProfile
 from .asymptotics.windowed import WindowedFunction
 from .conv import _conv_op_op, conv_fn_op
 from .errors import GroupMismatchError, PreconditionError
-from .groups import FiniteAbelianGroup, GroupFunction
+from .groups import FiniteAbelianGroup, GroupFunction, _same_group
 from .weyl import HilbertOp, _shift_tables, rank_one
 
 
@@ -34,10 +34,7 @@ def stft(f: GroupFunction, window: GroupFunction) -> np.ndarray:
     Linear in both arguments; satisfies the energy identity
     sum_{x,xi} |V|^2 w_G w_dual = ||window||_2^2 ||f||_2^2.
     """
-    if f.group.orders != window.group.orders or not np.isclose(
-        f.group.haar_weight, window.group.haar_weight
-    ):
-        raise GroupMismatchError("transform needs f and window on one group")
+    _same_group(f.group, window.group)
     group = f.group
     orders, card = group.orders, group.cardinality
     # Row x is sum_t Phi(t) f(t - x) xi(t) for every character xi at once:
@@ -135,11 +132,6 @@ def greedy_l1_net(functions: list[np.ndarray], epsilon: float, weight: float = 1
     return centers, assignment, radius
 
 
-def valid_convolution_range(f_size: int, support: int) -> slice:
-    """Slice of np.convolve(h, f, mode='full') where the window played no role."""
-    return slice(2 * support, f_size)
-
-
 def tail_bound_trial(
     rng: np.random.Generator,
     window: int = 48,
@@ -166,7 +158,7 @@ def tail_bound_trial(
         f = rng.standard_normal(2 * window + 1) + 1j * rng.standard_normal(2 * window + 1)
         f = f / max(1.0, np.abs(f).max() / bound_c)
         fs.append(f)
-    valid = valid_convolution_range(2 * window + 1, support)
+    valid = slice(2 * support, 2 * window + 1)  # where np.convolve's window played no role
     # tail region: outer third of the valid range, both ends
     n_valid = valid.stop - valid.start
 
@@ -222,7 +214,7 @@ def rk_moduli(
         inside = int(np.searchsorted(shifts, h.values.size))  # the shifts s < size
         dist = np.full(shifts.size, 2 * float(np.abs(h.values).sum()))
         dist[:inside] = _shift_distances(h.values, inside)
-        modulus = np.fmax(modulus, dist)  # fmax: a NaN distance leaves the sup as it was
+        modulus = np.maximum(modulus, dist)
     if tail_marks is None:
         tail_marks = sorted({span // 8, span // 4, span // 2, span} - {0})
     marks = np.asarray(sorted(tail_marks), dtype=float)

@@ -22,9 +22,6 @@ import numpy as np
 
 from .errors import PreconditionError
 from .groups import FiniteAbelianGroup, GroupFunction
-from .io import read_table, write_table
-
-OP_HEADER = ("row", "col", "re", "im")
 
 
 @dataclass(frozen=True)
@@ -95,13 +92,13 @@ class PhaseSpace:
 
 
 class HilbertOp:
-    """N x N complex matrix with lazily computed operator/trace/HS norms."""
+    """N x N complex matrix with lazily computed operator and trace norms."""
 
     def __init__(self, matrix):
         mat = np.array(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("HilbertOp expects a square matrix")
-        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+        if not np.isfinite(mat).all():
             raise ValueError("matrix entries must be finite")
         mat.setflags(write=False)
         self.matrix = mat
@@ -124,10 +121,6 @@ class HilbertOp:
     def trace_norm(self) -> float:
         return float(self.singular_values.sum())
 
-    @property
-    def hs_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
     def __repr__(self) -> str:
         return f"HilbertOp(dim={self.dim})"
 
@@ -146,6 +139,16 @@ def rank_one(phi, psi=None) -> HilbertOp:
     phi = np.asarray(phi, dtype=complex)
     psi = phi if psi is None else np.asarray(psi, dtype=complex)
     return HilbertOp(np.outer(phi, psi.conj()))
+
+
+def reflection_symmetric_unit(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit vector along v + R v for one complex Gaussian draw v, or along
+    v + 1 when the draw is reflection-antisymmetric (|v + R v| < 1e-9)."""
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    phi = v + v[(-np.arange(n)) % n]
+    if np.linalg.norm(phi) < 1e-9:
+        phi = v + 1.0
+    return phi / np.linalg.norm(phi)
 
 
 def random_op(n: int, rng: np.random.Generator) -> HilbertOp:
@@ -260,25 +263,6 @@ def fourier_weyl(op: HilbertOp) -> GroupFunction:
 def fourier_weyl_inverse(ps: PhaseSpace, values: GroupFunction) -> HilbertOp:
     """Reconstruction A = (1/N) sum_xi F(xi) U_xi*."""
     return HilbertOp(_fourier_weyl_inverse(values.values.reshape(ps.n, ps.n)))
-
-
-def write_hilbert_op(op: HilbertOp, path, comment: str | None = None) -> None:
-    """Dense CSV with header row,col,re,im, row-major order."""
-    row, col = np.divmod(np.arange(op.matrix.size), op.dim)
-    re, im = op.matrix.real.ravel().tolist(), op.matrix.imag.ravel().tolist()
-    columns = (row.tolist(), col.tolist(), re, im)
-    write_table(path, OP_HEADER, "%d,%d,%.17g,%.17g", columns, comment, eol="\r\n")
-
-
-def read_hilbert_op(path) -> HilbertOp:
-    """Inverse of write_hilbert_op: every (row, col) of an N x N matrix once."""
-    r, c, values = read_table(path, OP_HEADER)
-    n = int(max(r.max(), c.max())) + 1  # the size test first bounds the bincount
-    if min(r.min(), c.min()) < 0 or r.size != n * n or np.bincount(r * n + c).max() > 1:
-        raise ValueError(f"{path}: entries must cover rows and columns 0..{n - 1} exactly once")
-    mat = np.empty(n * n, dtype=complex)
-    mat[r * n + c] = values
-    return HilbertOp(mat.reshape(n, n))
 
 
 def weyl_identity_residuals(n: int) -> dict[str, float]:

@@ -15,9 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupFunction, fourier, translate
+from .groups import GroupFunction, _same_group, fourier, translate
 from .numerics import DEFAULT_ZERO_TOL, svd_rank
-from .weyl import HilbertOp, PhaseSpace, fourier_weyl, op_translate_stack, weyl
+from .weyl import (
+    HilbertOp, PhaseSpace, fourier_weyl, identity_op, op_translate_stack, parity_op, rank_one,
+    reflection_symmetric_unit, weyl,
+)
 
 
 @dataclass
@@ -118,17 +121,8 @@ def degenerate_operator_set(n: int, seed: int = 0) -> dict[str, HilbertOp]:
     Identity, a diagonal point mass, three Weyl unitaries, the reflection
     operator, and a rank-one built from a reflection-symmetric vector.
     """
-    from .weyl import identity_op, parity_op, rank_one  # local to avoid cycle noise
-
     ps = PhaseSpace(n)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    phi = v + v[(-np.arange(n)) % n]  # v + R v
-    nrm = np.linalg.norm(phi)
-    if nrm < 1e-12:  # reflection-antisymmetric draw; perturb deterministically
-        phi = v + 1.0
-        nrm = np.linalg.norm(phi)
-    phi = phi / nrm
+    phi = reflection_symmetric_unit(n, np.random.default_rng(seed))
     e0 = np.zeros(n)
     e0[0] = 1.0
     ops = {
@@ -161,12 +155,12 @@ def corresponding_space(
     distinguishes only proper subspaces such as the constants (which give
     the identity line, since 1 * A = Tr(A) I).
     """
-    from .conv import _check_phase_function, symplectic_fourier
+    from .conv import symplectic_fourier
 
     if not d0_basis:
         return []
     for f in d0_basis:
-        _check_phase_function(ps, f)
+        _same_group(f.group, ps.as_group())
     _joint, zero = _common_zeros([symplectic_fourier(f).values for f in d0_basis], threshold)
     return [
         HilbertOp(weyl(ps, xi).matrix.conj().T / np.sqrt(ps.n))

@@ -327,22 +327,6 @@ def read_indexed_csv(path):
     return indices, values
 
 
-def read_hilbert_op(path) -> HilbertOp:
-    """Every (row, col) of an N x N matrix once."""
-    cells: dict[tuple[int, int], complex] = {}
-    for r, c, re, im in read_csv_records(path, ("row", "col", "re", "im")):
-        if (int(r), int(c)) in cells:
-            raise ValueError(f"{path}: duplicate entry ({r},{c})")
-        cells[int(r), int(c)] = complex(float(re), float(im))
-    n = max(max(rc) for rc in cells) + 1
-    if min(min(rc) for rc in cells) < 0 or len(cells) != n * n:
-        raise ValueError(f"{path}: entries must cover rows and columns 0..{n - 1} exactly once")
-    mat = np.empty((n, n), dtype=complex)
-    for rc, v in cells.items():
-        mat[rc] = v
-    return HilbertOp(mat)
-
-
 def write_group_function(f, path, comment: str | None = None) -> None:
     """CSV with header index,re,im; rows in lexicographic index order."""
     with open(path, "w", newline="") as fh:
@@ -352,19 +336,6 @@ def write_group_function(f, path, comment: str | None = None) -> None:
         writer.writerow(("index", "re", "im"))
         for i, v in enumerate(f.values):
             writer.writerow([i, f"{v.real:.17g}", f"{v.imag:.17g}"])
-
-
-def write_hilbert_op(op, path, comment: str | None = None) -> None:
-    """Dense CSV with header row,col,re,im, row-major order."""
-    with open(path, "w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("row", "col", "re", "im"))
-        for r in range(op.dim):
-            for c in range(op.dim):
-                v = op.matrix[r, c]
-                writer.writerow([r, c, f"{v.real:.17g}", f"{v.imag:.17g}"])
 
 
 def format_value(v) -> str:

@@ -17,6 +17,84 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _conv_audit(n, samples, seed):
+    return ["conv", "audit", "--n", str(n), "--samples", str(samples), "--seed", str(seed)]
+
+
+#: Golden name -> (argv, {output: golden file}); output "-" is stdout, and the
+#: first output carries the manifest.  Paths are relative to the directory the
+#: inputs of :func:`write_golden_inputs` are written to.
+GOLDEN_RUNS = {
+    **{f"conv_audit_n{n}_s{s}_seed{seed}": (_conv_audit(n, s, seed),
+                                            {"-": f"conv_audit_n{n}_s{s}_seed{seed}.csv"})
+       for n, s, seed in [(8, 50, 5), (16, 20, 7), (24, 5, 11)]},
+    "wiener_verify": (["wiener", "verify", "--n", "12", "--samples", "10", "--seed", "3",
+                       "--degenerate"], {"-": "wiener_verify_n12_s10_seed3_degenerate.csv"}),
+    "group_dft": (["group", "dft", "--orders", "4,3", "--weight", "0.5", "--input", "f.csv",
+                   "--out", "dft.csv"], {"dft.csv": "group_dft_o4x3_w0.5.csv"}),
+    "group_conv": (["group", "conv", "--orders", "4,3", "--weight", "0.5", "--f", "f.csv",
+                    "--g", "g.csv", "--out", "conv.csv"], {"conv.csv": "group_conv_o4x3_w0.5.csv"}),
+    "weyl_check": (["weyl", "check", "--n", "5"], {"-": "weyl_check_n5.csv"}),
+    "example_halmos": (["example", "halmos", "--blocks", "4", "--out", "halmos.csv"],
+                       {"halmos.csv": "example_halmos_b4.csv"}),
+    "example_cac": (["example", "cac", "--h", "0.25", "--nmax", "3", "--out", "cac.csv"],
+                    {"cac.csv": "example_cac_h0.25_nmax3.csv"}),
+    "probe_topology": (["probe", "topology", "--case", "parity-shift", "--tol", "0.001",
+                        "--out", "probe.csv"],
+                       {"probe.csv": "probe_topology_parity_shift.csv",
+                        "-": "probe_topology_parity_shift_stdout.txt"}),
+    "stft_decay": (["stft", "decay", "--f", "sf.csv", "--phi", "phi.csv", "--k", "grid:8",
+                    "--out", "decay.csv"], {"decay.csv": "stft_decay_grid8.csv"}),
+    "rk": (["rk", "--family", "fam", "--out", "rk.csv"],
+           {"rk.csv": "rk.csv", "rk_tailmass.csv": "rk_tailmass.csv"}),
+}
+
+#: The group manifests name no input file (their params are orders and weight
+#: only), so ``qha run`` of them stops at the missing --input / --f --g.
+NOT_RERUNNABLE = {"group_dft", "group_conv"}
+
+
+def _write_csv(path, indices, values):
+    rows = "".join(f"{i},{float(v.real)!r},{float(v.imag)!r}\r\n" for i, v in zip(indices, values))
+    Path(path).write_text("index,re,im\r\n" + rows, newline="")
+
+
+def write_golden_inputs():
+    """The input files of the golden runs, from fixed formulas, in the working directory."""
+    t = np.arange(12)
+    _write_csv("f.csv", t, ((5 * t) % 7 - 3) / 4 + 1j * ((3 * t) % 5 - 2) / 8)
+    _write_csv("g.csv", t, np.cos(t) - 1j * np.sin(2.0 * t) / (1 + t))
+    x = np.arange(-20, 21)
+    _write_csv("sf.csv", x, np.exp(-x**2 / 18.0) * np.exp(0.3j * x))
+    _write_csv("phi.csv", x, np.where(np.abs(x) <= 3, 1.0 - np.abs(x) / 4.0, 0.0) + 0j)
+    Path("fam").mkdir()
+    for name, lo, hi, center in (("a", -15, 15, 0), ("b", -10, 20, 5), ("c", -18, 12, -7)):
+        x = np.arange(lo, hi + 1)
+        _write_csv(f"fam/{name}.csv", x, np.exp(-((x - center) ** 2) / 6.0) * (1 + 0.5j))
+
+
+def run_golden(name, capsys, argv=None) -> dict[str, bytes]:
+    """Bytes of each output of a golden run, made in the working directory by
+    its own argv or the given one."""
+    code, out, _ = run(argv or GOLDEN_RUNS[name][0], capsys)
+    assert code == 0
+    return {o: out.encode() if o == "-" else Path(o).read_bytes() for o in GOLDEN_RUNS[name][1]}
+
+
+def assert_golden(name, got: dict[str, bytes]) -> None:
+    for output, golden in GOLDEN_RUNS[name][1].items():
+        assert got[output] == (GOLDEN / golden).read_bytes(), golden
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_golden_inputs()
+
+
 class TestDispatch:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _out, _err = run(["frobnicate"], capsys)
@@ -77,24 +155,18 @@ class TestDispatch:
         assert lines[1] == "case,min_abs_transform,rank,is_regular,agreement"
         assert all(l.endswith("true") for l in lines[2:])
 
-    def test_wiener_verify_matches_golden_bytes(self, capsys):
-        golden = Path(__file__).parent / "golden" / "wiener_verify_n12_s10_seed3_degenerate.csv"
-        code, out, _ = run(
-            ["wiener", "verify", "--n", "12", "--samples", "10", "--seed", "3", "--degenerate"],
-            capsys,
-        )
-        assert code == 0
-        assert out.encode() == golden.read_bytes()
+    def test_wiener_verify_matches_golden_bytes(self, golden_dir, capsys):
+        assert_golden("wiener_verify", run_golden("wiener_verify", capsys))
 
     @pytest.mark.parametrize("n,samples,seed", [(8, 50, 5), (16, 20, 7), (24, 5, 11)])
-    def test_conv_audit_matches_golden_bytes(self, capsys, n, samples, seed):
-        golden = Path(__file__).parent / "golden" / f"conv_audit_n{n}_s{samples}_seed{seed}.csv"
-        code, out, _ = run(
-            ["conv", "audit", "--n", str(n), "--samples", str(samples), "--seed", str(seed)],
-            capsys,
-        )
-        assert code == 0
-        assert out.encode() == golden.read_bytes()
+    def test_conv_audit_matches_golden_bytes(self, golden_dir, capsys, n, samples, seed):
+        name = f"conv_audit_n{n}_s{samples}_seed{seed}"
+        assert_golden(name, run_golden(name, capsys))
+
+    @pytest.mark.parametrize("name", [k for k in GOLDEN_RUNS
+                                      if not k.startswith(("conv_audit", "wiener_verify"))])
+    def test_matches_golden_bytes(self, golden_dir, capsys, name):
+        assert_golden(name, run_golden(name, capsys))
 
     def test_probe_topology_expectation(self, tmp_path, capsys):
         out_path = tmp_path / "probe.csv"
@@ -358,20 +430,13 @@ class TestManifests:
         v = via.read_text().replace(str(via), "OUT")
         assert d == v
 
-    def test_rerun_is_byte_identical(self, tmp_path, capsys):
-        out = tmp_path / "o.csv"
-        manifest = {
-            "subcommand": "conv audit",
-            "params": {"n": 3, "samples": 6},
-            "seed": 9,
-            "outputs": {"out": str(out)},
-        }
-        man_path = tmp_path / "m.json"
-        man_path.write_text(json.dumps(manifest))
-        assert dispatch(["run", str(man_path)]) == 0
-        first = out.read_bytes()
-        assert dispatch(["run", str(man_path)]) == 0
-        assert out.read_bytes() == first
+    @pytest.mark.parametrize("name", [k for k in GOLDEN_RUNS if k not in NOT_RERUNNABLE])
+    def test_rerun_is_byte_identical(self, golden_dir, capsys, name):
+        # The manifest line of the golden, re-run, rewrites every golden output.
+        manifest_golden = next(iter(GOLDEN_RUNS[name][1].values()))
+        first = (GOLDEN / manifest_golden).read_text().split("\n", 1)[0]
+        Path("m.json").write_text(first.removeprefix("# manifest: "))
+        assert_golden(name, run_golden(name, capsys, ["run", "m.json"]))
 
     def test_missing_key_is_usage_error(self, tmp_path, capsys):
         man_path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qha.asymptotics import (
+    GridOperator,
     box_convolution_operator,
     cac_example,
     modulated_box_operator,
@@ -52,6 +53,13 @@ class TestBoxOperator:
         mod = modulated_box_operator(0.1, -3.0, 3.0, freq=17.0)
         assert mod.op_norm() == pytest.approx(plain.op_norm(), rel=1e-12)
         assert np.abs(mod.matrix.conj().T - mod.matrix).max() < 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_grid_operator_rejects_non_finite(self, bad):
+        mat = box_convolution_operator(0.5, 0.0, 2.0).matrix.copy()
+        mat[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridOperator(0.5, 0.0, 2.0, mat)
 
 
 class TestPiecewiseFormula:

@@ -8,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 from qha import (
     FiniteAbelianGroup,
     GroupFunction,
+    PhaseSpace,
+    conv_fn_op,
+    random_op,
+    stft,
     constant,
     convolve,
     delta,
@@ -85,6 +89,19 @@ class TestStructure:
         with pytest.raises(GroupMismatchError):
             convolve(f, g)
 
+    @pytest.mark.parametrize("product", ["convolve", "stft", "conv_fn_op"])
+    def test_weight_off_by_1e_9_relative_is_a_mismatch(self, product):
+        # One rule for every product of two group objects: weights equal to
+        # 1e-12 relative, with no absolute slack.
+        rng = np.random.default_rng(4)
+        ps = PhaseSpace(3)
+        f = random_function(ps.as_group(), rng)
+        off = random_function(FiniteAbelianGroup((3, 3), (1 + 1e-9) / 3), rng)
+        call = {"convolve": lambda: convolve(f, off), "stft": lambda: stft(f, off),
+                "conv_fn_op": lambda: conv_fn_op(off, random_op(3, rng))}[product]
+        with pytest.raises(GroupMismatchError):
+            call()
+
 
 class TestTranslateParityModulate:
     def test_translate_identity(self):
@@ -129,7 +146,7 @@ class TestTranslateParityModulate:
     def test_modulate_trivial_character(self):
         g = FiniteAbelianGroup((6,))
         f = _rand(g)
-        assert np.allclose(modulate(f, g.trivial_character()).values, f.values)
+        assert np.allclose(modulate(f, g.character(g.identity)).values, f.values)
 
     def test_modulate_z2(self):
         g = FiniteAbelianGroup((2,))

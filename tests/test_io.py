@@ -8,15 +8,16 @@ values must match them bit for bit; the index,re,im reader must also give
 the same message.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import _reference as ref
-from qha import FiniteAbelianGroup, GroupFunction, HilbertOp, random_op
+from qha import FiniteAbelianGroup, GroupFunction
 from qha.cli import emit_csv
 from qha.groups import _read_indexed_csv, read_group_function, write_group_function
-from qha.weyl import read_hilbert_op, write_hilbert_op
 
 H = "index,re,im\n"
 
@@ -77,26 +78,6 @@ EDGE_FILES = {
     "errors_on_later_rows": H + "0,1,2\n1,x,2\n2,1,2,\n",
 }
 
-OP_H = "row,col,re,im\n"
-
-OP_FILES = {
-    "plain": OP_H + "0,0,1,0\n0,1,0,2\n1,0,-0,0\n1,1,1,1e-300\n",
-    "crlf_manifest": "# manifest: {}\nrow,col,re,im\r\n0,0,1,0\r\n",
-    "column_order": OP_H + "1,1,4,0\n0,1,2,0\n1,0,3,0\n0,0,1,0\n",
-    "duplicate": OP_H + "0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,1,0\n0,1,2,0\n",
-    "duplicate_same_size": OP_H + "0,0,1,0\n0,1,0,0\n0,1,0,0\n1,1,1,0\n",
-    "negative": OP_H + "0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,1,0\n-1,0,0,0\n",
-    "negative_same_size": OP_H + "0,0,1,0\n0,-1,0,0\n1,0,0,0\n1,1,1,0\n",
-    "gap": OP_H + "0,0,1,0\n0,1,0,0\n1,0,0,0\n",
-    "far_index": OP_H + "0,0,1,0\n5000000000,0,0,0\n",
-    "missing_field": OP_H + "0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,1\n",
-    "nan": OP_H + "0,0,nan,0\n",
-    "underscore_index": OP_H + "0_0,0,1,0\n",
-    "quoted": OP_H + '"0",0,"1",0\n',
-    "no_entries": OP_H,
-}
-
-
 def _write(tmp_path, text: str, name="f.csv"):
     path = tmp_path / name
     with open(path, "w", newline="") as fh:
@@ -117,25 +98,11 @@ def _indexed(reader, path):
     return ("accepted", [int(i) for i in indices], _bits(values))
 
 
-def _operator(reader, path):
-    """Verdict and exact matrix of a row,col,re,im reader."""
-    try:
-        op = reader(path)
-    except ValueError:
-        return ("rejected",)
-    return ("accepted", op.matrix.shape, _bits(op.matrix.ravel()))
-
-
 class TestReaderAgainstCsvRoute:
     @pytest.mark.parametrize("name", sorted(EDGE_FILES))
     def test_indexed_edge_file(self, tmp_path, name):
         path = _write(tmp_path, EDGE_FILES[name])
         assert _indexed(_read_indexed_csv, path) == _indexed(ref.read_indexed_csv, path)
-
-    @pytest.mark.parametrize("name", sorted(OP_FILES))
-    def test_operator_edge_file(self, tmp_path, name):
-        path = _write(tmp_path, OP_FILES[name])
-        assert _operator(read_hilbert_op, path) == _operator(ref.read_hilbert_op, path)
 
     def test_edge_table_covers_both_verdicts(self, tmp_path):
         verdicts = {_indexed(_read_indexed_csv, _write(tmp_path, t))[0] for t in EDGE_FILES.values()}
@@ -199,16 +166,6 @@ def csv_texts(draw, header):
     return _joined(draw, [*prelude, head, *draw(_corrupted(rows))])
 
 
-@st.composite
-def operator_texts(draw):
-    n = draw(st.integers(1, 3))
-    rows = [f"{r},{c},{draw(NUMBERS)},{draw(NUMBERS)}" for r in range(n) for c in range(n)]
-    rows = draw(st.permutations(rows))
-    if draw(st.booleans()):
-        rows.pop() if draw(st.booleans()) else rows.append(rows[0])
-    return _joined(draw, [OP_H.strip(), *draw(_corrupted(rows))])
-
-
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -218,13 +175,6 @@ PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
 def test_indexed_reader_matches_csv_route(tmp_path, text):
     path = _write(tmp_path, text)
     assert _indexed(_read_indexed_csv, path) == _indexed(ref.read_indexed_csv, path)
-
-
-@PROPERTY
-@given(text=operator_texts())
-def test_operator_reader_matches_csv_route(tmp_path, text):
-    path = _write(tmp_path, text)
-    assert _operator(read_hilbert_op, path) == _operator(ref.read_hilbert_op, path)
 
 
 SPECIAL = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 1 / 3, 0.1, -2.5e-300]
@@ -244,15 +194,6 @@ class TestWritersAgainstCsvWriter:
         indices, back = _read_indexed_csv(tmp_path / "new.csv")
         assert indices.tolist() == list(range(12)) and _bits(back) == _bits(f.values)
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    @pytest.mark.parametrize("comment", [None, "roundtrip"])
-    def test_hilbert_op_bytes(self, tmp_path, n, comment):
-        op = random_op(n, np.random.default_rng(n))
-        write_hilbert_op(op, tmp_path / "new.csv", comment)
-        ref.write_hilbert_op(op, tmp_path / "old.csv", comment)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        assert _bits(read_hilbert_op(tmp_path / "new.csv").matrix) == _bits(op.matrix)
-
     ROWS = [
         ("a", True, 1, np.int64(-3), 0.1),
         ("b", np.bool_(False), 2, np.float32(1 / 3), np.float64(-0.0)),
@@ -263,10 +204,11 @@ class TestWritersAgainstCsvWriter:
     @pytest.mark.parametrize("manifest", [None, {"subcommand": "x", "params": {"n": 3}}])
     def test_emit_csv_bytes(self, tmp_path, capsys, rows, manifest):
         header = ("name", "flag", "count", "x", "y")
-        emit_csv(tmp_path / "new.csv", header, rows, manifest)
+        comment = None if manifest is None else "manifest: " + json.dumps(manifest, sort_keys=True)
+        emit_csv(tmp_path / "new.csv", header, rows, comment)
         ref.emit_csv(tmp_path / "old.csv", header, rows, manifest)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        emit_csv("-", header, rows, manifest)
+        emit_csv("-", header, rows, comment)
         new_out = capsys.readouterr().out
         ref.emit_csv("-", header, rows, manifest)
         assert new_out == capsys.readouterr().out
@@ -275,10 +217,3 @@ class TestWritersAgainstCsvWriter:
         emit_csv(tmp_path / "new.csv", (), [(1, 2.5)])
         ref.emit_csv(tmp_path / "old.csv", (), [(1, 2.5)])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
-def test_hilbert_reader_keeps_finite_check(tmp_path):
-    path = _write(tmp_path, OP_H + "0,0,inf,0\n")
-    with pytest.raises(ValueError):
-        read_hilbert_op(path)
-    assert isinstance(read_hilbert_op(_write(tmp_path, OP_H + "0,0,2,0\n")), HilbertOp)

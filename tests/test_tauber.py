@@ -332,9 +332,9 @@ class TestRkModulusBlocks:
         # s < 3: the part shifted past the right end is dropped; s >= 3: 2 ||h||_1.
         assert modulus.values.tolist() == [1.0 + 3.0 + abs(0.5j + 2.0), 1.0 + 2.0 + abs(0.5j - 1.0), 7.0, 7.0]
 
-    def test_nan_member_leaves_the_sup_as_the_loop_does(self):
-        family = [WindowedFunction(0, [1.0, np.nan, 2.0]), WindowedFunction(-1, [0.5, 1.0, -1.0, 3.0])]
-        assert _rk_hex(family, 5) == _loop_hex(family, 5)
+    def test_nan_member_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            WindowedFunction(0, [1.0, np.nan, 2.0])
 
 
 class TestLocalizationOperator:

@@ -26,7 +26,7 @@ from qha import (
     weyl_identity_residuals,
 )
 from qha.errors import PreconditionError
-from qha.weyl import op_translate_stack
+from qha.weyl import op_translate_stack, reflection_symmetric_unit
 
 import _reference as ref
 
@@ -101,6 +101,25 @@ class TestIdentityResiduals:
         assert res["cocycle"] > 1e-12
 
 
+class TestReflectionSymmetricUnit:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_unit_and_fixed_by_reflection(self, n):
+        phi = reflection_symmetric_unit(n, np.random.default_rng(n))
+        assert np.linalg.norm(phi) == pytest.approx(1.0, rel=1e-15)
+        assert np.array_equal(parity_op(PhaseSpace(n)).matrix @ phi, phi)
+
+    def test_antisymmetric_draw_falls_back_to_v_plus_one(self):
+        class Draws:  # v = (0, 1+2i, -1-2i), so v + R v = 0
+            parts = [np.array([0.0, 1.0, -1.0]), np.array([0.0, 2.0, -2.0])]
+
+            def standard_normal(self, n):
+                return self.parts.pop(0)
+
+        v = np.array([0, 1 + 2j, -1 - 2j])
+        phi = reflection_symmetric_unit(3, Draws())
+        assert np.array_equal(phi, (v + 1.0) / np.linalg.norm(v + 1.0))
+
+
 class TestWeylOperators:
     def test_identity_at_origin(self):
         assert np.array_equal(weyl(PhaseSpace(4), (0, 0)).matrix, np.eye(4))
@@ -164,7 +183,7 @@ class TestOperatorActions:
         b = op_translate(a, (1, 3))
         assert b.op_norm == pytest.approx(a.op_norm, rel=1e-12)
         assert b.trace_norm == pytest.approx(a.trace_norm, rel=1e-12)
-        assert b.hs_norm == pytest.approx(a.hs_norm, rel=1e-12)
+        assert np.linalg.norm(b.matrix) == pytest.approx(np.linalg.norm(a.matrix), rel=1e-12)
 
     def test_op_parity_involutive(self):
         a = random_op(6, np.random.default_rng(3))
@@ -255,7 +274,7 @@ class TestFourierWeyl:
         for _ in range(50):
             a = random_op(n, rng)
             energy = (np.abs(fourier_weyl(a).values) ** 2).sum() / n
-            assert energy == pytest.approx(a.hs_norm ** 2, rel=1e-10)
+            assert energy == pytest.approx(np.linalg.norm(a.matrix) ** 2, rel=1e-10)
 
     def test_weyl_family_orthonormal(self):
         n = 4
@@ -278,7 +297,7 @@ class TestHilbertOp:
         sv = np.linalg.svd(a.matrix, compute_uv=False)
         assert a.op_norm == pytest.approx(sv[0], rel=1e-10)
         assert a.trace_norm == pytest.approx(sv.sum(), rel=1e-10)
-        assert a.hs_norm == pytest.approx(np.sqrt((sv ** 2).sum()), rel=1e-10)
+        assert np.linalg.norm(a.matrix) == pytest.approx(np.sqrt((sv ** 2).sum()), rel=1e-10)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -288,33 +307,11 @@ class TestHilbertOp:
         with pytest.raises(ValueError):
             HilbertOp(np.array([[np.nan, 0], [0, 1]]))
 
+    def test_rejects_non_finite_imaginary_part(self):
+        with pytest.raises(ValueError, match="finite"):
+            HilbertOp(np.array([[1, 0], [complex(0, -np.inf), 1]]))
+
     def test_matrix_is_read_only(self):
         a = identity_op(3)
         with pytest.raises(ValueError):
             a.matrix[0, 0] = 5.0
-
-    def test_csv_roundtrip(self, tmp_path):
-        from qha.weyl import read_hilbert_op, write_hilbert_op
-
-        a = random_op(4, np.random.default_rng(11))
-        path = tmp_path / "op.csv"
-        write_hilbert_op(a, path, comment="roundtrip")
-        assert np.array_equal(read_hilbert_op(path).matrix, a.matrix)
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            pytest.param("0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,1\n", id="missing_field"),
-            pytest.param("0,0,1,0\n0,1,0,0\n1,0,0,0\n", id="missing_entry"),
-            pytest.param("0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,1,0\n0,1,2,0\n", id="duplicate"),
-            pytest.param("0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,1,0\n-1,0,0,0\n", id="out_of_range"),
-            pytest.param("", id="no_entries"),
-        ],
-    )
-    def test_csv_read_rejects_malformed_entries(self, tmp_path, body):
-        from qha.weyl import read_hilbert_op
-
-        path = tmp_path / "op.csv"
-        path.write_text("row,col,re,im\n" + body)
-        with pytest.raises(ValueError):
-            read_hilbert_op(path)

@@ -15,6 +15,7 @@ from qha.asymptotics import (
     parity_window,
     point_mass_operator,
     shift_operator,
+    WindowedFunction,
     WindowedZOperator,
 )
 from qha.errors import PreconditionError
@@ -112,6 +113,20 @@ class TestProfilesAndVerdicts:
     def test_margin_must_leave_outer_region(self):
         with pytest.raises(PreconditionError):
             b0_diagnostic(identity_window(-4, 4), tol=0.5, margin=50)
+
+
+class TestFiniteEntries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_windowed_function_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WindowedFunction(-1, [1.0, bad, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_windowed_operator_rejects_non_finite(self, bad):
+        mat = np.eye(3, dtype=complex)
+        mat[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            WindowedZOperator(-1, 1, mat)
 
 
 class TestCompactnessProxy:
