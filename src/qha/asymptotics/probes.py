@@ -43,7 +43,7 @@ class TopologyProbeResult:
         vals = [
             getattr(r, kind) for r in self.rows if r.i >= self.tail_start and r.j >= self.tail_start
         ]
-        return max(vals) if vals else 0.0
+        return float(np.max(vals, initial=0.0))  # a NaN propagates and fails every <= tol
 
     def all_min(self, kind: str) -> float:
         vals = [getattr(r, kind) for r in self.rows]
@@ -88,10 +88,9 @@ def topology_probe(
     trace_tests: list[tuple[np.ndarray, np.ndarray]],
     tol: float,
     weight: float | None = None,
-    tail_fraction: float = 0.5,
 ) -> TopologyProbeResult:
-    """Classify the strongest topology whose tail pairwise differences stay
-    within tol (finite and >= 0).
+    """Classify the strongest topology whose pairwise differences over the
+    second half of the sequence (the tail) stay within tol (finite and >= 0).
 
     The sequence may hold windowed operators, grid operators (their common
     window/grid is validated and the grid quadrature weight is picked up
@@ -114,7 +113,7 @@ def topology_probe(
     pairs = [(_normalize(u, weight), _normalize(w, weight)) for u, w in trace_tests]
 
     count = len(matrices)
-    tail_start = min(count - 1, int(np.ceil(count * (1.0 - tail_fraction))))
+    tail_start = min(count - 1, (count + 1) // 2)
     orbit = isinstance(sequence, ModulationOrbit)
     norms: dict = {}
     rows: list[ProbeRow] = []
@@ -134,23 +133,13 @@ def topology_probe(
             for u, w in pairs:
                 wd = max(wd, abs(weight * np.vdot(w, d @ u)))
             rows.append(ProbeRow(i, j, nd, sd, float(wd)))
-
-    def tail_ok(kind: str) -> bool:
-        return all(
-            getattr(r, kind) <= tol
-            for r in rows
-            if r.i >= tail_start and r.j >= tail_start
-        )
-
-    if tail_ok("norm_diff"):
-        cls = "norm"
-    elif tail_ok("strongstar_diff"):
-        cls = "strong*"
-    elif tail_ok("weakstar_diff"):
-        cls = "weak*"
-    else:
-        cls = "divergent"
-    return TopologyProbeResult(cls, tol, tail_start, rows)
+    result = TopologyProbeResult("divergent", tol, tail_start, rows)
+    kinds = ("norm_diff", "strongstar_diff", "weakstar_diff")
+    result.classification = next(
+        (cls for kind, cls in zip(kinds, CLASSIFICATIONS) if result.tail_max(kind) <= tol),
+        "divergent",
+    )
+    return result
 
 
 @dataclass

@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import asymptotics
+from .asymptotics.probes import CLASSIFICATIONS
 from .asymptotics.windowed import WindowedFunction
 from .conv import verify_norm_estimates
 from .errors import PreconditionError
@@ -39,9 +40,7 @@ from .wiener import degenerate_operator_set, regular_op_set
 def format_value(v) -> str:
     if isinstance(v, bool):
         return str(v).lower()
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    if isinstance(v, (np.floating,)):
+    if isinstance(v, (float, np.floating)):
         return f"{float(v):.17g}"
     return str(v)
 
@@ -54,11 +53,23 @@ def emit_csv(path, header, rows, comment: str | None = None) -> None:
     write_table(path, header, "%s", [[",".join(map(format_value, row)) for row in rows]], comment)
 
 
-def _manifest(args, subcommand: str, params: dict, seed=None) -> str:
-    """The manifest comment of a run; 'outputs' is present only when --out is given."""
-    man = {"subcommand": subcommand, "params": params}
-    if seed is not None:
-        man["seed"] = seed
+#: Parsed options that are not run parameters: the subcommand words, the
+#: handler, the output path and seed (kept under their own manifest keys),
+#: and --expect, which asserts on the result without changing it.
+_NOT_PARAMS = {"command", "func", "out", "seed", "expect"}
+
+
+def _manifest(args) -> str:
+    """The manifest comment of a run: every other parsed option is a param,
+    and 'outputs' is present only when --out is given.  Each option's flag is
+    --<dest>, so ``qha run`` turns the manifest back into the same argv."""
+    sub = f"{args.command}_cmd"
+    man = {
+        "subcommand": " ".join(filter(None, (args.command, getattr(args, sub, None)))),
+        "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and k != sub},
+    }
+    if getattr(args, "seed", None) is not None:
+        man["seed"] = args.seed
     if getattr(args, "out", None):
         man["outputs"] = {"out": args.out}
     return "manifest: " + json.dumps(man, sort_keys=True)
@@ -73,16 +84,14 @@ def _cmd_group(args) -> int:
         out = fourier(read_group_function(args.input, group))
     else:
         out = convolve(read_group_function(args.f, group), read_group_function(args.g, group))
-    man = _manifest(args, f"group {args.group_cmd}", {"orders": args.orders, "weight": args.weight})
-    write_group_function(out, args.out, comment=man)
+    write_group_function(out, args.out, comment=_manifest(args))
     return 0
 
 
 def _cmd_weyl_check(args) -> int:
     rows = [(name, res, "PASS" if res <= 1e-12 else "FAIL")
             for name, res in weyl_identity_residuals(args.n).items()]
-    emit_csv("-", ("identity", "max_residual", "status"), rows,
-             _manifest(args, "weyl check", {"n": args.n}))
+    emit_csv("-", ("identity", "max_residual", "status"), rows, _manifest(args))
     return 1 if any(status == "FAIL" for *_, status in rows) else 0
 
 
@@ -93,7 +102,7 @@ def _cmd_conv_audit(args) -> int:
         for name in sorted(report.max_ratio)
     ]
     emit_csv(args.out or "-", ("inequality", "max_ratio", "argmax_seed_index"), rows,
-             _manifest(args, "conv audit", {"n": args.n, "samples": args.samples}, args.seed))
+             _manifest(args))
     return 1 if report.worst() > 1.0 + DEFAULT_EQ_TOL else 0
 
 
@@ -109,16 +118,14 @@ def _cmd_wiener_verify(args) -> int:
         rep = regular_op_set([op])
         rows.append((name, rep.min_abs_transform, rep.translate_span_rank,
                      rep.is_regular, rep.predicates_agree))
-    params = {"n": args.n, "samples": args.samples, "degenerate": bool(args.degenerate)}
     emit_csv(args.out or "-", ("case", "min_abs_transform", "rank", "is_regular", "agreement"),
-             rows, _manifest(args, "wiener verify", params, args.seed))
+             rows, _manifest(args))
     return 0 if all(agree for *_, agree in rows) else 1
 
 
 def _cmd_example_halmos(args) -> int:
     cols = asymptotics.column_row_profiles(asymptotics.halmos_operator(args.blocks))[0]
-    emit_csv(args.out, ("param", "value"), list(zip(cols.params, cols.values)),
-             _manifest(args, "example halmos", {"blocks": args.blocks}))
+    emit_csv(args.out, ("param", "value"), list(zip(cols.params, cols.values)), _manifest(args))
     return 0
 
 
@@ -131,8 +138,7 @@ def _cmd_example_cac(args) -> int:
     rows += [(f"g_max_error_n{n}", e) for n, e in sorted(record.g_max_errors.items())]
     rows += [(f"plateau_dev_n{n}", e) for n, e in sorted(record.plateau_max_dev.items())]
     rows += [(f"product_norm_n{n}", v) for n, v in sorted(record.product_norms.items())]
-    emit_csv(args.out, ("param", "value"), rows,
-             _manifest(args, "example cac", {"h": args.h, "nmax": args.nmax}))
+    emit_csv(args.out, ("param", "value"), rows, _manifest(args))
     return 0
 
 
@@ -143,7 +149,7 @@ def _cmd_probe_topology(args) -> int:
     )
     rows = [(r.i, r.j, r.norm_diff, r.strongstar_diff, r.weakstar_diff) for r in result.rows]
     emit_csv(args.out or "-", ("i", "j", "norm_diff", "strongstar_diff", "weakstar_diff"), rows,
-             _manifest(args, "probe topology", {"case": args.case, "tol": args.tol}))
+             _manifest(args))
     print(f"classification,{result.classification}")
     if args.expect and result.classification != args.expect:
         return 1
@@ -170,7 +176,7 @@ def _cmd_stft_decay(args) -> int:
     angles = 2 * np.pi * np.arange(m) / m
     profile = windowed_stft_profile(f, phi, angles)
     emit_csv(args.out, ("x", "sup_abs"), list(zip(profile.params, profile.values)),
-             _manifest(args, "stft decay", {"f": args.f, "phi": args.phi, "k": args.k}))
+             _manifest(args))
     return 0
 
 
@@ -185,14 +191,15 @@ def _cmd_rk(args) -> int:
     import glob
     import os
 
+    if args.out == "-":
+        raise PreconditionError("rk writes two files; --out must be a file path, not '-'")
     paths = sorted(glob.glob(os.path.join(args.family, "*.csv")))
     if not paths:
         raise PreconditionError(f"no CSV files in {args.family}")
     curves = rk_moduli([_read_windowed(p) for p in paths])
-    man = _manifest(args, "rk", {"family": args.family})
     stem, ext = os.path.splitext(args.out)
     for path, curve in zip((args.out, stem + "_tailmass" + ext), curves):
-        emit_csv(path, ("param", "value"), list(zip(curve.params, curve.values)), man)
+        emit_csv(path, ("param", "value"), list(zip(curve.params, curve.values)), _manifest(args))
     return 0
 
 
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_topo.add_argument("--case", choices=sorted(asymptotics.PROBE_CASES), required=True)
     p_topo.add_argument("--tol", type=float, required=True)
     p_topo.add_argument("--out", default=None)
-    p_topo.add_argument("--expect", choices=("norm", "strong*", "weak*", "divergent"))
+    p_topo.add_argument("--expect", choices=CLASSIFICATIONS)
     p_topo.set_defaults(func=_cmd_probe_topology)
 
     p_stft = sub.add_parser("stft", help="windowed transform decay profiles")
@@ -340,10 +347,7 @@ def dispatch(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (PreconditionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # PreconditionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

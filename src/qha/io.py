@@ -30,9 +30,9 @@ def write_table(path, header, row_format: str, columns, comment=None, eol="\n") 
             fh.write(text)
 
 
-def read_table(path, header) -> tuple[np.ndarray, ...]:
-    """Integer key columns and finite complex values of a file whose header
-    ends in re,im.  One ``np.loadtxt`` call reads the rows; what it fails on or
+def read_table(path, header) -> tuple[np.ndarray, np.ndarray]:
+    """Integer indices and finite complex values of an index,re,im file with
+    the given header.  One ``np.loadtxt`` call reads the rows; what it fails on or
     may read differently (non-ASCII, NUL, 0x1c-0x1f) takes the csv route."""
     try:
         with open(path, newline="") as fh:
@@ -41,13 +41,12 @@ def read_table(path, header) -> tuple[np.ndarray, ...]:
         if (first is None or [c.strip() for c in first] != list(header) or not body.isascii()
                 or any(c in body for c in "\0\x1c\x1d\x1e\x1f") or not body or body.isspace()):
             raise ValueError
-        nkeys = len(header) - 2
-        dtype = [(f"c{k}", np.int64 if k < nkeys else np.float64) for k in range(len(header))]
+        dtype = [("index", np.int64), ("re", np.float64), ("im", np.float64)]
         table = np.loadtxt(body.split("\n"), dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        values = table[f"c{nkeys}"].astype(complex)
-        values.imag = table[f"c{nkeys + 1}"]
+        values = table["re"].astype(complex)
+        values.imag = table["im"]
         if np.isfinite(values).all():
-            return (*(table[f"c{k}"] for k in range(nkeys)), values)
+            return table["index"], values
     except (ValueError, csv.Error):
         pass
     with open(path, newline="") as fh:
@@ -62,11 +61,11 @@ def read_table(path, header) -> tuple[np.ndarray, ...]:
             raise ValueError(f"{path}: data row {i} has {len(row)} fields, expected {len(header)}")
     if len(rows) == 1:
         raise ValueError(f"{path}: no data rows")
-    keys, values = [], []
+    indices, values = [], []
     for row in rows[1:]:
-        v = complex(float(row[-2]), float(row[-1]))
+        v = complex(float(row[1]), float(row[2]))
         if not np.isfinite(v):
             raise ValueError(f"{path}: non-finite value at {header[0]} {row[0]}")
-        keys.append([int(k) for k in row[:-2]])
+        indices.append(int(row[0]))
         values.append(v)
-    return (*np.array(keys).T, np.array(values))
+    return np.array(indices), np.array(values)

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, CSV schemas, manifest determinism."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -51,10 +52,6 @@ GOLDEN_RUNS = {
     "rk": (["rk", "--family", "fam", "--out", "rk.csv"],
            {"rk.csv": "rk.csv", "rk_tailmass.csv": "rk_tailmass.csv"}),
 }
-
-#: The group manifests name no input file (their params are orders and weight
-#: only), so ``qha run`` of them stops at the missing --input / --f --g.
-NOT_RERUNNABLE = {"group_dft", "group_conv"}
 
 
 def _write_csv(path, indices, values):
@@ -285,6 +282,18 @@ class TestExampleAndProfileCommands:
         assert (tmp_path / "moduli_tailmass.csv").exists()
 
 
+    def test_rk_rejects_stdout(self, tmp_path, capsys, monkeypatch):
+        # rk writes the modulus and the tail masses to two files, so '-' names no file.
+        monkeypatch.chdir(tmp_path)
+        write_golden_inputs()
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(["rk", "--family", "fam", "--out", "-"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "--out" in err
+        assert out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestGroupCommands:
     def test_dft_roundtrip_values(self, tmp_path, capsys):
         g = FiniteAbelianGroup((4,))
@@ -430,13 +439,39 @@ class TestManifests:
         v = via.read_text().replace(str(via), "OUT")
         assert d == v
 
-    @pytest.mark.parametrize("name", [k for k in GOLDEN_RUNS if k not in NOT_RERUNNABLE])
+    @pytest.mark.parametrize("name", GOLDEN_RUNS)
     def test_rerun_is_byte_identical(self, golden_dir, capsys, name):
         # The manifest line of the golden, re-run, rewrites every golden output.
         manifest_golden = next(iter(GOLDEN_RUNS[name][1].values()))
         first = (GOLDEN / manifest_golden).read_text().split("\n", 1)[0]
         Path("m.json").write_text(first.removeprefix("# manifest: "))
         assert_golden(name, run_golden(name, capsys, ["run", "m.json"]))
+
+    def test_every_flag_is_its_dest(self):
+        # qha run passes each manifest param as --<name>; that inverts the
+        # manifest only while every option of every subcommand is --<dest>.
+        def options(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from options(sub)
+                elif action.option_strings:
+                    yield action
+
+        actions = list(options(build_parser()))
+        assert len(actions) > 30
+        for action in actions:
+            assert f"--{action.dest}" in action.option_strings, action.option_strings
+
+    def test_expect_leaves_the_output_unchanged(self, tmp_path, capsys):
+        # --expect asserts on the classification; it is no param of the manifest.
+        out = tmp_path / "p.csv"
+        argv = ["probe", "topology", "--case", "parity-shift", "--tol", "0.001", "--out", str(out)]
+        assert run(argv, capsys)[:2] == (0, "classification,weak*\n")
+        plain = out.read_bytes()
+        for expect, code in (("weak*", 0), ("norm", 1)):
+            assert run(argv + ["--expect", expect], capsys)[:2] == (code, "classification,weak*\n")
+            assert out.read_bytes() == plain
 
     def test_missing_key_is_usage_error(self, tmp_path, capsys):
         man_path = tmp_path / "bad.json"
