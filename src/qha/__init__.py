@@ -5,63 +5,3 @@ on Z_N x Z_N with the full convolution calculus between functions and
 operators, regularity/rank diagnostics, and truncated sequence-space and
 interval models with convergence-topology probes.
 """
-
-from .groups import (
-    Character,
-    FiniteAbelianGroup,
-    GroupFunction,
-    constant,
-    convolve,
-    delta,
-    fourier,
-    lp_norm,
-    modulate,
-    parity,
-    random_function,
-    translate,
-)
-from .weyl import (
-    HilbertOp,
-    PhaseSpace,
-    fourier_weyl,
-    fourier_weyl_inverse,
-    identity_op,
-    op_modulate,
-    op_parity,
-    op_translate,
-    parity_op,
-    random_op,
-    rank_one,
-    weyl,
-    weyl_identity_residuals,
-)
-from .conv import (
-    conv_fn_op,
-    conv_op_op,
-    pin_orientation,
-    self_pairing_weight,
-    symplectic_fourier,
-    verify_norm_estimates,
-)
-from .wiener import (
-    RegularityReport,
-    corresponding_space,
-    degenerate_operator_set,
-    regular_fn,
-    regular_op_set,
-    regular_set_fn,
-)
-from .tauber import (
-    NetCertificate,
-    certified_tail_bound,
-    greedy_l1_net,
-    localization_operator,
-    rk_moduli,
-    stft,
-    stft_energy,
-    uniform_compactness_profile,
-    windowed_stft_profile,
-)
-from . import asymptotics
-
-__version__ = "0.1.0"

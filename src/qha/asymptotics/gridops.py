@@ -166,8 +166,6 @@ def piecewise_box_smoothed_indicator(n: int, x: np.ndarray) -> np.ndarray:
 class CacRecord:
     """Verification record for the projection/box-convolution product."""
 
-    h: float
-    n_max: int
     projector: GridOperator         # A, the block integral operator
     box: GridOperator               # C
     product: GridOperator           # C A C
@@ -247,8 +245,6 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
         product_norms[n] = product.vec_norm(product.apply(f_n))
 
     return CacRecord(
-        h=h,
-        n_max=n_max,
         projector=projector,
         box=box,
         product=product,

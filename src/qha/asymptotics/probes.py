@@ -35,7 +35,6 @@ class ProbeRow:
 @dataclass
 class TopologyProbeResult:
     classification: str
-    tol: float
     tail_start: int
     rows: list[ProbeRow]
 
@@ -133,7 +132,7 @@ def topology_probe(
             for u, w in pairs:
                 wd = max(wd, abs(weight * np.vdot(w, d @ u)))
             rows.append(ProbeRow(i, j, nd, sd, float(wd)))
-    result = TopologyProbeResult("divergent", tol, tail_start, rows)
+    result = TopologyProbeResult("divergent", tail_start, rows)
     kinds = ("norm_diff", "strongstar_diff", "weakstar_diff")
     result.classification = next(
         (cls for kind, cls in zip(kinds, CLASSIFICATIONS) if result.tail_max(kind) <= tol),
@@ -146,7 +145,6 @@ def topology_probe(
 class ProbeCase:
     """A canonical operator sequence plus its test sets."""
 
-    name: str
     matrices: Sequence[np.ndarray]
     test_vectors: list[np.ndarray]
     trace_tests: list[tuple[np.ndarray, np.ndarray]]
@@ -181,7 +179,7 @@ def halmos_shift_case(
     vecs.append(v)
     tests = [(vecs[0], vecs[1]), (vecs[-1], vecs[0])]
     return ProbeCase(
-        "halmos-shift", mats, vecs, tests, 1.0,
+        mats, vecs, tests, 1.0,
         {"shifts": shifts, "window": (window.lo, window.hi), "blocks": blocks},
     )
 
@@ -211,7 +209,7 @@ def parity_shift_case(
         vecs.append(v)
     tests = [(vecs[0], vecs[1]), (vecs[1], vecs[0])]
     return ProbeCase(
-        "parity-shift", mats, vecs, tests, 1.0,
+        mats, vecs, tests, 1.0,
         {"shifts": [step * i for i in range(steps)], "support": support,
          "window": (-half_width, half_width)},
     )
@@ -231,7 +229,7 @@ def box_modulation_case(
     vecs = [gauss, bump]
     tests = [(gauss, bump), (bump, gauss)]
     return ProbeCase(
-        "box-modulation", mats, vecs, tests, h,
+        mats, vecs, tests, h,
         {"freqs": [freq_step * i for i in range(steps)], "h": h},
     )
 

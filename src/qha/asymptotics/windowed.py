@@ -146,8 +146,6 @@ def column_row_profiles(op: WindowedZOperator) -> tuple[DecayProfile, DecayProfi
 @dataclass
 class B0Verdict:
     consistent: bool
-    tol: float
-    margin: int
     max_outer_column: float
     max_outer_row: float
 
@@ -171,8 +169,6 @@ def b0_diagnostic(op: WindowedZOperator, tol: float, margin: int) -> B0Verdict:
     max_row = float(row_profile.values[outer].max())
     return B0Verdict(
         consistent=(max_col <= tol and max_row <= tol),
-        tol=tol,
-        margin=margin,
         max_outer_column=max_col,
         max_outer_row=max_row,
     )
@@ -180,9 +176,7 @@ def b0_diagnostic(op: WindowedZOperator, tol: float, margin: int) -> B0Verdict:
 
 @dataclass
 class CompactnessTrend:
-    sizes: list[int]
     counts: list[int]
-    epsilon: float
     verdict: str  # 'non-compact-trend' | 'compact-consistent' | 'inconclusive'
 
 
@@ -207,4 +201,4 @@ def compactness_proxy(builder, sizes: list[int], epsilon: float) -> CompactnessT
         verdict = "compact-consistent"
     else:
         verdict = "inconclusive"
-    return CompactnessTrend(list(sizes), counts, epsilon, verdict)
+    return CompactnessTrend(counts, verdict)

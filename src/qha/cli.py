@@ -14,7 +14,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+
+# One BLAS thread, so a manifest gives the same bytes under any thread
+# setting (the box-modulation norms move in the last digits with the thread
+# count).  OpenBLAS reads the setting when numpy loads; the ``qha`` package
+# imports nothing, so in a ``qha`` command this runs before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 
@@ -189,7 +197,6 @@ def _cmd_bound_certify(args) -> int:
 
 def _cmd_rk(args) -> int:
     import glob
-    import os
 
     if args.out == "-":
         raise PreconditionError("rk writes two files; --out must be a file path, not '-'")

@@ -33,7 +33,7 @@ each costs O(N^2 log N); the direct sums survive only as test oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,8 +142,6 @@ def self_pairing_weight(ps: PhaseSpace) -> np.ndarray:
 class OrientationReport:
     """Residuals of the three transform identities per kernel orientation."""
 
-    n: int
-    samples: int
     residuals: dict[str, tuple[float, float, float]]
     weighted_op_op: dict[str, float]
     pinned: str | None
@@ -211,7 +209,7 @@ def pin_orientation(n: int = 3, seed: int = 0, samples: int = 5, tol: float = 1e
         score = sum(1 for r in residuals[variant] if r <= tol)
         if score > best_score or (score == best_score and variant == PINNED_ORIENTATION):
             best, best_score = variant, score
-    return OrientationReport(n, samples, residuals, weighted, best)
+    return OrientationReport(residuals, weighted, best)
 
 
 # --- norm-estimate audit ------------------------------------------------------
@@ -226,11 +224,8 @@ INEQUALITY_NAMES = (
 
 @dataclass
 class NormAuditReport:
-    n: int
-    samples: int
-    seed: int
-    max_ratio: dict[str, float] = field(default_factory=dict)
-    argmax_index: dict[str, int] = field(default_factory=dict)
+    max_ratio: dict[str, float]
+    argmax_index: dict[str, int]
 
     def worst(self) -> float:
         return max(self.max_ratio.values()) if self.max_ratio else 0.0
@@ -255,8 +250,7 @@ def verify_norm_estimates(n: int, samples: int, seed: int) -> NormAuditReport:
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    report = NormAuditReport(n, samples, seed, max_ratio=dict.fromkeys(INEQUALITY_NAMES, 0.0),
-                             argmax_index=dict.fromkeys(INEQUALITY_NAMES, 0))
+    report = NormAuditReport(dict.fromkeys(INEQUALITY_NAMES, 0.0), dict.fromkeys(INEQUALITY_NAMES, 0))
     for start, f, g, a, b in _sample_blocks(n, samples, seed):
         l1_f = np.abs(f).reshape(len(f), -1).sum(axis=1) * (1.0 / n)
         sup_g, op_b = _sup_norms(g), _singular_values(b)[:, 0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, PreconditionError
-from .io import read_table, write_table
+from .io import CSV_HEADER, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,6 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 
 # --- serialization -----------------------------------------------------------
 
-CSV_HEADER = ("index", "re", "im")
-
 
 def write_group_function(f: GroupFunction, path, comment: str | None = None) -> None:
     """CSV with header index,re,im; rows in lexicographic index order."""
@@ -221,4 +219,4 @@ def read_group_function(path, group: FiniteAbelianGroup) -> GroupFunction:
 
 def _read_indexed_csv(path):
     """Shared reader for index,re,im files; returns (indices, complex values) arrays."""
-    return read_table(path, CSV_HEADER)
+    return read_table(path)

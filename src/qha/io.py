@@ -13,6 +13,9 @@ import sys
 
 import numpy as np
 
+#: The layout :func:`read_table` reads: the header of every function file.
+CSV_HEADER = ("index", "re", "im")
+
 
 def write_table(path, header, row_format: str, columns, comment=None, eol="\n") -> None:
     """Write ``row_format % row`` per row under the header, as one write; row i
@@ -30,15 +33,15 @@ def write_table(path, header, row_format: str, columns, comment=None, eol="\n") 
             fh.write(text)
 
 
-def read_table(path, header) -> tuple[np.ndarray, np.ndarray]:
-    """Integer indices and finite complex values of an index,re,im file with
-    the given header.  One ``np.loadtxt`` call reads the rows; what it fails on or
-    may read differently (non-ASCII, NUL, 0x1c-0x1f) takes the csv route."""
+def read_table(path) -> tuple[np.ndarray, np.ndarray]:
+    """Integer indices and finite complex values of an index,re,im file.  One
+    ``np.loadtxt`` call reads the rows; what it fails on or may read
+    differently (non-ASCII, NUL, 0x1c-0x1f) takes the csv route."""
     try:
         with open(path, newline="") as fh:
             first = next((r for r in csv.reader(fh) if r and not r[0].startswith("#")), None)
             body = fh.read()
-        if (first is None or [c.strip() for c in first] != list(header) or not body.isascii()
+        if (first is None or [c.strip() for c in first] != list(CSV_HEADER) or not body.isascii()
                 or any(c in body for c in "\0\x1c\x1d\x1e\x1f") or not body or body.isspace()):
             raise ValueError
         dtype = [("index", np.int64), ("re", np.float64), ("im", np.float64)]
@@ -54,18 +57,18 @@ def read_table(path, header) -> tuple[np.ndarray, np.ndarray]:
             rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise ValueError(f"{path}: {exc}") from None
-    if not rows or [c.strip() for c in rows[0]] != list(header):
-        raise ValueError(f"{path}: expected header {','.join(header)}")
+    if not rows or [c.strip() for c in rows[0]] != list(CSV_HEADER):
+        raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
     for i, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: data row {i} has {len(row)} fields, expected {len(header)}")
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"{path}: data row {i} has {len(row)} fields, expected {len(CSV_HEADER)}")
     if len(rows) == 1:
         raise ValueError(f"{path}: no data rows")
     indices, values = [], []
     for row in rows[1:]:
         v = complex(float(row[1]), float(row[2]))
         if not np.isfinite(v):
-            raise ValueError(f"{path}: non-finite value at {header[0]} {row[0]}")
+            raise ValueError(f"{path}: non-finite value at index {row[0]}")
         indices.append(int(row[0]))
         values.append(v)
     return np.array(indices), np.array(values)

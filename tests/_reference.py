@@ -25,9 +25,11 @@ import sys
 
 import numpy as np
 
-import qha
-from qha import HilbertOp, PhaseSpace, parity_op, weyl
+import qha.conv
+import qha.groups
+import qha.weyl
 from qha.conv import INEQUALITY_NAMES, PINNED_ORIENTATION
+from qha.weyl import HilbertOp, PhaseSpace, parity_op, weyl
 
 
 def conv_fn_op(ps: PhaseSpace, f, a) -> np.ndarray:
@@ -185,7 +187,7 @@ def stft_loop(f, window) -> np.ndarray:
     phi = window.values.reshape(group.orders)
     v = np.empty((card, card), dtype=complex)
     for i, x in enumerate(group.elements()):
-        v[i] = np.fft.ifftn(phi * qha.translate(f, x).values.reshape(group.orders)).ravel()
+        v[i] = np.fft.ifftn(phi * qha.groups.translate(f, x).values.reshape(group.orders)).ravel()
     return (group.haar_weight * card) * v
 
 
@@ -206,24 +208,24 @@ def convolution_theorem_residuals(n: int, seed: int, samples: int = 5,
     """Max residuals of the three transform identities and the weighted one."""
     ps = PhaseSpace(n)
     rng = np.random.default_rng(seed)
-    w = qha.self_pairing_weight(ps)
+    w = qha.conv.self_pairing_weight(ps)
     out = {"fn_fn": 0.0, "fn_op": 0.0, "op_op": 0.0, "op_op_weighted": 0.0}
     for _ in range(samples):
         f = _random_phase_function(ps, rng)
         g = _random_phase_function(ps, rng)
-        a = qha.random_op(n, rng)
-        b = qha.random_op(n, rng)
+        a = qha.weyl.random_op(n, rng)
+        b = qha.weyl.random_op(n, rng)
 
-        lhs = qha.symplectic_fourier(qha.convolve(f, g), variant).values
-        rhs = qha.symplectic_fourier(f, variant).values * qha.symplectic_fourier(g, variant).values
+        lhs = qha.conv.symplectic_fourier(qha.groups.convolve(f, g), variant).values
+        rhs = qha.conv.symplectic_fourier(f, variant).values * qha.conv.symplectic_fourier(g, variant).values
         out["fn_fn"] = max(out["fn_fn"], float(np.abs(lhs - rhs).max()))
 
-        lhs = qha.fourier_weyl(qha.conv_fn_op(f, a)).values
-        rhs = qha.symplectic_fourier(f, variant).values * qha.fourier_weyl(a).values
+        lhs = qha.weyl.fourier_weyl(qha.conv.conv_fn_op(f, a)).values
+        rhs = qha.conv.symplectic_fourier(f, variant).values * qha.weyl.fourier_weyl(a).values
         out["fn_op"] = max(out["fn_op"], float(np.abs(lhs - rhs).max()))
 
-        lhs = qha.symplectic_fourier(qha.conv_op_op(a, b), variant).values
-        rhs = qha.fourier_weyl(a).values * qha.fourier_weyl(b).values
+        lhs = qha.conv.symplectic_fourier(qha.conv.conv_op_op(a, b), variant).values
+        rhs = qha.weyl.fourier_weyl(a).values * qha.weyl.fourier_weyl(b).values
         out["op_op"] = max(out["op_op"], float(np.abs(lhs - rhs).max()))
         out["op_op_weighted"] = max(
             out["op_op_weighted"], float(np.abs(lhs * w - rhs).max())
@@ -240,13 +242,14 @@ def verify_norm_estimates(n: int, samples: int, seed: int) -> tuple[dict, dict]:
     for i in range(samples):
         f = _random_phase_function(ps, rng)
         g = _random_phase_function(ps, rng)
-        a = qha.random_op(n, rng)
-        b = qha.random_op(n, rng)
+        a = qha.weyl.random_op(n, rng)
+        b = qha.weyl.random_op(n, rng)
         ratios = {
-            "fn_fn_sup": _ratio(qha.lp_norm(qha.convolve(f, g), np.inf), qha.lp_norm(f, 1) * qha.lp_norm(g, np.inf)),
-            "fn_op_op": _ratio(qha.conv_fn_op(f, b).op_norm, qha.lp_norm(f, 1) * b.op_norm),
-            "op_fn_op": _ratio(qha.conv_fn_op(g, a).op_norm, a.trace_norm * qha.lp_norm(g, np.inf)),
-            "op_op_sup": _ratio(qha.lp_norm(qha.conv_op_op(a, b), np.inf), a.trace_norm * b.op_norm),
+            "fn_fn_sup": _ratio(qha.groups.lp_norm(qha.groups.convolve(f, g), np.inf),
+                                qha.groups.lp_norm(f, 1) * qha.groups.lp_norm(g, np.inf)),
+            "fn_op_op": _ratio(qha.conv.conv_fn_op(f, b).op_norm, qha.groups.lp_norm(f, 1) * b.op_norm),
+            "op_fn_op": _ratio(qha.conv.conv_fn_op(g, a).op_norm, a.trace_norm * qha.groups.lp_norm(g, np.inf)),
+            "op_op_sup": _ratio(qha.groups.lp_norm(qha.conv.conv_op_op(a, b), np.inf), a.trace_norm * b.op_norm),
         }
         for name, r in ratios.items():
             if r > max_ratio[name]:

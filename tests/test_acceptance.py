@@ -14,17 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from qha import (
-    PhaseSpace,
-    conv_fn_op,
-    convolve,
-    fourier_weyl,
-    random_op,
-    self_pairing_weight,
-    symplectic_fourier,
-    verify_norm_estimates,
-    weyl_identity_residuals,
-)
 from qha.asymptotics import (
     b0_diagnostic,
     box_modulation_case,
@@ -36,7 +25,17 @@ from qha.asymptotics import (
     parity_shift_case,
     topology_probe,
 )
-from qha.conv import conv_op_op, pin_orientation, sharpness_witness
+from qha.asymptotics.windowed import WindowedFunction
+from qha.conv import (
+    conv_fn_op,
+    conv_op_op,
+    pin_orientation,
+    self_pairing_weight,
+    sharpness_witness,
+    symplectic_fourier,
+    verify_norm_estimates,
+)
+from qha.groups import FiniteAbelianGroup, GroupFunction, convolve, delta, random_function
 from qha.tauber import (
     NetCertificate,
     certified_tail_bound,
@@ -46,8 +45,7 @@ from qha.tauber import (
     tail_bound_trial,
     windowed_stft_profile,
 )
-from qha.asymptotics.windowed import WindowedFunction
-from qha.groups import FiniteAbelianGroup, GroupFunction, delta, random_function
+from qha.weyl import PhaseSpace, fourier_weyl, random_op, weyl_identity_residuals
 from qha.wiener import degenerate_operator_set, regular_op_set
 
 

@@ -2,14 +2,16 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qha import FiniteAbelianGroup, delta, random_function
 from qha.cli import build_parser, dispatch, emit_csv
-from qha.groups import write_group_function
+from qha.groups import FiniteAbelianGroup, delta, random_function, write_group_function
 
 
 def run(argv, capsys):
@@ -472,6 +474,23 @@ class TestManifests:
         for expect, code in (("weak*", 0), ("norm", 1)):
             assert run(argv + ["--expect", expect], capsys)[:2] == (code, "classification,weak*\n")
             assert out.read_bytes() == plain
+
+    def test_box_modulation_bytes_do_not_depend_on_blas_threads(self):
+        # qha.cli pins BLAS to one thread before numpy loads; in a fresh process
+        # the environment's thread setting must not reach the probe's norms.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "qha.cli", "probe", "topology", "--case", "box-modulation",
+                "--tol", "1e-6", "--out", "-"]
+        rows = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path,
+                   **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+            out = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120).stdout
+            assert out.startswith(b"# manifest: ")
+            rows.append(out.split(b"\n", 1)[1])
+        assert rows[0].count(b"\n") == 38  # header, 36 pairs, classification
+        assert rows[0] == rows[1]
 
     def test_missing_key_is_usage_error(self, tmp_path, capsys):
         man_path = tmp_path / "bad.json"

@@ -8,37 +8,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qha.conv
-from qha.groups import _convolve
-from qha.weyl import _fourier_weyl, _fourier_weyl_inverse
-
-from qha import (
-    HilbertOp,
-    PhaseSpace,
-    conv_fn_op,
-    conv_op_op,
-    convolve,
-    fourier_weyl,
-    fourier_weyl_inverse,
-    identity_op,
-    lp_norm,
-    op_translate,
-    parity_op,
-    pin_orientation,
-    random_op,
-    rank_one,
-    self_pairing_weight,
-    symplectic_fourier,
-    translate,
-    verify_norm_estimates,
-    weyl,
-)
 from qha.conv import (
     ORIENTATION_VARIANTS,
     PINNED_ORIENTATION,
+    conv_fn_op,
+    conv_op_op,
     convolution_theorem_residuals,
+    pin_orientation,
+    self_pairing_weight,
     sharpness_witness,
+    symplectic_fourier,
+    verify_norm_estimates,
 )
 from qha.errors import GroupMismatchError
+from qha.groups import _convolve, convolve, lp_norm, translate
+from qha.weyl import (
+    HilbertOp,
+    PhaseSpace,
+    _fourier_weyl,
+    _fourier_weyl_inverse,
+    fourier_weyl,
+    fourier_weyl_inverse,
+    identity_op,
+    op_translate,
+    parity_op,
+    random_op,
+    rank_one,
+    weyl,
+)
 
 import _reference as ref
 

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qha import (
+from qha.conv import conv_fn_op
+from qha.errors import GroupMismatchError, PreconditionError
+from qha.groups import (
     FiniteAbelianGroup,
     GroupFunction,
-    PhaseSpace,
-    conv_fn_op,
-    random_op,
-    stft,
     constant,
     convolve,
     delta,
@@ -20,10 +18,12 @@ from qha import (
     modulate,
     parity,
     random_function,
+    read_group_function,
     translate,
+    write_group_function,
 )
-from qha.errors import GroupMismatchError, PreconditionError
-from qha.groups import read_group_function, write_group_function
+from qha.tauber import stft
+from qha.weyl import PhaseSpace, random_op
 
 GROUPS = st.sampled_from([(4,), (5,), (6,), (2, 3), (2, 2, 2)])
 

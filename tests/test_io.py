@@ -15,9 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import _reference as ref
-from qha import FiniteAbelianGroup, GroupFunction
 from qha.cli import emit_csv
-from qha.groups import _read_indexed_csv, read_group_function, write_group_function
+from qha.groups import (
+    FiniteAbelianGroup,
+    GroupFunction,
+    _read_indexed_csv,
+    read_group_function,
+    write_group_function,
+)
 
 H = "index,re,im\n"
 

@@ -8,33 +8,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qha.tauber
-from qha import (
+from qha.asymptotics import WindowedFunction
+from qha.conv import conv_op_op
+from qha.errors import GroupMismatchError, PreconditionError
+from qha.groups import (
     FiniteAbelianGroup,
     GroupFunction,
-    HilbertOp,
-    NetCertificate,
-    PhaseSpace,
-    certified_tail_bound,
     constant,
-    conv_op_op,
     convolve,
     delta,
-    greedy_l1_net,
-    identity_op,
-    localization_operator,
     modulate,
     parity,
     random_function,
-    rank_one,
+)
+from qha.tauber import (
+    NetCertificate,
+    certified_tail_bound,
+    greedy_l1_net,
+    localization_operator,
+    modulate_family_is_regular,
     rk_moduli,
     stft,
     stft_energy,
+    tail_bound_trial,
     uniform_compactness_profile,
     windowed_stft_profile,
 )
-from qha.asymptotics import WindowedFunction
-from qha.errors import GroupMismatchError, PreconditionError
-from qha.tauber import modulate_family_is_regular, tail_bound_trial
+from qha.weyl import HilbertOp, PhaseSpace, identity_op, rank_one
 
 import _reference as ref
 
@@ -412,6 +412,6 @@ class TestUniformCompactnessProfile:
 
 
 def qha_random_op(n, seed):
-    from qha import random_op
+    from qha.weyl import random_op
 
     return random_op(n, np.random.default_rng(seed))

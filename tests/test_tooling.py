@@ -2,18 +2,27 @@
 
 ``perfbench/spans.py`` wraps every ``TARGETS`` function by name and the
 ``HilbertOp.singular_values`` cached property by type; a rename would
-crash every traced run, so it fails here first.  The file is only read.
+crash every traced run, so it fails here first.  ``spans.py`` and
+``libops.py`` look modules up in ``sys.modules`` after ``import qha.cli``,
+so that import must load them.  Both files are only read.
 """
 
 import functools
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+LIBOPS = ROOT / "perfbench" / "libops.py"
 
 
 def _spans():
@@ -26,6 +35,33 @@ def _spans():
 def test_every_traced_target_resolves():
     for module_name, attr in _spans().TARGETS:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``python -c code args`` in a fresh process on this ``src``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+
+
+def test_cli_import_loads_every_traced_module():
+    # What the child process does: import qha.cli, then read sys.modules.
+    targets = [list(t) for t in _spans().TARGETS]
+    code = ("import json, sys, qha.cli\n"
+            "targets = json.loads(sys.argv[1])\n"
+            "print(json.dumps({'loaded': sorted(sys.modules), 'unresolved': [\n"
+            "    t for t in targets if not callable(getattr(sys.modules.get(t[0]), t[1], None))]}))")
+    seen = json.loads(_fresh_python(code, json.dumps(targets)))
+    looked_up = set(re.findall(r'_mod\("([\w.]+)"\)', LIBOPS.read_text()))
+    assert "qha.asymptotics" in looked_up
+    assert looked_up | {module for module, _ in targets} <= set(seen["loaded"])
+    assert seen["unresolved"] == []
+
+
+def test_bare_package_import_leaves_numpy_unloaded():
+    # qha.cli pins BLAS to one thread before numpy loads; that needs a package
+    # __init__ that imports nothing.
+    assert _fresh_python("import sys, qha; print('numpy' in sys.modules)").strip() == "False"
 
 
 def test_hilbert_singular_values_is_a_cached_property():

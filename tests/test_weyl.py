@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qha import (
+from qha.errors import PreconditionError
+from qha.tauber import uniform_compactness_profile
+from qha.weyl import (
     HilbertOp,
     PhaseSpace,
     fourier_weyl,
@@ -18,15 +20,14 @@ from qha import (
     op_modulate,
     op_parity,
     op_translate,
+    op_translate_stack,
     parity_op,
     random_op,
     rank_one,
-    uniform_compactness_profile,
+    reflection_symmetric_unit,
     weyl,
     weyl_identity_residuals,
 )
-from qha.errors import PreconditionError
-from qha.weyl import op_translate_stack, reflection_symmetric_unit
 
 import _reference as ref
 
@@ -236,7 +237,7 @@ def test_identity_check_leaves_numpy_ma_unloaded():
 
     src = str(Path(qha.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, qha; qha.weyl_identity_residuals(5); print('numpy.ma' in sys.modules)"
+    code = "import sys, qha.weyl; qha.weyl.weyl_identity_residuals(5); print('numpy.ma' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "False"

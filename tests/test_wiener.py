@@ -3,23 +3,16 @@
 import numpy as np
 import pytest
 
-from qha import (
-    FiniteAbelianGroup,
-    GroupFunction,
-    PhaseSpace,
-    constant,
+from qha.conv import symplectic_fourier
+from qha.groups import FiniteAbelianGroup, GroupFunction, constant, delta, random_function
+from qha.weyl import PhaseSpace, identity_op, random_op, rank_one
+from qha.wiener import (
     corresponding_space,
-    delta,
-    identity_op,
-    random_function,
-    random_op,
-    rank_one,
+    degenerate_operator_set,
     regular_fn,
     regular_op_set,
     regular_set_fn,
-    symplectic_fourier,
 )
-from qha.wiener import degenerate_operator_set
 
 import _reference as ref
 
@@ -130,7 +123,7 @@ class TestOperatorRegularity:
         assert np.abs(seen[0] - dense).max() <= 1e-13
 
     def test_weyl_operator_span_is_one_dimensional(self):
-        from qha import weyl
+        from qha.weyl import weyl
 
         rep = regular_op_set([weyl(PhaseSpace(4), (1, 2))])
         assert rep.translate_span_rank == 1
