@@ -1,67 +1,5 @@
 """Truncated sequence-space and interval models with convergence diagnostics."""
 
-from .gridops import (
-    CacRecord,
-    GridOperator,
-    ModulationOrbit,
-    box_convolution_operator,
-    cac_example,
-    modulated_box_operator,
-    piecewise_box_smoothed_indicator,
-)
-from .probes import (
-    PROBE_CASES,
-    ProbeCase,
-    TopologyProbeResult,
-    box_modulation_case,
-    halmos_shift_case,
-    parity_shift_case,
-    topology_probe,
-)
-from .profiles import DecayProfile
-from .windowed import (
-    B0Verdict,
-    CompactnessTrend,
-    WindowedFunction,
-    WindowedZOperator,
-    b0_diagnostic,
-    column_row_profiles,
-    compactness_proxy,
-    diagonal_decay_operator,
-    halmos_operator,
-    identity_window,
-    parity_window,
-    point_mass_operator,
-    shift_operator,
-)
-
-__all__ = [
-    "B0Verdict",
-    "CacRecord",
-    "CompactnessTrend",
-    "DecayProfile",
-    "GridOperator",
-    "ModulationOrbit",
-    "PROBE_CASES",
-    "ProbeCase",
-    "TopologyProbeResult",
-    "WindowedFunction",
-    "WindowedZOperator",
-    "b0_diagnostic",
-    "box_convolution_operator",
-    "box_modulation_case",
-    "cac_example",
-    "column_row_profiles",
-    "compactness_proxy",
-    "diagonal_decay_operator",
-    "halmos_operator",
-    "halmos_shift_case",
-    "identity_window",
-    "modulated_box_operator",
-    "parity_shift_case",
-    "parity_window",
-    "piecewise_box_smoothed_indicator",
-    "point_mass_operator",
-    "shift_operator",
-    "topology_probe",
-]
+# Import names from their submodules.  These two stay here because the
+# benchmark's compactness operation reads them off this package.
+from .windowed import compactness_proxy, halmos_operator

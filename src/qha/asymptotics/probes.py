@@ -149,7 +149,6 @@ class ProbeCase:
     test_vectors: list[np.ndarray]
     trace_tests: list[tuple[np.ndarray, np.ndarray]]
     weight: float
-    meta: dict
 
 
 def halmos_shift_case(
@@ -178,10 +177,7 @@ def halmos_shift_case(
     v[-window.lo : -window.lo + total] = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     vecs.append(v)
     tests = [(vecs[0], vecs[1]), (vecs[-1], vecs[0])]
-    return ProbeCase(
-        mats, vecs, tests, 1.0,
-        {"shifts": shifts, "window": (window.lo, window.hi), "blocks": blocks},
-    )
+    return ProbeCase(mats, vecs, tests, 1.0)
 
 
 def parity_shift_case(
@@ -208,11 +204,7 @@ def parity_shift_case(
         v[span] = rng.standard_normal(2 * support + 1) + 1j * rng.standard_normal(2 * support + 1)
         vecs.append(v)
     tests = [(vecs[0], vecs[1]), (vecs[1], vecs[0])]
-    return ProbeCase(
-        mats, vecs, tests, 1.0,
-        {"shifts": [step * i for i in range(steps)], "support": support,
-         "window": (-half_width, half_width)},
-    )
+    return ProbeCase(mats, vecs, tests, 1.0)
 
 
 def box_modulation_case(
@@ -228,10 +220,7 @@ def box_modulation_case(
     bump = np.exp(-((grid - 1.0) ** 2) / (2 * gauss_width**2))
     vecs = [gauss, bump]
     tests = [(gauss, bump), (bump, gauss)]
-    return ProbeCase(
-        mats, vecs, tests, h,
-        {"freqs": [freq_step * i for i in range(steps)], "h": h},
-    )
+    return ProbeCase(mats, vecs, tests, h)
 
 
 def _embed(op: WindowedZOperator, lo: int, hi: int) -> np.ndarray:

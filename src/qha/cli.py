@@ -26,9 +26,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from . import asymptotics
-from .asymptotics.probes import CLASSIFICATIONS
-from .asymptotics.windowed import WindowedFunction
+from .asymptotics.gridops import cac_example
+from .asymptotics.probes import CLASSIFICATIONS, PROBE_CASES, topology_probe
+from .asymptotics.windowed import WindowedFunction, column_row_profiles, halmos_operator
 from .conv import verify_norm_estimates
 from .errors import PreconditionError
 from .groups import (
@@ -132,13 +132,13 @@ def _cmd_wiener_verify(args) -> int:
 
 
 def _cmd_example_halmos(args) -> int:
-    cols = asymptotics.column_row_profiles(asymptotics.halmos_operator(args.blocks))[0]
+    cols = column_row_profiles(halmos_operator(args.blocks))[0]
     emit_csv(args.out, ("param", "value"), list(zip(cols.params, cols.values)), _manifest(args))
     return 0
 
 
 def _cmd_example_cac(args) -> int:
-    record = asymptotics.cac_example(args.h, args.nmax)
+    record = cac_example(args.h, args.nmax)
     rows = [
         ("projection_residual", record.projection_residual),
         ("min_kernel_gap", record.min_kernel_gap),
@@ -151,8 +151,8 @@ def _cmd_example_cac(args) -> int:
 
 
 def _cmd_probe_topology(args) -> int:
-    case = asymptotics.PROBE_CASES[args.case]()
-    result = asymptotics.topology_probe(
+    case = PROBE_CASES[args.case]()
+    result = topology_probe(
         case.matrices, case.test_vectors, case.trace_tests, args.tol, weight=case.weight
     )
     rows = [(r.i, r.j, r.norm_diff, r.strongstar_diff, r.weakstar_diff) for r in result.rows]
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="convergence-topology probes")
     probe_sub = p_probe.add_subparsers(dest="probe_cmd", required=True)
     p_topo = probe_sub.add_parser("topology")
-    p_topo.add_argument("--case", choices=sorted(asymptotics.PROBE_CASES), required=True)
+    p_topo.add_argument("--case", choices=sorted(PROBE_CASES), required=True)
     p_topo.add_argument("--tol", type=float, required=True)
     p_topo.add_argument("--out", default=None)
     p_topo.add_argument("--expect", choices=CLASSIFICATIONS)

@@ -248,6 +248,7 @@ def verify_norm_estimates(n: int, samples: int, seed: int) -> NormAuditReport:
     inequality together with the sample index attaining it (the first one).
     Deterministic given the seed.
     """
+    PhaseSpace(n)  # rejects n < 1 before any draw
     if samples < 1:
         raise ValueError("samples must be >= 1")
     report = NormAuditReport(dict.fromkeys(INEQUALITY_NAMES, 0.0), dict.fromkeys(INEQUALITY_NAMES, 0))

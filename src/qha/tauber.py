@@ -41,7 +41,10 @@ def stft(f: GroupFunction, window: GroupFunction) -> np.ndarray:
     # the positive-frequency DFT, ifftn scaled by |G|, of the x-th translate.
     coords = np.indices(orders).reshape(len(orders), 1, card)
     moved = f.values[np.ravel_multi_index(coords - coords.swapaxes(1, 2), orders, mode="wrap")]
-    phi = window.values.reshape(orders)
+    # phi carries the stack's leading axis: at |G| = 1 numpy multiplies a
+    # broadcast (1,) * (1, 1) in a different loop from the same-shape product
+    # of the one-translate route, and the last bits differ.
+    phi = window.values.reshape(1, *orders)
     v = np.fft.ifftn(phi * moved.reshape(card, *orders), axes=tuple(range(1, len(orders) + 1)))
     return (group.haar_weight * card) * v.reshape(card, card)
 
@@ -94,8 +97,8 @@ class NetCertificate:
 
     def __post_init__(self):
         tails = tuple(float(t) for t in self.generator_tails)
-        if any(t < 0 for t in tails) or self.epsilon < 0 or self.bound_c < 0:
-            raise ValueError("certificate entries must be nonnegative")
+        if not all(0 <= t < np.inf for t in (*tails, self.epsilon, self.bound_c)):
+            raise ValueError("certificate entries must be finite and nonnegative")
         object.__setattr__(self, "generator_tails", tails)
 
 

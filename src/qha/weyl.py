@@ -160,11 +160,10 @@ def weyl(ps: PhaseSpace, x) -> HilbertOp:
 
     Unitary, and U_x U_y = m(x,y) U_{x+y} exactly.
     """
-    a, b = ps.point(x)
     n = ps.n
-    t = np.arange(n)
+    (rows,), (phase,) = _shift_tables(n, [ps.point(x)])
     mat = np.zeros((n, n), dtype=complex)
-    mat[t, (t - a) % n] = ps.omega ** ((b * t) % n)
+    mat[np.arange(n), rows] = phase
     return HilbertOp(mat)
 
 
@@ -188,7 +187,7 @@ def _shift_tables(n: int, points) -> tuple[np.ndarray, np.ndarray]:
     phase[k, s] = omega^(b s) for the k-th point."""
     a, b = (np.asarray(points).reshape(-1, 2) % n).T[..., None]
     rows = (np.arange(n) - a) % n
-    phase = PhaseSpace(n).omega ** ((b * np.arange(n)) % n)  # the phases of weyl()
+    phase = PhaseSpace(n).omega ** ((b * np.arange(n)) % n)
     return rows, phase
 
 

@@ -14,18 +14,20 @@ import time
 import numpy as np
 import pytest
 
-from qha.asymptotics import (
-    b0_diagnostic,
+from qha.asymptotics.gridops import cac_example
+from qha.asymptotics.probes import (
     box_modulation_case,
-    cac_example,
-    column_row_profiles,
-    compactness_proxy,
-    halmos_operator,
     halmos_shift_case,
     parity_shift_case,
     topology_probe,
 )
-from qha.asymptotics.windowed import WindowedFunction
+from qha.asymptotics.windowed import (
+    WindowedFunction,
+    b0_diagnostic,
+    column_row_profiles,
+    compactness_proxy,
+    halmos_operator,
+)
 from qha.conv import (
     conv_fn_op,
     conv_op_op,

@@ -121,6 +121,14 @@ class TestDispatch:
         assert label == "bound"
         assert float(value) == max((0.1, 0.2)) + 0.05 * 3
 
+    @pytest.mark.parametrize("tails, eps, c", [("nan", "0.05", "3"), ("0.1,nan", "0.05", "3"),
+                                               ("0.1", "nan", "3"), ("0.1", "0.05", "inf")])
+    def test_bound_certify_rejects_non_finite(self, capsys, tails, eps, c):
+        code, out, err = run(["bound", "certify", "--tails", tails, "--eps", eps, "--c", c], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+        assert "bound," not in out
+
     def test_cac_insufficient_range_names_precondition(self, capsys):
         code, _out, err = run(["example", "cac", "--h", "0.2", "--nmax", "9", "--out", "x.csv"], capsys)
         assert code == 2
@@ -129,6 +137,12 @@ class TestDispatch:
     def test_conv_audit_requires_seed(self, capsys):
         code, _, _ = run(["conv", "audit", "--n", "3", "--samples", "5"], capsys)
         assert code == 2
+
+    def test_conv_audit_rejects_empty_phase_space(self, capsys):
+        code, out, err = run(["conv", "audit", "--n", "0", "--samples", "5", "--seed", "1"], capsys)
+        assert code == 2
+        assert err.startswith("error: phase space dimension must be >= 1")
+        assert out == ""
 
     def test_conv_audit_runs(self, tmp_path, capsys):
         out_path = tmp_path / "audit.csv"

@@ -306,6 +306,11 @@ class TestNormEstimates:
         assert a.max_ratio == b.max_ratio
         assert a.argmax_index == b.argmax_index
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_audit_rejects_empty_phase_space(self, n):
+        with pytest.raises(ValueError, match="phase space dimension must be >= 1"):
+            verify_norm_estimates(n, samples=5, seed=1)
+
     def test_rank_one_sharpness(self):
         assert sharpness_witness(5, seed=0) >= 0.999
 

@@ -4,7 +4,7 @@ sandwich construction."""
 import numpy as np
 import pytest
 
-from qha.asymptotics import (
+from qha.asymptotics.gridops import (
     GridOperator,
     box_convolution_operator,
     cac_example,

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from qha.asymptotics import (
-    PROBE_CASES,
+from qha.asymptotics.gridops import (
     ModulationOrbit,
     box_convolution_operator,
+    modulated_box_operator,
+)
+from qha.asymptotics.probes import (
+    PROBE_CASES,
     box_modulation_case,
     halmos_shift_case,
-    modulated_box_operator,
     parity_shift_case,
     topology_probe,
 )
@@ -63,11 +65,7 @@ class TestClassifier:
             topology_probe([], [np.ones(2)], [(np.ones(2), np.ones(2))], 0.1)
 
     def test_accepts_operator_objects_and_infers_weight(self):
-        from qha.asymptotics import (
-            box_convolution_operator,
-            halmos_operator,
-            modulated_box_operator,
-        )
+        from qha.asymptotics.windowed import halmos_operator
         from qha.errors import PreconditionError
 
         ops = [halmos_operator(3), halmos_operator(3)]
@@ -125,13 +123,14 @@ class TestCanonicalCases:
         assert max(norms) - min(norms) < 1e-10  # constant operator norm
 
     def test_box_modulation_gaussian_action_decays(self):
-        from qha.asymptotics import DecayProfile
+        from qha.asymptotics.profiles import DecayProfile
 
-        case = box_modulation_case()
+        freq_step = 12.0
+        case = box_modulation_case(freq_step=freq_step)
         h = case.weight
         gauss = case.test_vectors[0]
         gauss = gauss / (np.sqrt(h) * np.linalg.norm(gauss))
-        freqs = np.asarray(case.meta["freqs"], dtype=float)
+        freqs = freq_step * np.arange(len(case.matrices))
         vals = np.array(
             [np.sqrt(h) * np.linalg.norm(m @ gauss) for m in case.matrices]
         )
@@ -161,11 +160,12 @@ class TestNormsAgainstDenseSvd:
 class TestModulationOrbit:
     @pytest.mark.parametrize("params", [{}, {"h": 0.25, "steps": 5}], ids=["default", "small"])
     def test_orbit_route_matches_dense_route(self, params):
-        case = box_modulation_case(**params)
+        freq_step = 12.0
+        case = box_modulation_case(freq_step=freq_step, **params)
         assert isinstance(case.matrices, ModulationOrbit)
         h = case.weight
-        for m, freq in zip(case.matrices, case.meta["freqs"]):
-            ref = modulated_box_operator(h, -6.0, 6.0, freq).matrix
+        for i, m in enumerate(case.matrices):
+            ref = modulated_box_operator(h, -6.0, 6.0, freq_step * i).matrix
             assert m.tobytes() == ref.tobytes()
         args = (case.test_vectors, case.trace_tests, 0.1)
         orbit = topology_probe(case.matrices, *args, weight=h)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qha.tauber
-from qha.asymptotics import WindowedFunction
+from qha.asymptotics.windowed import WindowedFunction
 from qha.conv import conv_op_op
 from qha.errors import GroupMismatchError, PreconditionError
 from qha.groups import (
@@ -53,6 +53,17 @@ class TestStft:
     def test_bitwise_equal_to_translate_loop(self, orders):
         g = FiniteAbelianGroup(orders, haar_weight=0.25)
         rng = np.random.default_rng(len(orders))
+        f, w = random_function(g, rng), random_function(g, rng)
+        assert stft(f, w).tobytes() == ref.stft_loop(f, w).tobytes()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_translate_loop_on_drawn_orders(self, data):
+        orders = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            orders.append(data.draw(st.integers(1, 64 // int(np.prod(orders, dtype=int)))))
+        g = FiniteAbelianGroup(tuple(orders), haar_weight=data.draw(st.sampled_from([0.25, 1.0, 3.0])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         f, w = random_function(g, rng), random_function(g, rng)
         assert stft(f, w).tobytes() == ref.stft_loop(f, w).tobytes()
 
@@ -203,6 +214,13 @@ class TestCertifiedTailBound:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             NetCertificate((-0.1,), 0.0, 1.0)
+
+    @pytest.mark.parametrize("tails, eps, c", [((float("nan"),), 0.05, 3.0), ((0.1, float("nan")), 0.05, 3.0),
+                                               ((0.1,), float("nan"), 3.0), ((0.1,), 0.05, float("inf")),
+                                               ((float("inf"),), 0.05, 3.0)])
+    def test_rejects_non_finite_entries(self, tails, eps, c):
+        with pytest.raises(ValueError, match="finite"):
+            NetCertificate(tails, eps, c)
 
     def test_empty_tails_rejected(self):
         with pytest.raises(PreconditionError):

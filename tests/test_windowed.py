@@ -4,8 +4,8 @@ vanishing-at-infinity verdicts, compactness trends."""
 import numpy as np
 import pytest
 
-from qha.asymptotics import (
-    DecayProfile,
+from qha.asymptotics.profiles import DecayProfile
+from qha.asymptotics.windowed import (
     b0_diagnostic,
     column_row_profiles,
     compactness_proxy,
