@@ -31,17 +31,11 @@ from .asymptotics.probes import CLASSIFICATIONS, PROBE_CASES, topology_probe
 from .asymptotics.windowed import WindowedFunction, column_row_profiles, halmos_operator
 from .conv import verify_norm_estimates
 from .errors import PreconditionError
-from .groups import (
-    FiniteAbelianGroup,
-    convolve,
-    fourier,
-    read_group_function,
-    write_group_function,
-)
+from .groups import FiniteAbelianGroup, convolve, fourier, read_group_function, write_group_function
 from .io import write_table
 from .numerics import DEFAULT_EQ_TOL
 from .tauber import NetCertificate, certified_tail_bound, rk_moduli, windowed_stft_profile
-from .weyl import random_op, weyl_identity_residuals
+from .weyl import PhaseSpace, random_op, weyl_identity_residuals
 from .wiener import degenerate_operator_set, regular_op_set
 
 
@@ -117,6 +111,7 @@ def _cmd_conv_audit(args) -> int:
 def _cmd_wiener_verify(args) -> int:
     if args.samples < (0 if args.degenerate else 1):
         raise ValueError("samples must be >= 1, or >= 0 with --degenerate")
+    PhaseSpace(args.n)  # rejects n < 1 before any draw
     rng = np.random.default_rng(args.seed)
     cases = [(f"random_{i}", random_op(args.n, rng)) for i in range(args.samples)]
     if args.degenerate:

@@ -106,7 +106,10 @@ def certified_tail_bound(cert: NetCertificate) -> float:
     """max_j t_j + eps * C; an upper bound for the covered family's sup-tail."""
     if not cert.generator_tails:
         raise PreconditionError("certificate needs at least one generator tail")
-    return max(cert.generator_tails) + cert.epsilon * cert.bound_c
+    bound = max(cert.generator_tails) + cert.epsilon * cert.bound_c
+    if not np.isfinite(bound):
+        raise PreconditionError("certified tail bound is not finite (max + eps * C overflows)")
+    return bound
 
 
 def greedy_l1_net(functions: list[np.ndarray], epsilon: float, weight: float = 1.0):

@@ -265,45 +265,47 @@ def fourier_weyl_inverse(ps: PhaseSpace, values: GroupFunction) -> HilbertOp:
 
 
 def weyl_identity_residuals(n: int) -> dict[str, float]:
-    """Exhaustive max residuals of the defining identities at dimension n.
+    """Exhaustive checks of the defining identities at dimension n, over every
+    pair (x, y) of points indexed lexicographically.
 
-    Keys: 'projective' (U_x U_y = m(x,y) U_{x+y}), 'parity' (R U_x R = U_{-x}),
-    'cocycle' (multiplier cocycle relation), 'parity_symmetric'
-    (m(x,y) = m(-x,-y)), 'pairing_perfect' (sigma enumerates every character
-    of the phase space exactly once).  Every pair (x, y), and every triple for
-    the cocycle, is checked; points are indexed lexicographically.
+    'projective' (U_x U_y = m(x,y) U_{x+y}), 'parity' (R U_x R = U_{-x}) and
+    'parity_symmetric' (m(x,y) = m(-x,-y)) are max entry residuals; 'cocycle'
+    (the multiplier cocycle relation) and 'pairing_perfect' (sigma enumerates
+    every character of the phase space exactly once) are exact 0.0/1.0 decisions.
     """
     ps = PhaseSpace(n)
     a, b = np.divmod(np.arange(n * n), n)
     add = (a[:, None] + a) % n * n + (b[:, None] + b) % n  # index of x + y
     neg = (-a) % n * n + (-b) % n  # index of -x
-    m = ps.roots()[ps.multiplier_exponent((a[:, None], b[:, None]), (a, b))]
-    us = np.stack([weyl(ps, x).matrix for x in ps.points()])
-    r = parity_op(ps).matrix
-
-    proj = max(
-        float(np.abs(us[i] @ us - m[i, :, None, None] * us[add[i]]).max()) for i in range(n * n)
-    )
-    par = float(np.abs(r @ us @ r - us[neg]).max())
+    e = ps.multiplier_exponent((a[:, None], b[:, None]), (a, b))
+    m = ps.roots()[e]
+    # Each U_x is monomial, one shift table row: row s of U_x U_y holds
+    # phase[x, s] phase[y, rows[x, s]] at column rows[y, rows[x, s]], and row s
+    # of R U_x R holds phase[x, -s] at column -rows[x, -s].
+    rows, phase = _shift_tables(n, ps.points())
+    proj = max(_monomial_residual(rows[:, r], phase[i] * phase[:, r], rows[add[i]],
+                                  m[i, :, None] * phase[add[i]]) for i, r in enumerate(rows))
+    flip = -np.arange(n) % n
+    par = _monomial_residual(-rows[:, flip] % n, phase[:, flip], rows[neg], phase[neg])
     sym = float(np.abs(m - m[neg][:, neg]).max())
-    # m(x+y, z) m(x, y) = m(x, y+z) m(y, z), one N^2 x N^2 slab (y, z) per x.
-    coc = max(
-        float(np.abs(m[add[i]] * m[i, :, None] - m[i][add] * m).max()) for i in range(n * n)
-    )
+    # The cocycle relation is de = 0 for de(x, y, z) = e(y, z) - e(x+y, z) +
+    # e(x, y+z) - e(x, y) mod N.  d(de) = 0 gives de(x+g, ., .) = de(x, ., .) once
+    # de(g, ., .) = 0, so one (y, z) slab per generator g decides every triple.
+    gens = [ps.index((1, 0)), ps.index((0, 1))]
+    coc = float(any(((e[add[g]] + e[g, :, None] - e[g][add] - e) % n).any() for g in gens))
 
     # Row y holds the exponents of sigma(., y): each row must be the character
-    # fixed by its values at (1,0) and (0,1), and no two rows may coincide.
+    # fixed by its values at the generators, and no two rows may coincide.
     sig = ps.pairing_exponent((a, b), (a[:, None], b[:, None]))
-    gen = sig[:, [ps.index((1, 0)), ps.index((0, 1))]]
+    gen = sig[:, gens]
     characters = np.array_equal(sig, (gen[:, :1] * a + gen[:, 1:] * b) % n)
     # Given `characters`, rows coincide exactly when their generator values do.
     distinct = np.bincount(gen[:, 0] * n + gen[:, 1], minlength=n * n).max() == 1
-    pairing_ok = 0.0 if characters and distinct else 1.0
+    return {"projective": proj, "parity": par, "cocycle": coc, "parity_symmetric": sym,
+            "pairing_perfect": 0.0 if characters and distinct else 1.0}
 
-    return {
-        "projective": proj,
-        "parity": par,
-        "cocycle": coc,
-        "parity_symmetric": sym,
-        "pairing_perfect": pairing_ok,
-    }
+
+def _monomial_residual(cols, vals, want_cols, want_vals) -> float:
+    """Max |A - B| entry of monomial matrices given by each row's column and value."""
+    return float(np.where(cols == want_cols, np.abs(vals - want_vals),
+                          np.maximum(np.abs(vals), np.abs(want_vals))).max())

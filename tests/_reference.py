@@ -116,14 +116,15 @@ def weyl_identity_residuals(n: int) -> dict[str, float]:
         float(np.abs(r @ us[x] @ r - us[ps.neg(x)]).max()) for x in pts
     )
 
+    m = {(x, y): ps.multiplier(x, y) for x in pts for y in pts}  # each value once
     coc = 0.0
     sym = 0.0
     for x in pts:
         for y in pts:
-            sym = max(sym, abs(ps.multiplier(x, y) - ps.multiplier(ps.neg(x), ps.neg(y))))
+            sym = max(sym, abs(m[x, y] - m[ps.neg(x), ps.neg(y)]))
             for z in pts:
-                lhs = ps.multiplier(ps.add(x, y), z) * ps.multiplier(x, y)
-                rhs = ps.multiplier(x, ps.add(y, z)) * ps.multiplier(y, z)
+                lhs = m[ps.add(x, y), z] * m[x, y]
+                rhs = m[x, ps.add(y, z)] * m[y, z]
                 coc = max(coc, abs(lhs - rhs))
 
     s = np.array([[ps.pairing(x, y) for x in pts] for y in pts])

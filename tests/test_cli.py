@@ -122,7 +122,8 @@ class TestDispatch:
         assert float(value) == max((0.1, 0.2)) + 0.05 * 3
 
     @pytest.mark.parametrize("tails, eps, c", [("nan", "0.05", "3"), ("0.1,nan", "0.05", "3"),
-                                               ("0.1", "nan", "3"), ("0.1", "0.05", "inf")])
+                                               ("0.1", "nan", "3"), ("0.1", "0.05", "inf"),
+                                               ("1e308,1e308", "1e308", "1e308")])
     def test_bound_certify_rejects_non_finite(self, capsys, tails, eps, c):
         code, out, err = run(["bound", "certify", "--tails", tails, "--eps", eps, "--c", c], capsys)
         assert code == 2
@@ -140,6 +141,13 @@ class TestDispatch:
 
     def test_conv_audit_rejects_empty_phase_space(self, capsys):
         code, out, err = run(["conv", "audit", "--n", "0", "--samples", "5", "--seed", "1"], capsys)
+        assert code == 2
+        assert err.startswith("error: phase space dimension must be >= 1")
+        assert out == ""
+
+    @pytest.mark.parametrize("n", ["-2", "0"])
+    def test_wiener_verify_rejects_empty_phase_space(self, capsys, n):
+        code, out, err = run(["wiener", "verify", "--n", n, "--samples", "3", "--seed", "1"], capsys)
         assert code == 2
         assert err.startswith("error: phase space dimension must be >= 1")
         assert out == ""

@@ -222,6 +222,11 @@ class TestCertifiedTailBound:
         with pytest.raises(ValueError, match="finite"):
             NetCertificate(tails, eps, c)
 
+    def test_rejects_overflowing_bound(self):
+        # Every entry is finite, but max + eps * C overflows to inf.
+        with pytest.raises(PreconditionError, match="finite"):
+            certified_tail_bound(NetCertificate((1e308, 1e308), 1e308, 1e308))
+
     def test_empty_tails_rejected(self):
         with pytest.raises(PreconditionError):
             certified_tail_bound(NetCertificate((), 0.1, 1.0))

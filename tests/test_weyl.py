@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qha.weyl
 from qha.errors import PreconditionError
 from qha.tauber import uniform_compactness_profile
 from qha.weyl import (
@@ -33,7 +34,7 @@ import _reference as ref
 
 
 class TestPhaseSpace:
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", [*range(1, 17), 24, 32])
     def test_defining_identities_exhaustive(self, n):
         res = weyl_identity_residuals(n)
         assert res["projective"] <= 1e-12
@@ -69,8 +70,65 @@ class TestIdentityResiduals:
     def test_matches_reference_loop(self, n):
         fast, slow = weyl_identity_residuals(n), ref.weyl_identity_residuals(n)
         assert fast.keys() == slow.keys()
-        for key in fast:
+        # Exact decisions: 0.0 exactly when the loop passes within its rounding.
+        for key in ("cocycle", "pairing_perfect"):
+            assert (fast[key] == 0.0) == (slow[key] <= 1e-12), key
+        for key in ("projective", "parity", "parity_symmetric"):
             assert abs(fast[key] - slow[key]) <= 1e-15, key
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 7])
+    @pytest.mark.parametrize("variant, valid", [("canonical", True), ("plus_ad", True),
+                                                ("one_pair_flip", False), ("coboundary", True),
+                                                ("second_coordinate_flip", False)])
+    def test_cocycle_decision_matches_triple_loop(self, monkeypatch, n, variant, valid):
+        """The generator slabs decide the cocycle relation for every triple:
+        a multiplier shifted by the coboundary of h is a cocycle that is not a
+        bicharacter, and must pass like the canonical one; the flip wherever
+        b = 1 in x and d = 0 in y breaks only the (0,1) slab."""
+        exponent = PhaseSpace.multiplier_exponent
+        h = np.random.default_rng(n).integers(0, n, (n, n))
+
+        def varied(self, x, y):
+            e = exponent(self, x, y)
+            if variant == "plus_ad":
+                return -e % n
+            if variant == "one_pair_flip":
+                at = (x[0] == 1) & (x[1] == 1) & (y[0] == 1) & (y[1] == 1)
+                return (e + np.where(at, n // 2, 0)) % n
+            if variant == "second_coordinate_flip":
+                return (e + np.where((x[1] % n == 1) & (y[1] % n == 0), n // 2, 0)) % n
+            hx, hy = h[x[0] % n, x[1] % n], h[y[0] % n, y[1] % n]
+            return (e + h[(x[0] + y[0]) % n, (x[1] + y[1]) % n] - hx - hy) % n
+
+        if variant != "canonical":
+            monkeypatch.setattr(PhaseSpace, "multiplier_exponent", varied)
+        fast = weyl_identity_residuals(n)["cocycle"]
+        assert fast == (0.0 if valid else 1.0)
+        assert (fast == 0.0) == (ref.weyl_identity_residuals(n)["cocycle"] <= 1e-12)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("mutation", ["swap_rows", "negate_phase"])
+    def test_broken_shift_table_breaks_projective(self, monkeypatch, n, mutation):
+        tables, k = qha.weyl._shift_tables, PhaseSpace(n).index((1, 2))
+
+        def broken(n, points):
+            rows, phase = tables(n, points)
+            if mutation == "swap_rows":
+                rows[k, [0, 1]] = rows[k, [1, 0]]
+            else:
+                phase[k, 0] = -phase[k, 0]
+            return rows, phase
+
+        monkeypatch.setattr(qha.weyl, "_shift_tables", broken)
+        assert weyl_identity_residuals(n)["projective"] > 1e-12
+
+    def test_builds_no_dense_weyl_matrix(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("the identity check reads the shift table only")
+
+        monkeypatch.setattr(qha.weyl, "weyl", dense)
+        monkeypatch.setattr(qha.weyl, "parity_op", dense)
+        assert max(weyl_identity_residuals(5).values()) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_degenerate_pairing_reported(self, monkeypatch, n):
