@@ -115,7 +115,6 @@ class ModulationOrbit(Sequence):
     """
 
     def __init__(self, base: GridOperator, step: float, steps: int):
-        self.h = base.h
         self._items = tuple(_modulate(base, step * k) for k in range(steps))
         for item in self._items:
             item.setflags(write=False)

@@ -4,8 +4,10 @@ A probe classifies the strongest of three topologies in which the tail of
 an operator sequence is Cauchy within a tolerance: operator norm, strong*
 (vector seminorms ||Bv|| and ||B*v|| over a test set), or weak* (pairings
 |<Bu, w>| against normalized rank-one trace-class tests).  Test vectors are
-normalized in the weighted l2 norm and trace tests in trace norm, so the
-hierarchy norm => strong* => weak* holds for the measured quantities.
+normalized in plain l2 and trace tests in trace norm, so the hierarchy
+norm => strong* => weak* holds for the measured quantities.  The probe takes
+no quadrature weight: a uniform weight scales every norm, every pairing and
+every normalization alike, so it cancels in each reported quantity.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from ..errors import PreconditionError
 from ..numerics import spectral_norm
-from .gridops import GridOperator, ModulationOrbit, box_convolution_operator
+from .gridops import ModulationOrbit, box_convolution_operator
 from .windowed import WindowedZOperator, halmos_operator, parity_window, shift_operator
 
 CLASSIFICATIONS = ("norm", "strong*", "weak*", "divergent")
@@ -49,36 +51,12 @@ class TopologyProbeResult:
         return min(vals) if vals else 0.0
 
 
-def _normalize(vec: np.ndarray, weight: float) -> np.ndarray:
-    nrm = np.sqrt(weight) * np.linalg.norm(vec)
+def _normalize(vec: np.ndarray) -> np.ndarray:
+    """vec / ||vec|| in plain l2: a uniform weight would cancel in every probe quantity."""
+    nrm = np.linalg.norm(vec)
     if nrm == 0:
         raise ValueError("test vectors must be nonzero")
     return np.asarray(vec, dtype=complex) / nrm
-
-
-def _coerce_sequence(sequence) -> tuple[list[np.ndarray], float]:
-    """Unwrap operator objects to matrices; return the inner-product weight.
-
-    Windowed operators must share one window, grid operators one grid; a
-    modulation orbit carries its grid step; plain matrices pass through with
-    weight 1.
-    """
-    if isinstance(sequence, ModulationOrbit):
-        return list(sequence), float(sequence.h)
-    first = sequence[0]
-    if isinstance(first, WindowedZOperator):
-        frame = (first.lo, first.hi)
-        if any(not isinstance(op, WindowedZOperator) or (op.lo, op.hi) != frame
-               for op in sequence):
-            raise PreconditionError("windowed operators must share one window")
-        return [op.matrix for op in sequence], 1.0
-    if isinstance(first, GridOperator):
-        frame = (first.h, first.x_lo, first.x_hi)
-        if any(not isinstance(op, GridOperator) or (op.h, op.x_lo, op.x_hi) != frame
-               for op in sequence):
-            raise PreconditionError("grid operators must share one grid")
-        return [op.matrix for op in sequence], float(first.h)
-    return [np.asarray(m, dtype=complex) for m in sequence], 1.0
 
 
 def topology_probe(
@@ -86,18 +64,14 @@ def topology_probe(
     test_vectors: list[np.ndarray],
     trace_tests: list[tuple[np.ndarray, np.ndarray]],
     tol: float,
-    weight: float | None = None,
 ) -> TopologyProbeResult:
     """Classify the strongest topology whose pairwise differences over the
     second half of the sequence (the tail) stay within tol (finite and >= 0).
 
-    The sequence may hold windowed operators, grid operators (their common
-    window/grid is validated and the grid quadrature weight is picked up
-    automatically), or plain matrices, or be a ModulationOrbit, for which one
+    The sequence is a list of matrices or a ModulationOrbit, for which one
     spectral norm per shift difference j - i serves every pair.  trace_tests
-    are (u, w) pairs standing for the rank-one pairing B -> <Bu, w> in the
-    weighted inner product; both factors are normalized so the pairing is
-    dominated by the operator norm.
+    are (u, w) pairs standing for the rank-one pairing B -> <Bu, w>; both
+    factors are normalized so the pairing is dominated by the operator norm.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise PreconditionError(f"tolerance must be finite and >= 0, got {tol}")
@@ -105,33 +79,24 @@ def topology_probe(
         raise ValueError("empty operator sequence")
     if not test_vectors or not trace_tests:
         raise ValueError("need nonempty test vector and trace test sets")
-    matrices, inferred = _coerce_sequence(sequence)
-    if weight is None:
-        weight = inferred
-    vecs = [_normalize(v, weight) for v in test_vectors]
-    pairs = [(_normalize(u, weight), _normalize(w, weight)) for u, w in trace_tests]
+    vecs = [_normalize(v) for v in test_vectors]
+    pairs = [(_normalize(u), _normalize(w)) for u, w in trace_tests]
 
-    count = len(matrices)
+    count = len(sequence)
     tail_start = min(count - 1, (count + 1) // 2)
     orbit = isinstance(sequence, ModulationOrbit)
     norms: dict = {}
     rows: list[ProbeRow] = []
     for i in range(count):
         for j in range(i + 1, count):
-            d = matrices[i] - matrices[j]
+            d = sequence[i] - sequence[j]
             key = j - i if orbit else (i, j)
             if key not in norms:
                 norms[key] = spectral_norm(d)
-            nd = norms[key]
-            sd = 0.0
-            for v in vecs:
-                sd = max(sd, np.sqrt(weight) * float(np.linalg.norm(d @ v)))
-                # ||d* v|| = ||v* d||, since d* v = conj(v* d): no adjoint copy
-                sd = max(sd, np.sqrt(weight) * float(np.linalg.norm(v.conj() @ d)))
-            wd = 0.0
-            for u, w in pairs:
-                wd = max(wd, abs(weight * np.vdot(w, d @ u)))
-            rows.append(ProbeRow(i, j, nd, sd, float(wd)))
+            # ||d* v|| = ||v* d||, since d* v = conj(v* d): no adjoint copy
+            sd = max(0.0, *(float(np.linalg.norm(x)) for v in vecs for x in (d @ v, v.conj() @ d)))
+            wd = max(0.0, *(float(abs(np.vdot(w, d @ u))) for u, w in pairs))
+            rows.append(ProbeRow(i, j, norms[key], sd, wd))
     result = TopologyProbeResult("divergent", tail_start, rows)
     kinds = ("norm_diff", "strongstar_diff", "weakstar_diff")
     result.classification = next(
@@ -148,7 +113,6 @@ class ProbeCase:
     matrices: Sequence[np.ndarray]
     test_vectors: list[np.ndarray]
     trace_tests: list[tuple[np.ndarray, np.ndarray]]
-    weight: float
 
 
 def halmos_shift_case(
@@ -159,8 +123,8 @@ def halmos_shift_case(
     total = blocks * (blocks + 1) // 2
     pad = blocks
     hi = total * steps + total - 1
-    base = halmos_operator(blocks)
-    window = WindowedZOperator(-pad, hi, _embed(base, -pad, hi))
+    base = halmos_operator(blocks, pad)  # window [-pad, total - 1], zero-padded up to hi
+    window = WindowedZOperator(-pad, hi, np.pad(base.matrix, (0, hi - base.hi)))
     thetas = 2 * np.pi * np.arange(theta_points) / theta_points
     mats = []
     shifts = [total * i for i in range(steps)]
@@ -177,7 +141,7 @@ def halmos_shift_case(
     v[-window.lo : -window.lo + total] = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     vecs.append(v)
     tests = [(vecs[0], vecs[1]), (vecs[-1], vecs[0])]
-    return ProbeCase(mats, vecs, tests, 1.0)
+    return ProbeCase(mats, vecs, tests)
 
 
 def parity_shift_case(
@@ -204,7 +168,7 @@ def parity_shift_case(
         v[span] = rng.standard_normal(2 * support + 1) + 1j * rng.standard_normal(2 * support + 1)
         vecs.append(v)
     tests = [(vecs[0], vecs[1]), (vecs[1], vecs[0])]
-    return ProbeCase(mats, vecs, tests, 1.0)
+    return ProbeCase(mats, vecs, tests)
 
 
 def box_modulation_case(
@@ -220,18 +184,7 @@ def box_modulation_case(
     bump = np.exp(-((grid - 1.0) ** 2) / (2 * gauss_width**2))
     vecs = [gauss, bump]
     tests = [(gauss, bump), (bump, gauss)]
-    return ProbeCase(mats, vecs, tests, h)
-
-
-def _embed(op: WindowedZOperator, lo: int, hi: int) -> np.ndarray:
-    """Zero-pad a windowed operator into the larger window [lo, hi]."""
-    if lo > op.lo or hi < op.hi:
-        raise PreconditionError("target window must contain the source window")
-    size = hi - lo + 1
-    out = np.zeros((size, size), dtype=complex)
-    o = op.lo - lo
-    out[o : o + op.size, o : o + op.size] = op.matrix
-    return out
+    return ProbeCase(mats, vecs, tests)
 
 
 PROBE_CASES = {

@@ -1,13 +1,14 @@
 """Command-line experiment runner.
 
-Every diagnostic of the library is reachable from exactly one subcommand;
-all numerical output goes to CSV (files or stdout).  Randomized audits
-require an explicit seed, outputs embed their reproducibility manifest in
-a leading comment line, and re-running a manifest via ``qha run`` produces
-byte-identical files.
+Each subcommand runs one diagnostic; the convolution-theorem residuals,
+the orientation oracle, the compactness profiles, b0_diagnostic and
+tail_bound_trial have none and run as library calls.  All numerical output
+goes to CSV (files or stdout).  Randomized audits require an explicit seed,
+outputs embed their reproducibility manifest in a leading comment line, and
+re-running a manifest via ``qha run`` produces byte-identical files.
 
 Exit codes: 0 success, 1 a mathematical audit failed, 2 usage or
-precondition error.
+precondition error, or an allocation refused for lack of memory.
 """
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ from .errors import PreconditionError
 from .groups import FiniteAbelianGroup, convolve, fourier, read_group_function, write_group_function
 from .io import write_table
 from .numerics import DEFAULT_EQ_TOL
-from .tauber import NetCertificate, certified_tail_bound, rk_moduli, windowed_stft_profile
+from .tauber import (NetCertificate, certified_tail_bound, check_stft_profile_size, rk_moduli,
+                     windowed_stft_profile)
 from .weyl import PhaseSpace, random_op, weyl_identity_residuals
 from .wiener import degenerate_operator_set, regular_op_set
 
@@ -147,9 +149,7 @@ def _cmd_example_cac(args) -> int:
 
 def _cmd_probe_topology(args) -> int:
     case = PROBE_CASES[args.case]()
-    result = topology_probe(
-        case.matrices, case.test_vectors, case.trace_tests, args.tol, weight=case.weight
-    )
+    result = topology_probe(case.matrices, case.test_vectors, case.trace_tests, args.tol)
     rows = [(r.i, r.j, r.norm_diff, r.strongstar_diff, r.weakstar_diff) for r in result.rows]
     emit_csv(args.out or "-", ("i", "j", "norm_diff", "strongstar_diff", "weakstar_diff"), rows,
              _manifest(args))
@@ -176,6 +176,7 @@ def _cmd_stft_decay(args) -> int:
         raise PreconditionError("--k grid:M needs an integer M >= 1")
     f = _read_windowed(args.f)
     phi = _read_windowed(args.phi)
+    check_stft_profile_size(m, phi)  # before the first M-sized array
     angles = 2 * np.pi * np.arange(m) / m
     profile = windowed_stft_profile(f, phi, angles)
     emit_csv(args.out, ("x", "sup_abs"), list(zip(profile.params, profile.values)),
@@ -349,8 +350,8 @@ def dispatch(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # PreconditionError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # PreconditionError is a ValueError
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .asymptotics.profiles import DecayProfile
 from .asymptotics.windowed import WindowedFunction
 from .conv import _conv_op_op, conv_fn_op
-from .errors import GroupMismatchError, PreconditionError
+from .errors import GroupMismatchError, PreconditionError, check_memory
 from .groups import FiniteAbelianGroup, GroupFunction, _same_group
 from .weyl import HilbertOp, _shift_tables, rank_one
 
@@ -54,6 +54,13 @@ def stft_energy(v: np.ndarray, group: FiniteAbelianGroup) -> float:
     return float((np.abs(v) ** 2).sum() * group.haar_weight * group.dual().haar_weight)
 
 
+def check_stft_profile_size(angles: int, window: WindowedFunction) -> None:
+    """A profile's tables: 32 B per angle and support point, 24 B per angle and block shift."""
+    s_lo, s_hi = window.support()
+    check_memory(angles * (32 * max(s_hi - s_lo + 1, 0) + 24 * 512),
+                 f"an STFT profile over {angles} dual angles")
+
+
 def windowed_stft_profile(
     f: WindowedFunction, window: WindowedFunction, angles: np.ndarray
 ) -> DecayProfile:
@@ -63,6 +70,7 @@ def windowed_stft_profile(
     the valid shifts x are those for which every translate t - x stays
     inside f's window for t in the support of the window function.
     """
+    check_stft_profile_size(np.size(angles), window)
     s_lo, s_hi = window.support()
     if s_hi < s_lo:
         raise PreconditionError("window function is identically zero")

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_memory
 from .groups import FiniteAbelianGroup, GroupFunction
 
 
@@ -272,8 +272,10 @@ def weyl_identity_residuals(n: int) -> dict[str, float]:
     'parity_symmetric' (m(x,y) = m(-x,-y)) are max entry residuals; 'cocycle'
     (the multiplier cocycle relation) and 'pairing_perfect' (sigma enumerates
     every character of the phase space exactly once) are exact 0.0/1.0 decisions.
+    The N^2 x N^2 tables peak at 72 bytes an entry: N <= 62 fits MEMORY_BUDGET.
     """
     ps = PhaseSpace(n)
+    check_memory(72 * ps.n**4, f"weyl_identity_residuals at N = {ps.n}")
     a, b = np.divmod(np.arange(n * n), n)
     add = (a[:, None] + a) % n * n + (b[:, None] + b) % n  # index of x + y
     neg = (-a) % n * n + (-b) % n  # index of -x

@@ -246,9 +246,7 @@ def test_c8_topology_hierarchy_probes():
            f"tail weak* {res_p.tail_max('weakstar_diff'):.1e}")
 
     case_b = box_modulation_case()
-    res_b = topology_probe(
-        case_b.matrices, case_b.test_vectors, case_b.trace_tests, tol=0.1, weight=case_b.weight
-    )
+    res_b = topology_probe(case_b.matrices, case_b.test_vectors, case_b.trace_tests, tol=0.1)
     box_norm = np.linalg.norm(case_b.matrices[0], 2)
     box_ok = (res_b.classification == "strong*"
               and abs(box_norm - 2.0) <= 0.02

@@ -49,6 +49,10 @@ GOLDEN_RUNS = {
                         "--out", "probe.csv"],
                        {"probe.csv": "probe_topology_parity_shift.csv",
                         "-": "probe_topology_parity_shift_stdout.txt"}),
+    "probe_topology_halmos": (["probe", "topology", "--case", "halmos-shift", "--tol", "0.1",
+                               "--out", "probe_halmos.csv"],
+                              {"probe_halmos.csv": "probe_topology_halmos_shift.csv",
+                               "-": "probe_topology_halmos_shift_stdout.txt"}),
     "stft_decay": (["stft", "decay", "--f", "sf.csv", "--phi", "phi.csv", "--k", "grid:8",
                     "--out", "decay.csv"], {"decay.csv": "stft_decay_grid8.csv"}),
     "rk": (["rk", "--family", "fam", "--out", "rk.csv"],
@@ -59,6 +63,16 @@ GOLDEN_RUNS = {
 def _write_csv(path, indices, values):
     rows = "".join(f"{i},{float(v.real)!r},{float(v.imag)!r}\r\n" for i, v in zip(indices, values))
     Path(path).write_text("index,re,im\r\n" + rows, newline="")
+
+
+def _run_under_memory_limit(code, args):
+    """Run python code with args in a child whose address space is capped at 4 GiB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = ("import resource\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30))\n")
+    return subprocess.run([sys.executable, "-c", limit + code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def write_golden_inputs():
@@ -151,6 +165,47 @@ class TestDispatch:
         assert code == 2
         assert err.startswith("error: phase space dimension must be >= 1")
         assert out == ""
+
+    @pytest.mark.parametrize("argv, what", [
+        (["weyl", "check", "--n", "1000"], "weyl_identity_residuals at N = 1000"),
+        (["stft", "decay", "--f", "sf.csv", "--phi", "phi.csv", "--k", "grid:99999999999",
+          "--out", "decay.csv"], "over 99999999999 dual angles"),
+    ])
+    def test_oversized_run_exits_2_before_allocating(self, golden_dir, argv, what):
+        # The child runs under a 4 GiB address-space limit, so even a missing
+        # size check fails an allocation instead of filling real memory.
+        proc = _run_under_memory_limit("from qha.cli import main; main()", argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and what in proc.stderr
+        assert "bytes of working memory, over the budget" in proc.stderr
+        assert proc.stdout == "" and not Path("decay.csv").exists()
+
+    def test_oversized_library_call_raises_before_allocating(self):
+        code = ("from qha.errors import PreconditionError\n"
+                "from qha.weyl import weyl_identity_residuals\n"
+                "try:\n    weyl_identity_residuals(1000)\n"
+                "except PreconditionError as exc:\n    print(exc)")
+        proc = _run_under_memory_limit(code, [])
+        assert proc.returncode == 0 and "over the budget" in proc.stdout
+
+    @pytest.mark.parametrize("argv, target, exc", [
+        (["conv", "audit", "--n", "100000", "--samples", "5", "--seed", "1"],
+         "verify_norm_estimates", MemoryError("Unable to allocate 7.28 TiB")),
+        (["example", "halmos", "--blocks", "100000", "--out", "h.csv"],
+         "halmos_operator", MemoryError()),
+    ])
+    def test_memory_error_is_exit_2(self, tmp_path, monkeypatch, capsys, argv, target, exc):
+        # Exit 1 means a mathematical audit failed; a refused allocation is
+        # an error of the run.  The handler's library call raises; nothing is allocated.
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(f"qha.cli.{target}", refuse)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {str(exc) or 'MemoryError'}\n"
+        assert not list(tmp_path.iterdir())
 
     def test_conv_audit_runs(self, tmp_path, capsys):
         out_path = tmp_path / "audit.csv"

@@ -21,7 +21,7 @@ from qha.conv import (
     verify_norm_estimates,
 )
 from qha.errors import GroupMismatchError
-from qha.groups import _convolve, convolve, lp_norm, translate
+from qha.groups import _convolve, convolve, delta, lp_norm, translate
 from qha.weyl import (
     HilbertOp,
     PhaseSpace,
@@ -34,6 +34,7 @@ from qha.weyl import (
     parity_op,
     random_op,
     rank_one,
+    reflection_symmetric_unit,
     weyl,
 )
 
@@ -313,6 +314,43 @@ class TestNormEstimates:
 
     def test_rank_one_sharpness(self):
         assert sharpness_witness(5, seed=0) >= 0.999
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_adversarial_inputs_through_public_api(self, n):
+        # C5 on rank-one, sharp, near-singular and unitary operators, through
+        # the public products and norms; the deltas, the constant and the
+        # reflection-symmetric witness attain every bound exactly.
+        ps = PhaseSpace(n)
+        rng = np.random.default_rng(500 + n)
+        gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        q1, q2 = np.linalg.qr(gauss(n, n))[0], np.linalg.qr(gauss(n, n))[0]
+        ops = [
+            rank_one(gauss(n), gauss(n)),
+            rank_one(reflection_symmetric_unit(n, rng)),
+            HilbertOp(q1 @ np.diag(np.logspace(-12, 0, n)) @ q2.conj().T),
+            weyl(ps, (1, n - 1)),
+            weyl(ps, (n // 2, 1)),
+        ]
+        fns = [
+            delta(ps.as_group()),
+            delta(ps.as_group(), (n - 1, n // 2)),
+            ps.function(np.ones(n * n)),
+            ps.function((-1.0) ** np.arange(n * n)),
+            ps.function(gauss(n * n)),
+        ]
+        sup = lambda f: lp_norm(f, np.inf)
+        ratios = {name: [] for name in ("fn_fn_sup", "fn_op_op", "op_fn_op", "op_op_sup")}
+        for f in fns:
+            ratios["fn_fn_sup"] += [sup(convolve(f, g)) / (lp_norm(f, 1) * sup(g)) for g in fns]
+            ratios["fn_op_op"] += [conv_fn_op(f, b).op_norm / (lp_norm(f, 1) * b.op_norm)
+                                   for b in ops]
+            ratios["op_fn_op"] += [conv_fn_op(f, a).op_norm / (a.trace_norm * sup(f)) for a in ops]
+        for a in ops:
+            ratios["op_op_sup"] += [sup(conv_op_op(a, b)) / (a.trace_norm * b.op_norm)
+                                    for b in ops]
+        for name, values in ratios.items():
+            assert max(values) <= 1.0 + 1e-10, name
+            assert max(values) >= 1.0 - 1e-10, name  # the bound is attained
 
 
 def _hex(values: dict) -> dict:

@@ -53,9 +53,7 @@ class TestClassifier:
     def test_hierarchy_of_measured_quantities(self):
         # normalized tests make weak* <= strong* <= norm row by row
         for case in (halmos_shift_case(blocks=4, steps=4), box_modulation_case(h=0.25, steps=5)):
-            res = topology_probe(
-                case.matrices, case.test_vectors, case.trace_tests, tol=0.1, weight=case.weight
-            )
+            res = topology_probe(case.matrices, case.test_vectors, case.trace_tests, tol=0.1)
             for row in res.rows:
                 assert row.weakstar_diff <= row.strongstar_diff + 1e-9
                 assert row.strongstar_diff <= row.norm_diff + 1e-9
@@ -64,30 +62,54 @@ class TestClassifier:
         with pytest.raises(ValueError):
             topology_probe([], [np.ones(2)], [(np.ones(2), np.ones(2))], 0.1)
 
-    def test_accepts_operator_objects_and_infers_weight(self):
+    def test_accepts_plain_matrices(self):
         from qha.asymptotics.windowed import halmos_operator
-        from qha.errors import PreconditionError
 
-        ops = [halmos_operator(3), halmos_operator(3)]
+        ops = [halmos_operator(3).matrix, halmos_operator(3).matrix]
         vecs = [np.eye(6)[0]]
         tests = [(np.eye(6)[0], np.eye(6)[1])]
         res = topology_probe(ops, vecs, tests, tol=1e-12)
         assert res.classification == "norm"
 
         grids = [
-            box_convolution_operator(0.25, 0.0, 4.0),
-            modulated_box_operator(0.25, 0.0, 4.0, freq=3.0),
+            box_convolution_operator(0.25, 0.0, 4.0).matrix,
+            modulated_box_operator(0.25, 0.0, 4.0, freq=3.0).matrix,
         ]
-        g_vec = [np.ones(grids[0].size)]
+        g_vec = [np.ones(len(grids[0]))]
         res = topology_probe(grids, g_vec, [(g_vec[0], g_vec[0])], tol=1e-12)
-        assert res.rows  # weight inferred from the grid step
+        assert res.rows
 
-        with pytest.raises(PreconditionError):
-            topology_probe([halmos_operator(3), halmos_operator(4)], vecs, tests, 0.1)
-        with pytest.raises(PreconditionError):
-            topology_probe([halmos_operator(3), np.eye(6)], vecs, tests, 0.1)
-        with pytest.raises(PreconditionError):
-            topology_probe([grids[0], np.eye(grids[0].size)], g_vec, [(g_vec[0], g_vec[0])], 0.1)
+    @pytest.mark.parametrize("c", [2.0**-3, 2.0**5])
+    def test_power_of_two_scaling_of_the_tests_changes_no_bit(self, c):
+        # A uniform quadrature weight w scales every test vector by sqrt(w);
+        # the probe normalizes it away, so it needs no weight.  A power of two
+        # scales exactly, so the rows agree bit for bit.
+        for case in _scaling_cases():
+            assert _rows(_probe_scaled(case, c)) == _rows(_probe_scaled(case, 1.0))
+
+    @pytest.mark.parametrize("c", [np.sqrt(0.02), 7.3])
+    def test_any_scaling_of_the_tests_changes_only_rounding(self, c):
+        for case in _scaling_cases():
+            got, want = _probe_scaled(case, c), _probe_scaled(case, 1.0)
+            assert got.classification == want.classification
+            for a, b in zip(_rows(got), _rows(want), strict=True):
+                assert a[:2] == b[:2]
+                assert np.allclose(a[2:], b[2:], rtol=1e-15, atol=0.0)
+
+
+def _scaling_cases():
+    return [halmos_shift_case(blocks=4, steps=4), box_modulation_case(h=0.25, steps=5)]
+
+
+def _probe_scaled(case, c):
+    """The probe with every test vector and both factors of every trace test times c."""
+    vecs = [c * v for v in case.test_vectors]
+    tests = [(c * u, c * w) for u, w in case.trace_tests]
+    return topology_probe(case.matrices, vecs, tests, tol=0.1)
+
+
+def _rows(res):
+    return [(r.i, r.j, r.norm_diff, r.strongstar_diff, r.weakstar_diff) for r in res.rows]
 
 
 class TestCanonicalCases:
@@ -114,9 +136,7 @@ class TestCanonicalCases:
 
     def test_box_modulation_strongstar_not_norm(self):
         case = box_modulation_case()
-        res = topology_probe(
-            case.matrices, case.test_vectors, case.trace_tests, tol=0.1, weight=case.weight
-        )
+        res = topology_probe(case.matrices, case.test_vectors, case.trace_tests, tol=0.1)
         assert res.classification == "strong*"
         assert abs(np.linalg.norm(case.matrices[0], 2) - 2.0) <= 0.02
         norms = [np.linalg.norm(m, 2) for m in case.matrices]
@@ -125,9 +145,8 @@ class TestCanonicalCases:
     def test_box_modulation_gaussian_action_decays(self):
         from qha.asymptotics.profiles import DecayProfile
 
-        freq_step = 12.0
-        case = box_modulation_case(freq_step=freq_step)
-        h = case.weight
+        freq_step, h = 12.0, 0.02  # the builder's default step
+        case = box_modulation_case(h=h, freq_step=freq_step)
         gauss = case.test_vectors[0]
         gauss = gauss / (np.sqrt(h) * np.linalg.norm(gauss))
         freqs = freq_step * np.arange(len(case.matrices))
@@ -145,9 +164,7 @@ class TestNormsAgainstDenseSvd:
         # The only probe norm check sharing no code with qha.numerics; on a
         # modulation orbit one dense norm per shift difference j - i.
         case = PROBE_CASES[name]()
-        res = topology_probe(
-            case.matrices, case.test_vectors, case.trace_tests, 0.1, weight=case.weight
-        )
+        res = topology_probe(case.matrices, case.test_vectors, case.trace_tests, 0.1)
         orbit = isinstance(case.matrices, ModulationOrbit)
         dense = {}
         for r in res.rows:
@@ -158,18 +175,18 @@ class TestNormsAgainstDenseSvd:
 
 
 class TestModulationOrbit:
-    @pytest.mark.parametrize("params", [{}, {"h": 0.25, "steps": 5}], ids=["default", "small"])
+    @pytest.mark.parametrize("params", [{"h": 0.02}, {"h": 0.25, "steps": 5}],
+                             ids=["default", "small"])
     def test_orbit_route_matches_dense_route(self, params):
-        freq_step = 12.0
+        freq_step, h = 12.0, params["h"]
         case = box_modulation_case(freq_step=freq_step, **params)
         assert isinstance(case.matrices, ModulationOrbit)
-        h = case.weight
         for i, m in enumerate(case.matrices):
             ref = modulated_box_operator(h, -6.0, 6.0, freq_step * i).matrix
             assert m.tobytes() == ref.tobytes()
         args = (case.test_vectors, case.trace_tests, 0.1)
-        orbit = topology_probe(case.matrices, *args, weight=h)
-        dense = topology_probe(list(case.matrices), *args, weight=h)
+        orbit = topology_probe(case.matrices, *args)
+        dense = topology_probe(list(case.matrices), *args)
         assert orbit.classification == dense.classification
         assert orbit.tail_start == dense.tail_start
         assert [(r.i, r.j) for r in orbit.rows] == [(r.i, r.j) for r in dense.rows]
@@ -178,7 +195,7 @@ class TestModulationOrbit:
             assert a.strongstar_diff == b.strongstar_diff
             assert a.weakstar_diff == b.weakstar_diff
 
-    def test_read_only_items_and_inferred_weight(self):
+    def test_read_only_items_and_list_route(self):
         box = box_convolution_operator(0.25, 0.0, 4.0)
         orbit = ModulationOrbit(box, 3.0, 4)
         assert len(orbit) == 4
@@ -187,5 +204,5 @@ class TestModulationOrbit:
             orbit[1][0, 0] = 0.0
         vec = [np.ones(box.size)]
         res = topology_probe(orbit, vec, [(vec[0], vec[0])], tol=1e-12)
-        dense = topology_probe(list(orbit), vec, [(vec[0], vec[0])], tol=1e-12, weight=0.25)
+        dense = topology_probe(list(orbit), vec, [(vec[0], vec[0])], tol=1e-12)
         assert [r.strongstar_diff for r in res.rows] == [r.strongstar_diff for r in dense.rows]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qha.errors
 import qha.tauber
 from qha.asymptotics.windowed import WindowedFunction
 from qha.conv import conv_op_op
@@ -156,6 +157,18 @@ class TestWindowedDecayProfile:
         mid = p_coarse.values.argmax()
         assert p_coarse.values[0] < p_coarse.values[mid]
         assert p_coarse.values[-1] < p_coarse.values[mid]
+
+    def test_memory_budget_decides_before_allocating(self, monkeypatch):
+        # 32 bytes per angle and support point plus 24 per angle and shift of
+        # one 512-shift block: a 7-point window allows M <= 85,816 dual angles.
+        per_angle = 32 * 7 + 24 * 512
+        assert 85_816 * per_angle <= qha.errors.MEMORY_BUDGET < 85_817 * per_angle
+        f = WindowedFunction(-20, np.ones(41, dtype=complex))
+        w = WindowedFunction(-3, np.ones(7, dtype=complex))
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 10 * per_angle)
+        assert windowed_stft_profile(f, w, np.zeros(10)).values.size == 35
+        with pytest.raises(PreconditionError, match="over 11 dual angles"):
+            windowed_stft_profile(f, w, np.zeros(11))
 
     def test_window_support_validated(self):
         f = WindowedFunction(-5, np.ones(11, dtype=complex))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qha.errors
 import qha.weyl
 from qha.errors import PreconditionError
 from qha.tauber import uniform_compactness_profile
@@ -129,6 +130,14 @@ class TestIdentityResiduals:
         monkeypatch.setattr(qha.weyl, "weyl", dense)
         monkeypatch.setattr(qha.weyl, "parity_op", dense)
         assert max(weyl_identity_residuals(5).values()) <= 1e-12
+
+    def test_memory_budget_decides_before_allocating(self, monkeypatch):
+        # 72 bytes per entry of the N^2 x N^2 tables: the documented limit N <= 62.
+        assert 72 * 62**4 <= qha.errors.MEMORY_BUDGET < 72 * 63**4
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 72 * 5**4)
+        assert max(weyl_identity_residuals(5).values()) <= 1e-12
+        with pytest.raises(PreconditionError, match="N = 6 needs 93,312 bytes"):
+            weyl_identity_residuals(6)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_degenerate_pairing_reported(self, monkeypatch, n):
