@@ -4,7 +4,7 @@ Matrices carry the quadrature weight: an operator with kernel k acts as
 (Af)(x_i) = sum_j h * k(x_i, x_j) f(x_j), and vectors use the weighted
 pairing <u, v> = h * sum u_i conj(v_i).  Indicators are resolved with the
 half-open convention [a, b) on the grid, which keeps aligned interval
-projections exact.
+projections exact.  A real matrix stays real (float64), not a complex copy.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PreconditionError
+from ..errors import PreconditionError, check_memory
 from ..numerics import spectral_norm
 
 
@@ -42,7 +42,7 @@ class GridOperator:
                 f"(x_hi - x_lo)/h = {steps} must be integral for a uniform grid"
             )
         size = int(round(steps)) + 1
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if mat.shape != (size, size):
             raise ValueError(f"matrix shape {mat.shape} does not match grid size {size}")
         if not np.isfinite(mat).all():
@@ -107,23 +107,24 @@ def _modulate(op: GridOperator, freq: float) -> np.ndarray:
 
 
 class ModulationOrbit(Sequence):
-    """Read-only orbit M_k = Phi_k B Phi_k* of a grid operator B, where
-    Phi_k = diag(e^(-i k step x)) and k = 0..steps-1; items are matrices.
+    """Orbit M_k = Phi_k B Phi_k* of a grid operator B, where
+    Phi_k = diag(e^(-i k step x)) and k = 0..steps-1; items are read-only
+    matrices, each built on access from (B, step, steps), which is all it stores.
 
     Phi_i* Phi_j = Phi_(j-i), so ||M_i - M_j|| = ||M_0 - M_(j-i)||: a norm
     of a difference depends only on j - i.  Item 0 equals B.
     """
 
     def __init__(self, base: GridOperator, step: float, steps: int):
-        self._items = tuple(_modulate(base, step * k) for k in range(steps))
-        for item in self._items:
-            item.setflags(write=False)
+        self._base, self._step, self._ks = base, step, range(steps)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._ks)
 
-    def __getitem__(self, k):
-        return self._items[k]
+    def __getitem__(self, k: int) -> np.ndarray:
+        item = _modulate(self._base, self._step * self._ks[k])
+        item.setflags(write=False)
+        return item
 
 
 def _interval_mask(grid_lo: float, h: float, size: int, a: float, b: float) -> np.ndarray:
@@ -183,7 +184,8 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
 
     Preconditions: h <= 0.5, 0.5/h integral (so every interval endpoint
     n^2 +- n/2 lands on the grid), and the grid covering
-    [0, n_max^2 + n_max/2 + 2].
+    [0, n_max^2 + n_max/2 + 2].  The S x S matrices of an S-point grid peak
+    at 56 bytes an entry: S <= 4378 fits MEMORY_BUDGET (n_max <= 14 at h = 0.05).
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -201,10 +203,11 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
         raise PreconditionError(
             f"grid [{x_lo}, {x_hi}] must cover [0, {needed}] for n_max = {n_max}"
         )
+    size = int(round((x_hi - x_lo) / h)) + 1
+    check_memory(56 * size**2, f"cac_example on a {size}-point grid")
 
     box = box_convolution_operator(h, x_lo, x_hi)
     grid = box.grid()
-    size = grid.size
 
     masks = {}
     proj = np.zeros((size, size))

@@ -7,7 +7,8 @@ an operator sequence is Cauchy within a tolerance: operator norm, strong*
 normalized in plain l2 and trace tests in trace norm, so the hierarchy
 norm => strong* => weak* holds for the measured quantities.  The probe takes
 no quadrature weight: a uniform weight scales every norm, every pairing and
-every normalization alike, so it cancels in each reported quantity.
+every normalization alike, so it cancels in each reported quantity.  The
+vector quantities come from per-item products, (A_i - A_j) v = A_i v - A_j v.
 """
 from __future__ import annotations
 
@@ -85,18 +86,25 @@ def topology_probe(
     count = len(sequence)
     tail_start = min(count - 1, (count + 1) // 2)
     orbit = isinstance(sequence, ModulationOrbit)
-    norms: dict = {}
+    # (A_i - A_j) v = A_i v - A_j v: one pass takes each item's products A v,
+    # v* A (||d* v|| = ||v* d||) and A u, and on an orbit ||M_0 - M_k||.
+    first, prods, norms = sequence[0], [], {}
+    for k in range(count):
+        item = sequence[k] if k else first
+        prods.append((np.stack([x for v in vecs for x in (item @ v, v.conj() @ item)]),
+                      np.stack([item @ u for u, _ in pairs])))
+        if orbit and k:
+            item = first - item  # item k is let go before the norm's work tables exist
+            norms[k] = spectral_norm(item)
+        del item  # and the difference before item k + 1 is built
     rows: list[ProbeRow] = []
     for i in range(count):
         for j in range(i + 1, count):
-            d = sequence[i] - sequence[j]
-            key = j - i if orbit else (i, j)
-            if key not in norms:
-                norms[key] = spectral_norm(d)
-            # ||d* v|| = ||v* d||, since d* v = conj(v* d): no adjoint copy
-            sd = max(0.0, *(float(np.linalg.norm(x)) for v in vecs for x in (d @ v, v.conj() @ d)))
-            wd = max(0.0, *(float(abs(np.vdot(w, d @ u))) for u, w in pairs))
-            rows.append(ProbeRow(i, j, norms[key], sd, wd))
+            sv, uv = (p - q for p, q in zip(prods[i], prods[j]))
+            nd = norms[j - i] if orbit else spectral_norm(sequence[i] - sequence[j])
+            sd = max(0.0, *(float(np.linalg.norm(x)) for x in sv))
+            wd = max(0.0, *(float(abs(np.vdot(w, x))) for (_, w), x in zip(pairs, uv)))
+            rows.append(ProbeRow(i, j, nd, sd, wd))
     result = TopologyProbeResult("divergent", tail_start, rows)
     kinds = ("norm_diff", "strongstar_diff", "weakstar_diff")
     result.classification = next(

@@ -3,7 +3,7 @@
 A WindowedZOperator is a matrix over an explicit integer index window
 {lo..hi}; shifting and reflecting act by compression (entries pushed past
 the window are truncated), so every diagnostic that claims exactness must
-be read on a boundary-free interior range.
+be read on a boundary-free interior range.  A real matrix stays real.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PreconditionError
+from ..errors import PreconditionError, check_memory
 from ..numerics import singular_values
 from .profiles import DecayProfile
 
@@ -50,7 +50,7 @@ class WindowedZOperator:
 
     def __post_init__(self):
         size = self.hi - self.lo + 1
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if mat.shape != (size, size):
             raise ValueError(f"matrix shape {mat.shape} does not match window size {size}")
         if not np.isfinite(mat).all():
@@ -71,7 +71,9 @@ def halmos_operator(blocks: int, pad: int = 0) -> WindowedZOperator:
     Blocks n = 1..blocks sit on consecutive indices starting at 0; indices
     below 0 (the pad region) are zero.  The result is an orthogonal
     projection of rank `blocks` on its window, and the columns of block n
-    have l2 norm 1/sqrt(n).
+    have l2 norm 1/sqrt(n).  The S x S matrix and its column and row profiles
+    (``qha example halmos``) peak at 16 bytes an entry: unpadded, blocks <= 127
+    fits MEMORY_BUDGET.
     """
     if blocks < 1:
         raise PreconditionError("halmos_operator needs at least one block")
@@ -79,6 +81,7 @@ def halmos_operator(blocks: int, pad: int = 0) -> WindowedZOperator:
         raise PreconditionError("pad must be nonnegative")
     total = blocks * (blocks + 1) // 2
     size = pad + total
+    check_memory(16 * size**2, f"a block projection on {size} points")
     mat = np.zeros((size, size))
     start = pad
     for n in range(1, blocks + 1):

@@ -54,10 +54,20 @@ def stft_energy(v: np.ndarray, group: FiniteAbelianGroup) -> float:
     return float((np.abs(v) ** 2).sum() * group.haar_weight * group.dual().haar_weight)
 
 
+#: Complex entries of the (shifts, angles) product per block in ``windowed_stft_profile``
+#: (2 MiB): M = 256 angles take 512-shift blocks.
+_STFT_BLOCK_ENTRIES = 2**17
+
+
+def _stft_block(angles: int) -> int:
+    """Shifts per block of M angles: at most _STFT_BLOCK_ENTRIES entries, at least one shift."""
+    return max(1, _STFT_BLOCK_ENTRIES // max(angles, 1))
+
+
 def check_stft_profile_size(angles: int, window: WindowedFunction) -> None:
     """A profile's tables: 32 B per angle and support point, 24 B per angle and block shift."""
     s_lo, s_hi = window.support()
-    check_memory(angles * (32 * max(s_hi - s_lo + 1, 0) + 24 * 512),
+    check_memory(angles * (32 * max(s_hi - s_lo + 1, 0) + 24 * _stft_block(angles)),
                  f"an STFT profile over {angles} dual angles")
 
 
@@ -81,10 +91,11 @@ def windowed_stft_profile(
     phi = window.values[s_lo - window.lo : s_hi - window.lo + 1]
     xs = np.arange(s_hi - f.hi, s_lo - f.lo + 1)
     weighted = np.exp(1j * np.outer(angles, sup_t)) * phi  # (angle, t)
-    # win[s_lo - x - f.lo] is f(t - x) on the support; stacked matvecs, 512 shifts a block.
+    # win[s_lo - x - f.lo] is f(t - x) on the support; stacked matvecs, a block at a time.
     win, starts = np.lib.stride_tricks.sliding_window_view(f.values, sup_t.size), s_lo - xs - f.lo
-    vals = np.concatenate([np.abs(weighted @ win[starts[i : i + 512], :, None]).max(axis=(1, 2))
-                           for i in range(0, xs.size, 512)])
+    rows = _stft_block(angles.size)
+    vals = np.concatenate([np.abs(weighted @ win[starts[i : i + rows], :, None]).max(axis=(1, 2))
+                           for i in range(0, xs.size, rows)])
     return DecayProfile(xs.astype(float), vals)
 
 

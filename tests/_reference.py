@@ -1,6 +1,7 @@
 """Direct-sum definitions of the phase-space products, transforms and
 operator actions, the corresponding space by one SVD, dense singular
-values, the windowed transform profile shift by shift, and the CSV
+values, the topology probe's vector quantities on dense pairwise
+differences, the windowed transform profile shift by shift, and the CSV
 readers and writers on the ``csv`` module with per-field conversion.
 
 Test oracles only: each one evaluates its defining formula with dense Weyl
@@ -267,6 +268,23 @@ def singular_values(m) -> np.ndarray:
 def spectral_norm(m) -> float:
     """Dense operator 2-norm."""
     return float(np.linalg.norm(np.asarray(m), 2))
+
+
+def probe_vector_diffs(matrices, test_vectors, trace_tests) -> list[tuple[int, int, float, float]]:
+    """(i, j, strong*, weak*) for every pair i < j of the dense pairwise formula:
+    d = A_i - A_j, max over v of ||d v|| and ||d* v||, and max over (u, w) of
+    |<w, d u>|, with every test vector scaled to unit l2 norm."""
+    unit = [np.asarray(v, dtype=complex) / np.sqrt(np.sum(np.abs(v) ** 2)) for v in test_vectors]
+    pairs = [tuple(np.asarray(x, dtype=complex) / np.sqrt(np.sum(np.abs(x) ** 2)) for x in t)
+             for t in trace_tests]
+    rows = []
+    for i in range(len(matrices)):
+        for j in range(i + 1, len(matrices)):
+            d = np.asarray(matrices[i]) - np.asarray(matrices[j])
+            strong = max(np.sqrt(np.sum(np.abs(x) ** 2)) for v in unit for x in (d @ v, d.conj().T @ v))
+            weak = max(abs(np.sum(w.conj() * (d @ u))) for u, w in pairs)
+            rows.append((i, j, float(strong), float(weak)))
+    return rows
 
 
 def windowed_stft_profile(f, window, angles) -> np.ndarray:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qha.errors
 from qha.cli import build_parser, dispatch, emit_csv
 from qha.groups import FiniteAbelianGroup, delta, random_function, write_group_function
 
@@ -205,6 +206,20 @@ class TestDispatch:
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {str(exc) or 'MemoryError'}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, need", [
+        (["example", "cac", "--h", "0.25", "--nmax", "3", "--out", "c.csv"], "145,656"),
+        (["example", "halmos", "--blocks", "4", "--out", "h.csv"], "1,600"),
+    ])
+    def test_example_over_budget_is_exit_2(self, tmp_path, monkeypatch, capsys, argv, need):
+        # Each example checks its S x S size first (56 and 16 bytes an
+        # entry); the budget is lowered, so nothing large is ever allocated.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 1000)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert f"needs {need} bytes of working memory, over the budget" in err
         assert not list(tmp_path.iterdir())
 
     def test_conv_audit_runs(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Grid discretizations: box convolution operator and the projection
 sandwich construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import qha.errors
 from qha.asymptotics.gridops import (
     GridOperator,
     box_convolution_operator,
@@ -56,10 +59,16 @@ class TestBoxOperator:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_grid_operator_rejects_non_finite(self, bad):
-        mat = box_convolution_operator(0.5, 0.0, 2.0).matrix.copy()
+        # The box matrix is real; a complex copy can hold complex(0, -inf).
+        mat = box_convolution_operator(0.5, 0.0, 2.0).matrix.astype(complex)
         mat[1, 3] = bad
         with pytest.raises(ValueError, match="finite"):
             GridOperator(0.5, 0.0, 2.0, mat)
+
+    def test_real_matrix_stays_real(self):
+        assert GridOperator(0.5, 0.0, 0.5, np.eye(2, dtype=int)).matrix.dtype == np.float64
+        mat = np.eye(2) + 0j
+        assert GridOperator(0.5, 0.0, 0.5, mat).matrix is mat
 
 
 class TestPiecewiseFormula:
@@ -139,6 +148,31 @@ class TestCacExample:
         coarse = cac_example(0.05, 3).worst_g_error()
         fine = cac_example(0.025, 3).worst_g_error()
         assert coarse / fine == pytest.approx(2.0, rel=0.5)
+
+    def test_matrices_stay_real(self):
+        rec = cac_example(0.25, 3)
+        for op in (rec.box, rec.projector, rec.product):
+            assert op.matrix.dtype == np.float64
+
+    def test_peak_memory_at_the_benchmark_size(self):
+        # Real box, projector and product matrices: the tracked peak is about
+        # 40 bytes per entry of the 821 x 821 grid (80 with complex copies).
+        tracemalloc.start()
+        try:
+            cac_example(0.05, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 44 * 821**2
+
+    def test_memory_budget_decides_before_allocating(self, monkeypatch):
+        # 56 bytes per entry of S x S: S <= 4378, which is n_max <= 14 at h = 0.05.
+        assert 56 * 4378**2 <= qha.errors.MEMORY_BUDGET < 56 * 4379**2
+        assert round((14**2 + 7 + 2) / 0.05) + 1 <= 4378 < round((15**2 + 7.5 + 2) / 0.05) + 1
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 56 * 51**2)  # h = 0.25, n_max = 3
+        assert cac_example(0.25, 3).box.size == 51
+        with pytest.raises(PreconditionError, match="61-point grid needs 208,376 bytes"):
+            cac_example(0.25, 3, x_hi=15.0)
 
     def test_named_preconditions(self):
         with pytest.raises(PreconditionError, match="divide 0.5"):

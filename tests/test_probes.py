@@ -1,5 +1,7 @@
 """Topology probes: classifier semantics and the three canonical sequences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,36 @@ class TestModulationOrbit:
         res = topology_probe(orbit, vec, [(vec[0], vec[0])], tol=1e-12)
         dense = topology_probe(list(orbit), vec, [(vec[0], vec[0])], tol=1e-12)
         assert [r.strongstar_diff for r in res.rows] == [r.strongstar_diff for r in dense.rows]
+
+
+class TestPairwiseOracle:
+    @pytest.mark.parametrize("name, params, as_list", [
+        ("halmos-shift", {}, False), ("parity-shift", {}, False),
+        ("box-modulation", {}, False), ("box-modulation", {"h": 0.05}, True),
+    ], ids=["halmos-shift", "parity-shift", "box-orbit", "box-list"])
+    def test_vector_quantities_match_dense_pairwise_formula(self, name, params, as_list):
+        # The probe differences per-item products; the oracle forms each
+        # d = A_i - A_j and applies it, and its adjoint, to the tests.  The
+        # list route takes a norm per pair, so it runs on a coarser grid.
+        case = PROBE_CASES[name](**params)
+        mats = list(case.matrices) if as_list else case.matrices
+        res = topology_probe(mats, case.test_vectors, case.trace_tests, 0.1)
+        want = ref.probe_vector_diffs(mats, case.test_vectors, case.trace_tests)
+        assert [(r.i, r.j) for r in res.rows] == [w[:2] for w in want]
+        for r, (_, _, strong, weak) in zip(res.rows, want):
+            assert abs(r.strongstar_diff - strong) <= 1e-13
+            assert abs(r.weakstar_diff - weak) <= 1e-13
+
+
+def test_box_modulation_probe_holds_under_four_items():
+    # The orbit builds items on access and the probe keeps item 0 and one
+    # difference at a time: the whole stored orbit alone was 9 items.
+    case = box_modulation_case()
+    item = case.matrices[0].nbytes
+    tracemalloc.start()
+    try:
+        topology_probe(case.matrices, case.test_vectors, case.trace_tests, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * item

@@ -159,15 +159,18 @@ class TestWindowedDecayProfile:
         assert p_coarse.values[-1] < p_coarse.values[mid]
 
     def test_memory_budget_decides_before_allocating(self, monkeypatch):
-        # 32 bytes per angle and support point plus 24 per angle and shift of
-        # one 512-shift block: a 7-point window allows M <= 85,816 dual angles.
-        per_angle = 32 * 7 + 24 * 512
-        assert 85_816 * per_angle <= qha.errors.MEMORY_BUDGET < 85_817 * per_angle
+        # 32 bytes per angle and support point plus 24 per entry of one block
+        # of max(1, 2**17 // M) shifts by M angles: past M = 2**16 a block is
+        # one shift, so a 7-point window allows M <= 4,329,604 dual angles.
+        assert [qha.tauber._stft_block(m) for m in (1, 256, 2**16, 2**16 + 1, 10**7)] == [
+            2**17, 512, 2, 1, 1]
+        assert 4_329_604 * (32 * 7 + 24) <= qha.errors.MEMORY_BUDGET < 4_329_605 * (32 * 7 + 24)
         f = WindowedFunction(-20, np.ones(41, dtype=complex))
         w = WindowedFunction(-3, np.ones(7, dtype=complex))
-        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 10 * per_angle)
+        need = 10 * (32 * 7 + 24 * (2**17 // 10))  # 3,147,920 bytes; 11 angles need 3,148,024
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", need)
         assert windowed_stft_profile(f, w, np.zeros(10)).values.size == 35
-        with pytest.raises(PreconditionError, match="over 11 dual angles"):
+        with pytest.raises(PreconditionError, match="over 11 dual angles needs 3,148,024 bytes"):
             windowed_stft_profile(f, w, np.zeros(11))
 
     def test_window_support_validated(self):
@@ -199,7 +202,7 @@ class TestWindowedDecayProfile:
     @pytest.mark.parametrize("half, support, n_angles", [(12, 2, 3), (700, 20, 64), (600, 88, 5)])
     def test_bitwise_equal_to_shift_loop(self, half, support, n_angles):
         # The stacked matrix-vector products must give the per-shift loop's
-        # bits, also across the 512-shift blocks (1361 and 1025 shifts).
+        # bits (1361 and 1025 shifts, each in one block).
         rng = np.random.default_rng(half)
         idx = np.arange(-half, half + 1)
         f = WindowedFunction(-half, rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size))
@@ -208,6 +211,12 @@ class TestWindowedDecayProfile:
         angles = 2 * np.pi * np.arange(n_angles) / n_angles
         got = windowed_stft_profile(f, w, angles).values
         assert np.array_equal(got, ref.windowed_stft_profile(f, w, angles))
+
+    def test_bitwise_equal_to_shift_loop_across_blocks(self, monkeypatch):
+        # 16 angles in blocks of 800 entries: 50 shifts a block, so the 381
+        # shifts span seven full blocks and a last one of 31.
+        monkeypatch.setattr(qha.tauber, "_STFT_BLOCK_ENTRIES", 16 * 50)
+        self.test_bitwise_equal_to_shift_loop(200, 10, 16)
 
 
 class TestCertifiedTailBound:

@@ -4,6 +4,7 @@ vanishing-at-infinity verdicts, compactness trends."""
 import numpy as np
 import pytest
 
+import qha.errors
 from qha.asymptotics.profiles import DecayProfile
 from qha.asymptotics.windowed import (
     b0_diagnostic,
@@ -78,6 +79,18 @@ class TestHalmosOperator:
     def test_rejects_bad_args(self):
         with pytest.raises(PreconditionError):
             halmos_operator(0)
+
+    def test_real_matrix_stays_real(self):
+        assert halmos_operator(3).matrix.dtype == np.float64
+        assert shift_operator(halmos_operator(3), 1).matrix.dtype == np.complex128
+
+    def test_memory_budget_decides_before_allocating(self, monkeypatch):
+        # 16 bytes per entry of S x S: unpadded, blocks <= 127 (S = 8128, and 8256 at 128).
+        assert 16 * 8128**2 <= qha.errors.MEMORY_BUDGET < 16 * 8256**2
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 16 * 10**2)
+        assert halmos_operator(4).size == 10
+        with pytest.raises(PreconditionError, match="on 11 points needs 1,936 bytes"):
+            halmos_operator(4, pad=1)
 
 
 class TestProfilesAndVerdicts:
