@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import PreconditionError, check_memory
 from ..numerics import spectral_norm
@@ -61,7 +62,12 @@ class GridOperator:
         return float(np.sqrt(self.h * (np.abs(f) ** 2).sum()))
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(f, dtype=complex)
+        """Matrix times f; a real matrix takes the real and imaginary parts of
+        a complex f apart, never a complex copy of itself."""
+        f = np.asarray(f)
+        if np.iscomplexobj(self.matrix) or not np.iscomplexobj(f):
+            return self.matrix @ f
+        return self.matrix @ f.real + 1j * (self.matrix @ f.imag)
 
     def op_norm(self) -> float:
         # The uniform weight cancels, so the weighted operator norm is the
@@ -112,7 +118,8 @@ class ModulationOrbit(Sequence):
     matrices, each built on access from (B, step, steps), which is all it stores.
 
     Phi_i* Phi_j = Phi_(j-i), so ||M_i - M_j|| = ||M_0 - M_(j-i)||: a norm
-    of a difference depends only on j - i.  Item 0 equals B.
+    of a difference depends only on j - i, and :meth:`difference` gives it
+    without forming a complex item.  Item 0 equals B.
     """
 
     def __init__(self, base: GridOperator, step: float, steps: int):
@@ -125,6 +132,22 @@ class ModulationOrbit(Sequence):
         item = _modulate(self._base, self._step * self._ks[k])
         item.setflags(write=False)
         return item
+
+    def difference(self, k: int) -> np.ndarray:
+        """A matrix with the singular values of M_0 - M_k, real for a real B.
+
+        With t = k step, (M_0 - M_k)_ij = B_ij (1 - e^(-i t h (i - j))) is
+        Psi (2i sin(t h (i - j) / 2) B_ij) Psi* for the diagonal unitary
+        Psi = diag(e^(-i t x / 2)).  The result is J (S o B), J the row
+        reversal and S the odd Toeplitz sine factor, built from n - 1 sines:
+        (J S)_ij = s(n - 1 - i - j) is a Hankel view of 2n - 1 values.  For a
+        symmetric Toeplitz B it is symmetric with J D J = -D.
+        """
+        base = self._base
+        n = base.size
+        half = 2.0 * np.sin((0.5 * self._step * self._ks[k] * base.h) * np.arange(1, n))
+        hankel = np.concatenate([half[::-1], [0.0], -half])
+        return sliding_window_view(hankel, n) * base.matrix[::-1]
 
 
 def _interval_mask(grid_lo: float, h: float, size: int, a: float, b: float) -> np.ndarray:
@@ -185,7 +208,8 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
     Preconditions: h <= 0.5, 0.5/h integral (so every interval endpoint
     n^2 +- n/2 lands on the grid), and the grid covering
     [0, n_max^2 + n_max/2 + 2].  The S x S matrices of an S-point grid peak
-    at 56 bytes an entry: S <= 4378 fits MEMORY_BUDGET (n_max <= 14 at h = 0.05).
+    at 48 bytes an entry (42-47 measured as ru_maxrss growth, S = 821..3041):
+    S <= 4729 fits MEMORY_BUDGET (n_max <= 15 at h = 0.05).
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -204,7 +228,7 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
             f"grid [{x_lo}, {x_hi}] must cover [0, {needed}] for n_max = {n_max}"
         )
     size = int(round((x_hi - x_lo) / h)) + 1
-    check_memory(56 * size**2, f"cac_example on a {size}-point grid")
+    check_memory(48 * size**2, f"cac_example on a {size}-point grid")
 
     box = box_convolution_operator(h, x_lo, x_hi)
     grid = box.grid()

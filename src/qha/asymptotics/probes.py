@@ -70,7 +70,9 @@ def topology_probe(
     second half of the sequence (the tail) stay within tol (finite and >= 0).
 
     The sequence is a list of matrices or a ModulationOrbit, for which one
-    spectral norm per shift difference j - i serves every pair.  trace_tests
+    spectral norm per shift difference j - i serves every pair, taken of the
+    orbit's real ``difference(j - i)``; a list takes one norm per pair, of
+    the dense A_i - A_j, and stays the independent route.  trace_tests
     are (u, w) pairs standing for the rank-one pairing B -> <Bu, w>; both
     factors are normalized so the pairing is dominated by the operator norm.
     """
@@ -87,16 +89,16 @@ def topology_probe(
     tail_start = min(count - 1, (count + 1) // 2)
     orbit = isinstance(sequence, ModulationOrbit)
     # (A_i - A_j) v = A_i v - A_j v: one pass takes each item's products A v,
-    # v* A (||d* v|| = ||v* d||) and A u, and on an orbit ||M_0 - M_k||.
-    first, prods, norms = sequence[0], [], {}
+    # v* A (||d* v|| = ||v* d||) and A u, and on an orbit ||M_0 - M_k|| from
+    # the real matrix of ModulationOrbit.difference: no complex difference.
+    prods, norms = [], {}
     for k in range(count):
-        item = sequence[k] if k else first
+        item = sequence[k]
         prods.append((np.stack([x for v in vecs for x in (item @ v, v.conj() @ item)]),
                       np.stack([item @ u for u, _ in pairs])))
+        del item  # item k is let go before the norm's work tables exist
         if orbit and k:
-            item = first - item  # item k is let go before the norm's work tables exist
-            norms[k] = spectral_norm(item)
-        del item  # and the difference before item k + 1 is built
+            norms[k] = spectral_norm(sequence.difference(k))
     rows: list[ProbeRow] = []
     for i in range(count):
         for j in range(i + 1, count):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -115,9 +116,10 @@ def _cmd_wiener_verify(args) -> int:
         raise ValueError("samples must be >= 1, or >= 0 with --degenerate")
     PhaseSpace(args.n)  # rejects n < 1 before any draw
     rng = np.random.default_rng(args.seed)
-    cases = [(f"random_{i}", random_op(args.n, rng)) for i in range(args.samples)]
+    # Drawn one at a time: regular_op_set checks the budget before the first N^4 table.
+    cases = ((f"random_{i}", random_op(args.n, rng)) for i in range(args.samples))
     if args.degenerate:
-        cases.extend(degenerate_operator_set(args.n, seed=args.seed).items())
+        cases = itertools.chain(cases, degenerate_operator_set(args.n, seed=args.seed).items())
     rows = []
     for name, op in cases:
         rep = regular_op_set([op])

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatchError
+from .errors import GroupMismatchError, check_memory
 from .groups import GroupFunction, _convolve, _same_group, lp_norm
 from .weyl import (
     HilbertOp, PhaseSpace, _fourier_weyl, _fourier_weyl_inverse, _singular_values, rank_one,
@@ -246,11 +246,14 @@ def verify_norm_estimates(n: int, samples: int, seed: int) -> NormAuditReport:
 
     Reports the max observed ratio (bound side over product of norms) per
     inequality together with the sample index attaining it (the first one).
-    Deterministic given the seed.
+    Deterministic given the seed.  A block of samples peaks at 288 bytes per
+    N^2 entry (257-287 measured as ru_maxrss growth, N = 256..1536), so
+    N <= 1930 fits MEMORY_BUDGET.
     """
     PhaseSpace(n)  # rejects n < 1 before any draw
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    check_memory(288 * n**2, f"conv audit at N = {n}")
     report = NormAuditReport(dict.fromkeys(INEQUALITY_NAMES, 0.0), dict.fromkeys(INEQUALITY_NAMES, 0))
     for start, f, g, a, b in _sample_blocks(n, samples, seed):
         l1_f = np.abs(f).reshape(len(f), -1).sum(axis=1) * (1.0 / n)

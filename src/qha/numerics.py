@@ -16,13 +16,22 @@ operator norms) come from one routine, :func:`singular_values`:
 * a complex block with ``J b J = conj(b)`` (J the exchange matrix) is made
   real by ``Q = (I + iJ)/sqrt(2)`` (Cantoni & Butler, Linear Algebra Appl.
   13, 1976), and a Hermitian (real symmetric) block goes to ``eigvalsh``;
-  each shortcut is taken only when the part it discards, E, satisfies
+* a real symmetric block with ``J b J = -b`` is split by the same authors'
+  J-even/J-odd basis into ``[[0, X], [X^T, 0]]``: its singular values are
+  those of the ceil(n/2) x floor(n/2) block X, each twice, from one
+  half-size ``svd``;
+* each shortcut is taken only when the part it discards, E, satisfies
   ``sqrt(||E||_1 ||E||_inf) <= 1e-12`` times the largest column norm of the
   matrix, so it moves no singular value by more than 1e-12 of the norm;
+  the bound is a product of square roots, so it neither under- nor
+  overflows at any scale of the entries;
 * every other block takes a dense ``svd``.
 
-The structure is read off the matrix; there is no flag to pass.  Dense
-random operators (``weyl.HilbertOp``) keep a plain SVD.
+The structure is read off the matrix; there is no flag to pass.  The
+differences of a modulation orbit (``gridops.ModulationOrbit.difference``)
+are real symmetric with ``J b J = -b``, so the topology probe's norms take
+the half-size route and hold no complex difference.  Dense random operators
+(``weyl.HilbertOp``) keep a plain SVD.
 """
 from __future__ import annotations
 
@@ -170,8 +179,9 @@ def _block_stacks(mat: np.ndarray):
 
 
 def _bound(e: np.ndarray) -> float:
-    """Largest sqrt(||E||_1 ||E||_inf) over a stack of |E| blocks."""
-    return float(np.sqrt(e.sum(axis=-2).max(axis=-1) * e.sum(axis=-1).max(axis=-1)).max())
+    """Largest sqrt(||E||_1 ||E||_inf) over a stack of |E| blocks, as a product
+    of square roots: the product of the norms under- or overflows at 1e+-200."""
+    return float((np.sqrt(e.sum(axis=-2).max(axis=-1)) * np.sqrt(e.sum(axis=-1).max(axis=-1))).max())
 
 
 def _stack_values(stack: np.ndarray, tol: float) -> np.ndarray:
@@ -209,5 +219,37 @@ def _stack_values(stack: np.ndarray, tol: float) -> np.ndarray:
         hermitian = _bound(skew) <= tol
         del skew
         if hermitian:
+            if not np.iscomplexobj(stack) and stack.shape[-1] > 1 and _j_odd(stack, tol):
+                return _even_odd_values(stack)
             return np.abs(np.linalg.eigvalsh(stack))
     return np.linalg.svd(stack, compute_uv=False)
+
+
+def _j_odd(stack: np.ndarray, tol: float) -> bool:
+    """Whether J b J = -b holds within tol: the J-even part E = (b + J b J)/2
+    that the even-odd split discards passes the bound.  An entry of E is at
+    most ||E||_2, so one scalar refuses most stacks before any array exists."""
+    if abs(stack[0, 0, 0] + stack[0, -1, -1]) > 2.0 * tol:
+        return False
+    e = stack + stack[..., ::-1, ::-1]
+    return 0.5 * _bound(np.abs(e, out=e)) <= tol
+
+
+def _even_odd_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values of a real symmetric stack with J b J = -b.
+
+    In the orthonormal basis of J-even vectors (e_i + e_(n-1-i))/sqrt(2), and
+    e_m for odd n = 2m + 1, then J-odd vectors (e_i - e_(n-1-i))/sqrt(2), b is
+    [[0, X], [X^T, 0]]: b carries each parity to the other.  So b has the
+    singular values of the ceil(n/2) x floor(n/2) block X twice, and one zero
+    for odd n; only the J-even part (b + J b J)/2 is discarded.
+    """
+    n = stack.shape[-1]
+    m, r = n // 2, n - n // 2
+    x = stack[..., :r, :] + stack[..., ::-1, :][..., :r, :]
+    x = x[..., :m] - x[..., ::-1][..., :m]
+    x *= 0.5
+    if r > m:
+        x[..., m, :] *= np.sqrt(0.5)  # the middle row was counted twice
+    vals = np.linalg.svd(x, compute_uv=False)
+    return np.concatenate([vals, vals, np.zeros(vals.shape[:-1] + (r - m,))], axis=-1)

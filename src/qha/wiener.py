@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_memory
 from .groups import GroupFunction, _same_group, fourier, translate
 from .numerics import DEFAULT_ZERO_TOL, svd_rank
 from .weyl import (
@@ -100,13 +101,18 @@ def regular_op_set(
 
     zero_set lives on the phase space; translate_span_rank is the rank of
     span{alpha_x(A) : A in the set, x in the phase space} inside the
-    N^2-dimensional matrix space.
+    N^2-dimensional matrix space.  The stacked translates and their SVD peak
+    at 40 bytes per operator and N^4 entry (33 measured as ru_maxrss growth
+    for one operator at N = 40..56, 34-37 per operator for two to four), so
+    one operator fits MEMORY_BUDGET up to N = 71.
     """
     if not operators:
         raise ValueError("regular_op_set needs a nonempty set of operators")
     n = operators[0].dim
     if any(op.dim != n for op in operators):
         raise ValueError("operators must share one dimension")
+    check_memory(40 * len(operators) * n**4,
+                 f"the translate span of {len(operators)} operator(s) at N = {n}")
     ps = PhaseSpace(n)
     rows = np.concatenate(
         [op_translate_stack(op, ps.points()).reshape(n * n, n * n) for op in operators]

@@ -169,6 +169,10 @@ class TestDispatch:
 
     @pytest.mark.parametrize("argv, what", [
         (["weyl", "check", "--n", "1000"], "weyl_identity_residuals at N = 1000"),
+        (["conv", "audit", "--n", "100000", "--samples", "5", "--seed", "1"],
+         "conv audit at N = 100000"),
+        (["wiener", "verify", "--n", "1000", "--samples", "5", "--seed", "1", "--degenerate"],
+         "1 operator(s) at N = 1000"),
         (["stft", "decay", "--f", "sf.csv", "--phi", "phi.csv", "--k", "grid:99999999999",
           "--out", "decay.csv"], "over 99999999999 dual angles"),
     ])
@@ -209,11 +213,11 @@ class TestDispatch:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, need", [
-        (["example", "cac", "--h", "0.25", "--nmax", "3", "--out", "c.csv"], "145,656"),
+        (["example", "cac", "--h", "0.25", "--nmax", "3", "--out", "c.csv"], "124,848"),
         (["example", "halmos", "--blocks", "4", "--out", "h.csv"], "1,600"),
     ])
     def test_example_over_budget_is_exit_2(self, tmp_path, monkeypatch, capsys, argv, need):
-        # Each example checks its S x S size first (56 and 16 bytes an
+        # Each example checks its S x S size first (48 and 16 bytes an
         # entry); the budget is lowered, so nothing large is ever allocated.
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 1000)

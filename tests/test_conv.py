@@ -20,7 +20,7 @@ from qha.conv import (
     symplectic_fourier,
     verify_norm_estimates,
 )
-from qha.errors import GroupMismatchError
+from qha.errors import GroupMismatchError, PreconditionError
 from qha.groups import _convolve, convolve, delta, lp_norm, translate
 from qha.weyl import (
     HilbertOp,
@@ -311,6 +311,16 @@ class TestNormEstimates:
     def test_audit_rejects_empty_phase_space(self, n):
         with pytest.raises(ValueError, match="phase space dimension must be >= 1"):
             verify_norm_estimates(n, samples=5, seed=1)
+
+    def test_memory_budget_decides_before_allocating(self, monkeypatch):
+        # 288 bytes per N^2 entry of one block of samples: the documented limit N <= 1930.
+        import qha.errors
+
+        assert 288 * 1930**2 <= qha.errors.MEMORY_BUDGET < 288 * 1931**2
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 288 * 5**2)
+        assert verify_norm_estimates(5, samples=3, seed=1).worst() <= 1.0 + 1e-10
+        with pytest.raises(PreconditionError, match="conv audit at N = 6 needs 10,368 bytes"):
+            verify_norm_estimates(6, samples=3, seed=1)
 
     def test_rank_one_sharpness(self):
         assert sharpness_witness(5, seed=0) >= 0.999

@@ -166,12 +166,12 @@ class TestCacExample:
         assert peak < 44 * 821**2
 
     def test_memory_budget_decides_before_allocating(self, monkeypatch):
-        # 56 bytes per entry of S x S: S <= 4378, which is n_max <= 14 at h = 0.05.
-        assert 56 * 4378**2 <= qha.errors.MEMORY_BUDGET < 56 * 4379**2
-        assert round((14**2 + 7 + 2) / 0.05) + 1 <= 4378 < round((15**2 + 7.5 + 2) / 0.05) + 1
-        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 56 * 51**2)  # h = 0.25, n_max = 3
+        # 48 bytes per entry of S x S: S <= 4729, which is n_max <= 15 at h = 0.05.
+        assert 48 * 4729**2 <= qha.errors.MEMORY_BUDGET < 48 * 4730**2
+        assert round((15**2 + 7.5 + 2) / 0.05) + 1 <= 4729 < round((16**2 + 8 + 2) / 0.05) + 1
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 48 * 51**2)  # h = 0.25, n_max = 3
         assert cac_example(0.25, 3).box.size == 51
-        with pytest.raises(PreconditionError, match="61-point grid needs 208,376 bytes"):
+        with pytest.raises(PreconditionError, match="61-point grid needs 178,608 bytes"):
             cac_example(0.25, 3, x_hi=15.0)
 
     def test_named_preconditions(self):

@@ -1,5 +1,7 @@
 """Structured singular values and spectral norms against one dense SVD."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from qha.numerics import singular_values, spectral_norm
 
 import _reference as ref
 
-KINDS = ("hermitian", "centro", "neither", "rectangular")
+KINDS = ("hermitian", "centro", "skew-centro", "neither", "rectangular")
 
 
 def _block(kind: str, rows: int, cols: int, rng) -> np.ndarray:
@@ -20,6 +22,9 @@ def _block(kind: str, rows: int, cols: int, rng) -> np.ndarray:
         return z + z.conj().T
     if kind == "centro":
         return z + z[::-1, ::-1].conj()
+    if kind == "skew-centro":  # real symmetric with J b J = -b
+        s = (z + z.T).real
+        return s - s[::-1, ::-1]
     return z
 
 
@@ -137,6 +142,9 @@ class TestRoutes:
             "hermitian-centro": (lambda h: h + h[::-1, ::-1].conj())(z + z.conj().T),
             "centro": z + z[::-1, ::-1].conj(),
             "neither": z,
+            "real": z.real,
+            # real symmetric with J b J = -b
+            "skew-centro": (lambda r: r - r[::-1, ::-1])((z + z.T).real),
         }[kind]
 
     @pytest.mark.parametrize("kind, route", [
@@ -145,6 +153,8 @@ class TestRoutes:
         ("hermitian-centro", ("eigvalsh", "f")),
         ("centro", ("svd", "f")),
         ("neither", ("svd", "c")),
+        ("real", ("svd", "f")),
+        ("skew-centro", ("svd", "f")),
     ])
     def test_structure_picks_the_route(self, routes, kind, route):
         m = self._matrix(kind)
@@ -165,6 +175,38 @@ class TestRoutes:
         assert routes == [(route, "f")]
         _assert_matches_dense(m)
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["corner", "off-diagonal"])
+    @pytest.mark.parametrize("even, route", [(1.25, "eigvalsh"), (0.75, "svd")],
+                             ids=["just-outside", "just-inside"])
+    def test_skew_centro_bound(self, routes, even, route, where):
+        # A symmetric J-even part E = (b + J b J)/2 with sqrt(||E||_1 ||E||_inf)
+        # = even * 1e-12 times the largest column norm, at the corners or
+        # off the diagonal, where the scalar pre-test does not look.
+        m = self._matrix("skew-centro")
+        eps = even * 1e-12 * np.linalg.norm(m, axis=0).max()
+        i, j = where
+        for r, c in {(i, j), (j, i), (5 - i, 5 - j), (5 - j, 5 - i)}:
+            m[r, c] += eps
+        routes.clear()
+        singular_values(m)
+        assert routes == [(route, "f")]
+        _assert_matches_dense(m)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_skew_centro_takes_one_half_size_svd(self, routes, monkeypatch, n):
+        r = np.random.default_rng(n).standard_normal((n, n))
+        m = (r + r.T) - (r + r.T)[::-1, ::-1]
+        want = ref.singular_values(m)
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+            shapes.append(a.shape[-2:]), svd(a, *args, **kwargs))[1])
+        routes.clear()
+        got = singular_values(m)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * want[0])
+        assert routes == [("svd", "f")]
+        assert shapes == [((n + 1) // 2, n // 2)]
+        assert got[-1] == (0.0 if n % 2 else pytest.approx(want[-1], rel=1e-13))
+
     @pytest.mark.parametrize("factor", [1e-200, 1e200])
     def test_extreme_scales_keep_the_shortcuts(self, routes, factor):
         m = factor * self._matrix("hermitian-centro")
@@ -172,6 +214,26 @@ class TestRoutes:
         routes.clear()
         assert singular_values(m) == pytest.approx(want, rel=1e-13)
         assert routes == [("eigvalsh", "f")]
+
+    @pytest.mark.parametrize("factor", [1e-200, 1e200])
+    @pytest.mark.parametrize("kind, route", [
+        ("neither", ("svd", "c")),
+        ("centro", ("svd", "f")),
+        ("real", ("svd", "f")),
+        ("skew-centro", ("svd", "f")),
+    ])
+    def test_extreme_scales_refuse_what_does_not_hold(self, routes, kind, route, factor):
+        # Each structure bound is a product of square roots: the product of
+        # two norms at 1e-200 underflows to 0 and passes every test, and at
+        # 1e200 it overflows with a RuntimeWarning.
+        m = factor * self._matrix(kind)
+        want = ref.singular_values(m)
+        routes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = singular_values(m)
+        assert got == pytest.approx(want, rel=1e-13)
+        assert routes == [route]
 
     def test_dropping_a_block_is_caught(self, monkeypatch):
         m = np.zeros((4, 4))

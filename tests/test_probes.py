@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qha.asymptotics.gridops import (
+    GridOperator,
     ModulationOrbit,
     box_convolution_operator,
     modulated_box_operator,
@@ -17,6 +18,7 @@ from qha.asymptotics.probes import (
     parity_shift_case,
     topology_probe,
 )
+from qha.numerics import singular_values
 
 import _reference as ref
 
@@ -197,6 +199,37 @@ class TestModulationOrbit:
             assert a.strongstar_diff == b.strongstar_diff
             assert a.weakstar_diff == b.weakstar_diff
 
+    @pytest.mark.parametrize("base", ["box-odd", "box-even", "complex", "real-nonpersymmetric"])
+    def test_difference_has_the_dense_singular_values(self, monkeypatch, base):
+        # ModulationOrbit.difference(k) against the dense M_0 - M_k and one
+        # reference SVD; a symmetric Toeplitz box gives a symmetric J-odd
+        # matrix (one half-size real SVD), any other base the plain route.
+        h, hi = 0.25, (4.0 if base != "box-even" else 3.75)
+        op = box_convolution_operator(h, 0.0, hi)
+        rng = np.random.default_rng(5)
+        if base == "complex":
+            op = GridOperator(h, 0.0, hi, rng.standard_normal((op.size, op.size))
+                              + 1j * rng.standard_normal((op.size, op.size)))
+        elif base == "real-nonpersymmetric":
+            op = GridOperator(h, 0.0, hi, rng.standard_normal((op.size, op.size)))
+        n = op.size
+        assert n == (16 if base == "box-even" else 17)
+        orbit = ModulationOrbit(op, 3.0, 5)
+        shapes, svd = [], np.linalg.svd
+        for k in range(1, 5):
+            want = ref.singular_values(orbit[0] - orbit[k])
+            diff = orbit.difference(k)
+            assert np.iscomplexobj(diff) == (base == "complex")
+            monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+                shapes.append((a.dtype.kind, a.shape[-2:])), svd(a, *args, **kwargs))[1])
+            got = singular_values(diff)
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * want[0])
+        if base.startswith("box"):
+            assert shapes == [("f", ((n + 1) // 2, n // 2))] * 4
+        elif base == "real-nonpersymmetric":
+            assert shapes == [("f", (n, n))] * 4
+
     def test_read_only_items_and_list_route(self):
         box = box_convolution_operator(0.25, 0.0, 4.0)
         orbit = ModulationOrbit(box, 3.0, 4)
@@ -230,8 +263,9 @@ class TestPairwiseOracle:
 
 
 def test_box_modulation_probe_holds_under_four_items():
-    # The orbit builds items on access and the probe keeps item 0 and one
-    # difference at a time: the whole stored orbit alone was 9 items.
+    # The orbit builds items on access and the probe keeps one item, then
+    # one real difference of half its bytes: building an item (two complex
+    # phase products) sets the peak.  The whole stored orbit was 9 items.
     case = box_modulation_case()
     item = case.matrices[0].nbytes
     tracemalloc.start()
@@ -240,4 +274,4 @@ def test_box_modulation_probe_holds_under_four_items():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * item
+    assert peak < 2.5 * item

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qha.conv import symplectic_fourier
+from qha.errors import PreconditionError
 from qha.groups import FiniteAbelianGroup, GroupFunction, constant, delta, random_function
 from qha.weyl import PhaseSpace, identity_op, random_op, rank_one
 from qha.wiener import (
@@ -121,6 +122,19 @@ class TestOperatorRegularity:
         dense = np.concatenate([ref.op_translate(ps, op).reshape(n * n, n * n) for op in ops])
         assert seen[0].shape == dense.shape
         assert np.abs(seen[0] - dense).max() <= 1e-13
+
+    def test_memory_budget_decides_before_allocating(self, monkeypatch):
+        # 40 bytes per operator and N^4 entry: one operator up to N = 71.
+        import qha.errors
+
+        assert 40 * 71**4 <= qha.errors.MEMORY_BUDGET < 40 * 72**4
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 40 * 2 * 4**4)
+        rng = np.random.default_rng(2)
+        assert regular_op_set([random_op(4, rng), random_op(4, rng)]).translate_span_rank == 16
+        with pytest.raises(PreconditionError, match="3 operator.s. at N = 4 needs 30,720 bytes"):
+            regular_op_set([random_op(4, rng)] * 3)
+        with pytest.raises(PreconditionError, match="1 operator.s. at N = 5 needs 25,000 bytes"):
+            regular_op_set([random_op(5, rng)])
 
     def test_weyl_operator_span_is_one_dimensional(self):
         from qha.weyl import weyl
