@@ -109,7 +109,9 @@ def modulated_box_operator(h: float, x_lo: float, x_hi: float, freq: float) -> G
 def _modulate(op: GridOperator, freq: float) -> np.ndarray:
     """Matrix of Phi op Phi* with Phi = diag(e^(-i freq x)) on op's grid."""
     phase = np.exp(-1j * freq * op.grid())
-    return phase[:, None] * op.matrix * phase.conj()[None, :]
+    out = phase[:, None] * op.matrix
+    out *= phase.conj()[None, :]  # in place: one complex S x S array
+    return out
 
 
 class ModulationOrbit(Sequence):
@@ -208,8 +210,9 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
     Preconditions: h <= 0.5, 0.5/h integral (so every interval endpoint
     n^2 +- n/2 lands on the grid), and the grid covering
     [0, n_max^2 + n_max/2 + 2].  The S x S matrices of an S-point grid peak
-    at 48 bytes an entry (42-47 measured as ru_maxrss growth, S = 821..3041):
-    S <= 4729 fits MEMORY_BUDGET (n_max <= 15 at h = 0.05).
+    at 40 bytes an entry: ru_maxrss grew by 47, 38 and 37 bytes an entry at
+    S = 821, 2141 and 3041, about 36 bytes plus 7.6 MB that does not grow
+    with S.  S <= 5181 fits MEMORY_BUDGET (n_max <= 15 at h = 0.05).
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -228,7 +231,7 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
             f"grid [{x_lo}, {x_hi}] must cover [0, {needed}] for n_max = {n_max}"
         )
     size = int(round((x_hi - x_lo) / h)) + 1
-    check_memory(48 * size**2, f"cac_example on a {size}-point grid")
+    check_memory(40 * size**2, f"cac_example on a {size}-point grid")
 
     box = box_convolution_operator(h, x_lo, x_hi)
     grid = box.grid()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PreconditionError
-from ..numerics import spectral_norm
+from ..numerics import entry_singular_values, spectral_norm
 from .gridops import ModulationOrbit, box_convolution_operator
 from .windowed import WindowedZOperator, halmos_operator, parity_window, shift_operator
 
@@ -71,8 +71,9 @@ def topology_probe(
 
     The sequence is a list of matrices or a ModulationOrbit, for which one
     spectral norm per shift difference j - i serves every pair, taken of the
-    orbit's real ``difference(j - i)``; a list takes one norm per pair, of
-    the dense A_i - A_j, and stays the independent route.  trace_tests
+    orbit's real ``difference(j - i)``; a list takes one norm per pair,
+    reading A_i - A_j only on the cells where A_i or A_j is nonzero, and
+    stays the independent route.  trace_tests
     are (u, w) pairs standing for the rank-one pairing B -> <Bu, w>; both
     factors are normalized so the pairing is dominated by the operator norm.
     """
@@ -91,19 +92,23 @@ def topology_probe(
     # (A_i - A_j) v = A_i v - A_j v: one pass takes each item's products A v,
     # v* A (||d* v|| = ||v* d||) and A u, and on an orbit ||M_0 - M_k|| from
     # the real matrix of ModulationOrbit.difference: no complex difference.
-    prods, norms = [], {}
+    # On a list it keeps each item's nonzero flat indices for the pair norms.
+    prods, norms, items = [], {}, []
     for k in range(count):
-        item = sequence[k]
+        item = np.asarray(sequence[k])
+        item = item.astype(complex if np.iscomplexobj(item) else float, copy=False)
         prods.append((np.stack([x for v in vecs for x in (item @ v, v.conj() @ item)]),
                       np.stack([item @ u for u, _ in pairs])))
-        del item  # item k is let go before the norm's work tables exist
+        if not orbit:
+            items.append((item, np.flatnonzero(item != 0)))
+        del item  # orbit item k is let go before the norm's work tables exist
         if orbit and k:
             norms[k] = spectral_norm(sequence.difference(k))
     rows: list[ProbeRow] = []
     for i in range(count):
         for j in range(i + 1, count):
             sv, uv = (p - q for p, q in zip(prods[i], prods[j]))
-            nd = norms[j - i] if orbit else spectral_norm(sequence[i] - sequence[j])
+            nd = norms[j - i] if orbit else _difference_norm(items[i], items[j])
             sd = max(0.0, *(float(np.linalg.norm(x)) for x in sv))
             wd = max(0.0, *(float(abs(np.vdot(w, x))) for (_, w), x in zip(pairs, uv)))
             rows.append(ProbeRow(i, j, nd, sd, wd))
@@ -114,6 +119,19 @@ def topology_probe(
         "divergent",
     )
     return result
+
+
+def _difference_norm(first, second) -> float:
+    """||A - B|| read on the sorted union of A's and B's nonzero flat indices,
+    each cell the dense difference's own, signed zeros included."""
+    (a, flat_a), (b, flat_b) = first, second
+    flat = np.concatenate([flat_a, flat_b])
+    flat.sort()
+    # A sorted union without np.union1d, whose first call imports numpy.ma.
+    flat = flat[np.diff(flat, prepend=-1) > 0]
+    rows, cols = np.divmod(flat, a.shape[1])
+    vals = entry_singular_values(a.shape, rows, cols, lambda ri, ci: a[ri, ci] - b[ri, ci])
+    return float(vals.max(initial=0.0))
 
 
 @dataclass

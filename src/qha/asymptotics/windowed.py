@@ -134,7 +134,8 @@ def shift_operator(op: WindowedZOperator, k: int, theta: float = 0.0) -> Windowe
         out[d0:d1, d0:d1] = op.matrix[s0:s1, s0:s1]
     j = np.arange(op.lo, op.hi + 1)
     phase = np.exp(1j * theta * j)
-    out = phase[:, None] * out * phase.conj()[None, :]
+    np.multiply(phase[:, None], out, out=out)  # in place, the products in the same order
+    out *= phase.conj()[None, :]
     return WindowedZOperator(op.lo, op.hi, out)
 
 

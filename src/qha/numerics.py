@@ -7,7 +7,11 @@ thresholds (always relative to the largest magnitude present).
 
 Spectral norms and singular values of the sequence-space and grid models
 (topology probes, compactness trends, the projection sandwich, grid
-operator norms) come from one routine, :func:`singular_values`:
+operator norms) come from one routine, :func:`entry_singular_values`.  It
+reads entries, not cells: finiteness, the tolerance and the block split
+come from a list of cells covering the nonzero ones, and a cell function
+reads each block (:func:`singular_values` lists a matrix's nonzero cells in
+one scan; the topology probe lists two items' and reads A_i - A_j there):
 
 * exact block split: rows and columns are grouped into the connected
   components of the bipartite graph of the exact nonzero pattern (never
@@ -99,20 +103,29 @@ def singular_values(m) -> np.ndarray:
     mat = mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
     if mat.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
+    rows, cols = np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
+    return entry_singular_values(mat.shape, rows, cols, lambda ri, ci: mat[ri, ci])
+
+
+def entry_singular_values(shape, rows, cols, cells) -> np.ndarray:
+    """:func:`singular_values` of an R x C float or complex matrix read through
+    ``cells(ri, ci)`` (the whole matrix for two full slices); (rows, cols)
+    lists, in row-major order, cells that include every nonzero one."""
+    vals = cells(rows, cols)
+    if not np.isfinite(vals).all():  # NaN and inf are nonzero: they are listed
         raise ValueError("matrix entries must be finite")
-    out = np.zeros(min(mat.shape))
-    if out.size == 0:
+    out = np.zeros(min(shape))
+    nonzero = vals != 0
+    rows, cols, power = rows[nonzero], cols[nonzero], np.abs(vals[nonzero])
+    if out.size == 0 or power.size == 0:
         return out
-    power = np.abs(mat)
     top = float(power.max())
-    if top == 0.0:
-        return out
     power /= top  # no overflow in the squares
     power *= power
-    tol = _STRUCTURE_TOL * top * float(np.sqrt(power.sum(axis=0).max()))
-    del power
-    vals = np.concatenate([_stack_values(s, tol).ravel() for s in _block_stacks(mat)])
+    # bincount adds each column's squares in row order, as a dense column sum would.
+    tol = _STRUCTURE_TOL * top * float(np.sqrt(np.bincount(cols, weights=power).max()))
+    stacks = _block_stacks(shape, rows, cols, cells)
+    vals = np.concatenate([_stack_values(s, tol).ravel() for s in stacks])
     out[: vals.size] = np.sort(vals)[::-1]
     return out
 
@@ -124,18 +137,17 @@ def spectral_norm(m) -> float:
     return float(vals[0]) if vals.size else 0.0
 
 
-def _components(pattern: np.ndarray) -> np.ndarray:
+def _components(rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
     """Component label of every row, then every column, of the bipartite
-    graph whose edges are the True entries of `pattern`.
+    graph of an R x C pattern whose edges are the cells (rows, cols).
 
     Each round hooks the larger label of every edge whose ends disagree onto
     the smaller one, then jumps every label to its root.  Labels only shrink,
     so the rounds end; edges whose ends agree stay agreed and are dropped.
     """
-    n_rows = pattern.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(pattern), pattern.shape[1])
-    cols += n_rows
-    label = np.arange(n_rows + pattern.shape[1])
+    n_rows = shape[0]
+    cols = cols + n_rows
+    label = np.arange(n_rows + shape[1])
     while rows.size:
         lr, lc = label[rows], label[cols]
         differ = lr != lc
@@ -149,33 +161,34 @@ def _components(pattern: np.ndarray) -> np.ndarray:
     return label
 
 
-def _block_stacks(mat: np.ndarray):
-    """Yield the diagonal blocks of `mat`, permuted to block-diagonal form,
-    as stacks of equally shaped blocks.  Empty rows and columns are left out:
-    they only add zero singular values."""
-    n_rows, n_cols = mat.shape
-    label = _components(mat != 0)
+def _block_stacks(shape, rows: np.ndarray, cols: np.ndarray, cells):
+    """Yield the diagonal blocks, read through `cells`, of the matrix with
+    nonzero cells (rows, cols) permuted to block-diagonal form, as stacks of
+    equally shaped blocks.  Empty rows and columns only add zero singular
+    values and are left out."""
+    n_rows, n_cols = shape
+    label = _components(rows, cols, shape)
     # np.unique would do, but its first call imports numpy.ma (~35 ms).
     root = label == np.arange(label.size)
     count = int(root.sum())
     if count == 1:
-        yield mat[None]
+        yield cells(slice(None), slice(None))[None]
         return
     comp = np.cumsum(root)[label] - 1
     row_comp, col_comp = comp[:n_rows], comp[n_rows:]
     r_count = np.bincount(row_comp, minlength=count)
     c_count = np.bincount(col_comp, minlength=count)
-    shape = np.where((r_count > 0) & (c_count > 0), r_count * (n_cols + 1) + c_count, -1)
+    keys = np.where((r_count > 0) & (c_count > 0), r_count * (n_cols + 1) + c_count, -1)
     r_order = np.argsort(row_comp, kind="stable")
     c_order = np.argsort(col_comp, kind="stable")
     r_start = np.cumsum(r_count) - r_count
     c_start = np.cumsum(c_count) - c_count
-    for key in sorted(set(shape[shape >= 0].tolist())):
-        ks = np.flatnonzero(shape == key)
+    for key in sorted(set(keys[keys >= 0].tolist())):
+        ks = np.flatnonzero(keys == key)
         r, c = divmod(key, n_cols + 1)
         ri = r_order[r_start[ks][:, None] + np.arange(r)]
         ci = c_order[c_start[ks][:, None] + np.arange(c)]
-        yield mat[ri[:, :, None], ci[:, None, :]]
+        yield cells(ri[:, :, None], ci[:, None, :])
 
 
 def _bound(e: np.ndarray) -> float:

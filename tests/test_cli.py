@@ -213,11 +213,11 @@ class TestDispatch:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, need", [
-        (["example", "cac", "--h", "0.25", "--nmax", "3", "--out", "c.csv"], "124,848"),
+        (["example", "cac", "--h", "0.25", "--nmax", "3", "--out", "c.csv"], "104,040"),
         (["example", "halmos", "--blocks", "4", "--out", "h.csv"], "1,600"),
     ])
     def test_example_over_budget_is_exit_2(self, tmp_path, monkeypatch, capsys, argv, need):
-        # Each example checks its S x S size first (48 and 16 bytes an
+        # Each example checks its S x S size first (40 and 16 bytes an
         # entry); the budget is lowered, so nothing large is ever allocated.
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 1000)

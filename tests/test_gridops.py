@@ -166,12 +166,12 @@ class TestCacExample:
         assert peak < 44 * 821**2
 
     def test_memory_budget_decides_before_allocating(self, monkeypatch):
-        # 48 bytes per entry of S x S: S <= 4729, which is n_max <= 15 at h = 0.05.
-        assert 48 * 4729**2 <= qha.errors.MEMORY_BUDGET < 48 * 4730**2
-        assert round((15**2 + 7.5 + 2) / 0.05) + 1 <= 4729 < round((16**2 + 8 + 2) / 0.05) + 1
-        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 48 * 51**2)  # h = 0.25, n_max = 3
+        # 40 bytes per entry of S x S: S <= 5181, which is n_max <= 15 at h = 0.05.
+        assert 40 * 5181**2 <= qha.errors.MEMORY_BUDGET < 40 * 5182**2
+        assert round((15**2 + 7.5 + 2) / 0.05) + 1 <= 5181 < round((16**2 + 8 + 2) / 0.05) + 1
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 40 * 51**2)  # h = 0.25, n_max = 3
         assert cac_example(0.25, 3).box.size == 51
-        with pytest.raises(PreconditionError, match="61-point grid needs 178,608 bytes"):
+        with pytest.raises(PreconditionError, match="61-point grid needs 148,840 bytes"):
             cac_example(0.25, 3, x_hi=15.0)
 
     def test_named_preconditions(self):

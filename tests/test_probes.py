@@ -1,9 +1,16 @@
 """Topology probes: classifier semantics and the three canonical sequences."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import qha
 
 from qha.asymptotics.gridops import (
     GridOperator,
@@ -18,7 +25,7 @@ from qha.asymptotics.probes import (
     parity_shift_case,
     topology_probe,
 )
-from qha.numerics import singular_values
+from qha.numerics import singular_values, spectral_norm
 
 import _reference as ref
 
@@ -178,6 +185,58 @@ class TestNormsAgainstDenseSvd:
             assert r.norm_diff == pytest.approx(dense[key], rel=1e-12)
 
 
+def _sparse_item(rng, n, complex_):
+    """A sparse n x n item: values from a small shared pool (so two items
+    cancel exactly where they agree) or random, an empty row, and signed
+    zeros in the empty cells."""
+    pool = np.array([1.0, -1.0, 0.5, 2.0]) if not complex_ else np.array([1.0, 1j, -0.5j, 1 - 1j])
+    m = np.where(rng.random((n, n)) < 0.5, rng.choice(pool, (n, n)), rng.standard_normal((n, n)))
+    m = np.where(rng.random((n, n)) < 0.35, m, 0.0).astype(complex if complex_ else float)
+    m[rng.integers(n)] = 0.0
+    zero = m == 0
+    m[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, complex(0.0, -0.0) if complex_ else 0.0)
+    return m
+
+
+class TestListRouteNorms:
+    """The list route reads a pair's norm from the cells where either item is
+    nonzero; it must give the bits of spectral_norm on the dense difference."""
+
+    @given(st.sampled_from(["real", "complex", "mixed"]), st.integers(1, 7), st.integers(3, 5),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_norm_diff_is_the_dense_difference_norm(self, kind, n, count, seed):
+        rng = np.random.default_rng(seed)
+        kinds = {"real": [False], "complex": [True], "mixed": [False, True]}[kind]
+        items = [_sparse_item(rng, n, kinds[k % len(kinds)]) for k in range(count)]
+        items[1] = items[0].copy()  # an identical pair, with flipped signed zeros
+        items[1][items[1] == 0] *= -1.0
+        edit = rng.random((n, n)) < 0.3  # item 2 agrees with item 0 off `edit`
+        items[2] = np.where(edit, items[2], items[0]).astype(np.result_type(items[0], items[2]))
+        vecs = [np.ones(n)]
+        res = topology_probe(items, vecs, [(vecs[0], np.eye(n)[0])], 0.1)
+        assert len(res.rows) == count * (count - 1) // 2
+        for r in res.rows:
+            d = items[r.i] - items[r.j]
+            assert r.norm_diff == spectral_norm(d)
+            assert abs(r.norm_diff - ref.spectral_norm(d)) <= 1e-12
+        assert res.rows[0].norm_diff == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the products A v
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_item_raises(self, bad):
+        items = [_sparse_item(np.random.default_rng(k), 5, True) for k in range(3)]
+        items[2][1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            topology_probe(items, [np.ones(5)], [(np.ones(5), np.ones(5))], 0.1)
+
+    @pytest.mark.parametrize("shape", [(5, 6), (6, 5), (6, 6)])
+    def test_mismatched_shapes_raise(self, shape):
+        items = [np.eye(5), np.ones(shape)]
+        with pytest.raises(ValueError):
+            topology_probe(items, [np.ones(5)], [(np.ones(5), np.ones(5))], 0.1)
+
+
 class TestModulationOrbit:
     @pytest.mark.parametrize("params", [{"h": 0.02}, {"h": 0.25, "steps": 5}],
                              ids=["default", "small"])
@@ -262,10 +321,11 @@ class TestPairwiseOracle:
             assert abs(r.weakstar_diff - weak) <= 1e-13
 
 
-def test_box_modulation_probe_holds_under_four_items():
-    # The orbit builds items on access and the probe keeps one item, then
-    # one real difference of half its bytes: building an item (two complex
-    # phase products) sets the peak.  The whole stored orbit was 9 items.
+def test_box_modulation_probe_holds_under_two_items():
+    # The orbit builds items on access, each as one complex array, and the
+    # probe keeps one item, then one real difference of half its bytes: the
+    # norm's pass over the difference's nonzeros sets the peak (1.74 items;
+    # 2.12 when an item took two phase products).  The whole orbit is 9 items.
     case = box_modulation_case()
     item = case.matrices[0].nbytes
     tracemalloc.start()
@@ -274,4 +334,32 @@ def test_box_modulation_probe_holds_under_four_items():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * item
+    assert peak < 2 * item
+
+
+def test_parity_shift_probe_holds_under_one_item():
+    # A parity-shift item has 401 nonzeros in 160,801 cells; the probe keeps
+    # each item's nonzero flat indices and reads every pair's norm from them,
+    # with no S x S difference.
+    case = parity_shift_case()
+    item = case.matrices[0].nbytes
+    tracemalloc.start()
+    try:
+        topology_probe(case.matrices, case.test_vectors, case.trace_tests, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < item
+
+
+@pytest.mark.parametrize("case", ["parity-shift", "box-modulation"])
+def test_probe_leaves_numpy_ma_unloaded(tmp_path, case):
+    """The probe takes sorted unions without np.unique, union1d or isin, whose
+    first call imports numpy.ma (~16 ms for every `qha probe topology`)."""
+    src = str(Path(qha.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["probe", "topology", "--case", case, "--tol", "0.1", "--out", str(tmp_path / "p.csv")]
+    code = f"import sys, qha.cli; print(qha.cli.dispatch({argv!r}), 'numpy.ma' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split()[-2:] == ["0", "False"]
