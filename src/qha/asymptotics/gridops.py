@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import PreconditionError, check_memory
-from ..numerics import spectral_norm
+from ..numerics import _even_odd_values, spectral_norm
 
 
 def _near_int(x: float, tol: float = 1e-9) -> bool:
@@ -57,18 +57,6 @@ class GridOperator:
     def grid(self) -> np.ndarray:
         return self.x_lo + self.h * np.arange(self.size)
 
-    def vec_norm(self, f: np.ndarray) -> float:
-        """Weighted l2 norm sqrt(h * sum |f|^2)."""
-        return float(np.sqrt(self.h * (np.abs(f) ** 2).sum()))
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """Matrix times f; a real matrix takes the real and imaginary parts of
-        a complex f apart, never a complex copy of itself."""
-        f = np.asarray(f)
-        if np.iscomplexobj(self.matrix) or not np.iscomplexobj(f):
-            return self.matrix @ f
-        return self.matrix @ f.real + 1j * (self.matrix @ f.imag)
-
     def op_norm(self) -> float:
         # The uniform weight cancels, so the weighted operator norm is the
         # plain spectral norm of the matrix.
@@ -91,27 +79,18 @@ def box_convolution_operator(h: float, x_lo: float, x_hi: float) -> GridOperator
         raise PreconditionError(f"(x_hi - x_lo)/h = {steps} must be integral")
     size = int(round(steps)) + 1
     band = int(np.floor(1.0 / h + 1e-9))
-    i = np.arange(size)
-    mat = (np.abs(i[:, None] - i[None, :]) <= band).astype(float) * h
-    return GridOperator(h, x_lo, x_hi, mat)
+    taps = np.where(np.abs(np.arange(1 - size, size)) <= band, h, 0.0)
+    # Row i is taps[size - 1 - i:][:size]: a copy of the row-reversed Hankel view.
+    return GridOperator(h, x_lo, x_hi, sliding_window_view(taps, size)[::-1].copy())
 
 
-def modulated_box_operator(h: float, x_lo: float, x_hi: float, freq: float) -> GridOperator:
-    """Conjugation of the box operator by the phase e^(-i freq x).
-
-    Unitarily equivalent to the box operator (same spectral norm) while its
-    action on any fixed smooth vector fades as |freq| grows.
-    """
-    box = box_convolution_operator(h, x_lo, x_hi)
-    return GridOperator(h, x_lo, x_hi, _modulate(box, freq))
-
-
-def _modulate(op: GridOperator, freq: float) -> np.ndarray:
-    """Matrix of Phi op Phi* with Phi = diag(e^(-i freq x)) on op's grid."""
-    phase = np.exp(-1j * freq * op.grid())
-    out = phase[:, None] * op.matrix
-    out *= phase.conj()[None, :]  # in place: one complex S x S array
-    return out
+def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat for complex rows; a real mat takes the real and imaginary
+    rows in one real product, never a complex copy of itself."""
+    if np.iscomplexobj(mat):
+        return rows @ mat
+    both = np.concatenate([rows.real, rows.imag]) @ mat
+    return both[: len(rows)] + 1j * both[len(rows):]
 
 
 class ModulationOrbit(Sequence):
@@ -120,20 +99,50 @@ class ModulationOrbit(Sequence):
     matrices, each built on access from (B, step, steps), which is all it stores.
 
     Phi_i* Phi_j = Phi_(j-i), so ||M_i - M_j|| = ||M_0 - M_(j-i)||: a norm
-    of a difference depends only on j - i, and :meth:`difference` gives it
+    of a difference depends only on j - i.  :meth:`difference_norm` gives it,
+    and :meth:`products` every item's action on test vectors, from B alone,
     without forming a complex item.  Item 0 equals B.
     """
 
     def __init__(self, base: GridOperator, step: float, steps: int):
         self._base, self._step, self._ks = base, step, range(steps)
+        mat = base.matrix  # exactly real symmetric Toeplitz: J D J = -D bit for bit
+        self._even_odd = (not np.iscomplexobj(mat) and base.size > 1 and np.array_equal(mat, mat.T)
+                          and np.array_equal(mat[1:, 1:], mat[:-1, :-1]))
 
     def __len__(self) -> int:
         return len(self._ks)
 
     def __getitem__(self, k: int) -> np.ndarray:
-        item = _modulate(self._base, self._step * self._ks[k])
+        phase = np.exp(-1j * (self._step * self._ks[k]) * self._base.grid())
+        item = phase[:, None] * self._base.matrix
+        item *= phase.conj()[None, :]  # in place: one complex S x S array
         item.setflags(write=False)
         return item
+
+    def products(self, right: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """M_k r and l* M_k for the rows r of `right` and l of `left`, stacked
+        (k, row, point), as p_k o (B (conj(p_k) o r)) and ((conj(l) o p_k) B) o
+        conj(p_k) for p_k the diagonal of Phi_k: one product with B per side."""
+        base = self._base
+        phase = np.exp(-1j * np.multiply.outer(self._step * np.arange(len(self)), base.grid()))
+        x = phase.conj()[:, None, :] * right
+        y = phase[:, None, :] * left.conj()
+        bx = _rows_times(x.reshape(-1, base.size), base.matrix.T).reshape(x.shape)
+        yb = _rows_times(y.reshape(-1, base.size), base.matrix).reshape(y.shape)
+        return phase[:, None, :] * bx, yb * phase.conj()[:, None, :]
+
+    def difference_norm(self, k: int) -> float:
+        """||M_0 - M_k||: spectral_norm(difference(k)), which for a real
+        symmetric Toeplitz B is taken straight from the half-size SVD of the
+        J-even to J-odd block, with no nonzero scan or structure check."""
+        diff = self.difference(k)
+        if not self._even_odd:
+            return spectral_norm(diff)
+        norm = float(_even_odd_values(diff[None]).max())
+        if not math.isfinite(norm):
+            raise ValueError("matrix entries must be finite")
+        return norm
 
     def difference(self, k: int) -> np.ndarray:
         """A matrix with the singular values of M_0 - M_k, real for a real B.
@@ -152,19 +161,9 @@ class ModulationOrbit(Sequence):
         return sliding_window_view(hankel, n) * base.matrix[::-1]
 
 
-def _interval_mask(grid_lo: float, h: float, size: int, a: float, b: float) -> np.ndarray:
-    """Indicator of [a, b) sampled on the grid, resolved by index arithmetic."""
-    start = (a - grid_lo) / h
-    stop = (b - grid_lo) / h
-    if not (_near_int(start) and _near_int(stop)):
-        raise PreconditionError(
-            f"interval [{a}, {b}) endpoints must land on the step-{h} grid"
-        )
-    i0 = max(0, int(round(start)))
-    i1 = min(size, int(round(stop)))
-    mask = np.zeros(size)
-    mask[i0:i1] = 1.0
-    return mask
+def _box_counts(idx: np.ndarray, i0: int, i1: int, below: int, above: int) -> np.ndarray:
+    """The banded sum #{j in [i0, i1) : idx - below <= j <= idx + above}."""
+    return np.maximum(0, np.minimum(i1 - 1, idx + above) - np.maximum(i0, idx - below) + 1)
 
 
 def piecewise_box_smoothed_indicator(n: int, x: np.ndarray) -> np.ndarray:
@@ -191,9 +190,6 @@ def piecewise_box_smoothed_indicator(n: int, x: np.ndarray) -> np.ndarray:
 class CacRecord:
     """Verification record for the projection/box-convolution product."""
 
-    projector: GridOperator         # A, the block integral operator
-    box: GridOperator               # C
-    product: GridOperator           # C A C
     projection_residual: float      # ||A^2 - A||_op
     g_max_errors: dict[int, float]  # n >= 2: max |discrete conv - closed form|
     plateau_max_dev: dict[int, float]  # n >= 3: deviation from 2 at interior plateau points
@@ -205,14 +201,23 @@ class CacRecord:
 
 
 def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = None) -> CacRecord:
-    """Build A (block projection), C (box convolution) and CAC on a grid.
+    """Verify C A C, A the block projection and C the box convolution on a
+    grid of step h, from their exact structure, with no S x S array.
 
-    Preconditions: h <= 0.5, 0.5/h integral (so every interval endpoint
-    n^2 +- n/2 lands on the grid), and the grid covering
-    [0, n_max^2 + n_max/2 + 2].  The S x S matrices of an S-point grid peak
-    at 40 bytes an entry: ru_maxrss grew by 47, 38 and 37 bytes an entry at
-    S = 821, 2141 and 3041, about 36 bytes plus 7.6 MB that does not grow
-    with S.  S <= 5181 fits MEMORY_BUDGET (n_max <= 15 at h = 0.05).
+    A = sum_n (h/n) m_n m_n^T for the indicators m_n of I_n = [n^2 - n/2,
+    n^2 + n/2) is block diagonal and C is real symmetric, so C A C =
+    sum_n (h/n) s_n s_n^T with s_n = C m_n, a banded sum on [n^2 - n/2 - 1,
+    n^2 + n/2 + 1].  Only s_1 and s_2 overlap, so C A C - A is block diagonal
+    over {1, 2}, {3}, ..., {n_max} and exactly 0 elsewhere (the grid always
+    reaches past the last support): min_kernel_gap is min(0, block minima),
+    product_norms come from the rank form, and projection_residual from
+    A's blocks c 1 1^T.
+
+    Preconditions: h <= 0.5, 0.5/h integral, x_lo and x_hi on the grid of the
+    endpoints n^2 +- n/2, and [x_lo, x_hi] covering [0, n_max^2 + n_max/2 + 2].
+    The largest block, (n_max + 2)/h points a side from n_max = 4 on, takes 8
+    bytes an entry: 2040 points (33 MB) at n_max = 100 and h = 0.05, where
+    n_max <= 577 fits MEMORY_BUDGET.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -230,56 +235,47 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
         raise PreconditionError(
             f"grid [{x_lo}, {x_hi}] must cover [0, {needed}] for n_max = {n_max}"
         )
-    size = int(round((x_hi - x_lo) / h)) + 1
-    check_memory(40 * size**2, f"cac_example on a {size}-point grid")
+    if not (_near_int(x_lo / h) and _near_int(x_hi / h)):
+        raise PreconditionError(f"grid [{x_lo}, {x_hi}] must lie on the step-{h} grid")
+    band, zero = round(1.0 / h), round(-x_lo / h)
+    spans = {n: (zero + round((n * n - n / 2.0) / h), zero + round((n * n + n / 2.0) / h))
+             for n in range(1, n_max + 1)}
+    groups = [[1, 2][:n_max]] + [[n] for n in range(3, n_max + 1)]
+    ends = [(max(0, spans[g[0]][0] - band), spans[g[-1]][1] + band) for g in groups]
+    widest = max(hi - lo for lo, hi in ends)
+    check_memory(8 * widest**2, f"cac_example with a {widest}-point block")
 
-    box = box_convolution_operator(h, x_lo, x_hi)
-    grid = box.grid()
-
-    masks = {}
-    proj = np.zeros((size, size))
-    for n in range(1, n_max + 1):
-        a, b = n * n - n / 2.0, n * n + n / 2.0
-        mask = _interval_mask(x_lo, h, size, a, b)
-        masks[n] = mask
-        proj += (h / n) * np.outer(mask, mask)
-    projector = GridOperator(h, x_lo, x_hi, proj)
-    # C is real symmetric, so C A C = sum_n (h/n) (C m_n)(C m_n)^T.
-    smoothed = box.matrix.real @ np.stack(list(masks.values()), axis=1)
-    weights = h / np.arange(1, n_max + 1)
-    product = GridOperator(h, x_lo, x_hi, (smoothed * weights) @ smoothed.T)
-
-    projection_residual = spectral_norm(proj @ proj - proj)
+    projection_residual, min_kernel_gap, product_norms = 0.0, 0.0, {}
+    for members, (lo, hi) in zip(groups, ends):
+        idx = np.arange(lo, hi)
+        smoothed = h * np.stack([_box_counts(idx, *spans[n], band, band) for n in members])
+        weighted = smoothed.T * (h / np.array(members))
+        block = weighted @ smoothed  # C A C on the group
+        for n in members:
+            i0, i1 = spans[n]
+            image = weighted @ (smoothed[:, i0 - lo : i1 - lo].sum(axis=1) / np.sqrt(n))
+            product_norms[n] = float(np.sqrt(h * (image * image).sum()))
+            block[i0 - lo : i1 - lo, i0 - lo : i1 - lo] -= h / n
+            # A's block is c 1 1^T on L points, c = h/n = p/q: A^2 - A is
+            # (L c^2 - c) 1 1^T there, of norm L c |L c - 1|, here exactly.
+            p, q = (h / n).as_integer_ratio()
+            L = i1 - i0
+            projection_residual = max(projection_residual, L * p * abs(L * p - q) / q**2)
+        min_kernel_gap = min(min_kernel_gap, float(block.min()) / h)
+        del block  # before the next group's block exists
 
     # Discrete smoothing of each interval indicator with the half-open box
-    # (offsets in [-1, 1)), against the closed-form trapezoid.
-    band = int(round(1.0 / h))
-    kernel = np.ones(2 * band)
-    g_max_errors: dict[int, float] = {}
-    plateau_max_dev: dict[int, float] = {}
+    # (offsets in [-1, 1)), against the closed-form trapezoid.  Both vanish
+    # off [i0 - band, i1 + band); the window keeps one more point a side.
+    g_max_errors, plateau_max_dev = {}, {}
     for n in range(2, n_max + 1):
-        conv_full = np.convolve(masks[n], kernel)
-        g_disc = h * conv_full[band : band + size]
-        g_exact = piecewise_box_smoothed_indicator(n, grid)
-        g_max_errors[n] = float(np.abs(g_disc - g_exact).max())
+        i0, i1 = spans[n]
+        idx = np.arange(max(0, i0 - band - 1), i1 + band + 1)  # inside [x_lo, x_hi]
+        grid = x_lo + h * idx
+        g_disc = h * _box_counts(idx, i0, i1, band - 1, band)
+        g_max_errors[n] = float(np.abs(g_disc - piecewise_box_smoothed_indicator(n, grid)).max())
         interior = (grid > n * n - n / 2.0 + 1.0) & (grid < n * n + n / 2.0 - 1.0)
         if interior.any():
             plateau_max_dev[n] = float(np.abs(g_disc[interior] - 2.0).max())
-
-    min_kernel_gap = float(((product.matrix - proj).real / h).min())
-
-    product_norms: dict[int, float] = {}
-    for n in range(1, n_max + 1):
-        f_n = masks[n] / np.sqrt(n)
-        product_norms[n] = product.vec_norm(product.apply(f_n))
-
-    return CacRecord(
-        projector=projector,
-        box=box,
-        product=product,
-        projection_residual=projection_residual,
-        g_max_errors=g_max_errors,
-        plateau_max_dev=plateau_max_dev,
-        min_kernel_gap=min_kernel_gap,
-        product_norms=product_norms,
-    )
+    return CacRecord(projection_residual, g_max_errors, plateau_max_dev, min_kernel_gap,
+                     product_norms)

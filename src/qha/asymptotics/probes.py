@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PreconditionError
-from ..numerics import entry_singular_values, spectral_norm
+from ..numerics import entry_singular_values
 from .gridops import ModulationOrbit, box_convolution_operator
 from .windowed import WindowedZOperator, halmos_operator, parity_window, shift_operator
 
@@ -69,11 +69,11 @@ def topology_probe(
     """Classify the strongest topology whose pairwise differences over the
     second half of the sequence (the tail) stay within tol (finite and >= 0).
 
-    The sequence is a list of matrices or a ModulationOrbit, for which one
-    spectral norm per shift difference j - i serves every pair, taken of the
-    orbit's real ``difference(j - i)``; a list takes one norm per pair,
-    reading A_i - A_j only on the cells where A_i or A_j is nonzero, and
-    stays the independent route.  trace_tests
+    The sequence is a list of matrices or a ModulationOrbit.  An orbit builds
+    no item: its products come from its real base, and one norm per shift
+    difference j - i, ``ModulationOrbit.difference_norm``, serves every pair.
+    A list takes one norm per pair, reading A_i - A_j only on the cells where
+    A_i or A_j is nonzero, and stays the independent route.  trace_tests
     are (u, w) pairs standing for the rank-one pairing B -> <Bu, w>; both
     factors are normalized so the pairing is dominated by the operator norm.
     """
@@ -88,30 +88,33 @@ def topology_probe(
 
     count = len(sequence)
     tail_start = min(count - 1, (count + 1) // 2)
-    orbit = isinstance(sequence, ModulationOrbit)
-    # (A_i - A_j) v = A_i v - A_j v: one pass takes each item's products A v,
-    # v* A (||d* v|| = ||v* d||) and A u, and on an orbit ||M_0 - M_k|| from
-    # the real matrix of ModulationOrbit.difference: no complex difference.
-    # On a list it keeps each item's nonzero flat indices for the pair norms.
-    prods, norms, items = [], {}, []
-    for k in range(count):
-        item = np.asarray(sequence[k])
-        item = item.astype(complex if np.iscomplexobj(item) else float, copy=False)
-        prods.append((np.stack([x for v in vecs for x in (item @ v, v.conj() @ item)]),
-                      np.stack([item @ u for u, _ in pairs])))
-        if not orbit:
+    # (A_i - A_j) v = A_i v - A_j v: each item's products A v, A u and v* A
+    # (||d* v|| = ||v* d||) are taken once.  An orbit gives them, and
+    # ||M_0 - M_k||, from its real base; a list keeps each item's nonzero
+    # flat indices and reads every pair's norm from them.
+    rights = vecs + [u for u, _ in pairs]
+    if isinstance(sequence, ModulationOrbit):
+        right, left = sequence.products(np.stack(rights), np.stack(vecs))
+        by_shift = [0.0] + [sequence.difference_norm(k) for k in range(1, count)]
+        norm = {(i, j): by_shift[j - i] for i in range(count) for j in range(i + 1, count)}
+    else:
+        right, left, items = [], [], []
+        for k in range(count):
+            item = np.asarray(sequence[k])
+            item = item.astype(complex if np.iscomplexobj(item) else float, copy=False)
+            right.append(np.stack([item @ r for r in rights]))
+            left.append(np.stack([v.conj() @ item for v in vecs]))
             items.append((item, np.flatnonzero(item != 0)))
-        del item  # orbit item k is let go before the norm's work tables exist
-        if orbit and k:
-            norms[k] = spectral_norm(sequence.difference(k))
+        norm = {(i, j): _difference_norm(items[i], items[j])
+                for i in range(count) for j in range(i + 1, count)}
+    nv = len(vecs)
     rows: list[ProbeRow] = []
     for i in range(count):
         for j in range(i + 1, count):
-            sv, uv = (p - q for p, q in zip(prods[i], prods[j]))
-            nd = norms[j - i] if orbit else _difference_norm(items[i], items[j])
-            sd = max(0.0, *(float(np.linalg.norm(x)) for x in sv))
-            wd = max(0.0, *(float(abs(np.vdot(w, x))) for (_, w), x in zip(pairs, uv)))
-            rows.append(ProbeRow(i, j, nd, sd, wd))
+            dr, dl = right[i] - right[j], left[i] - left[j]
+            sd = max(0.0, *(float(np.linalg.norm(x)) for x in (*dr[:nv], *dl)))
+            wd = max(0.0, *(float(abs(np.vdot(w, x))) for (_, w), x in zip(pairs, dr[nv:])))
+            rows.append(ProbeRow(i, j, norm[i, j], sd, wd))
     result = TopologyProbeResult("divergent", tail_start, rows)
     kinds = ("norm_diff", "strongstar_diff", "weakstar_diff")
     result.classification = next(

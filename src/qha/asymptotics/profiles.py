@@ -1,9 +1,8 @@
-"""Scalar decay profiles with tail statistics.
+"""Scalar decay profiles with a fitted decay rate.
 
 A DecayProfile is the numerical surrogate for a "tends to zero at
-infinity" claim: an ordered list of (parameter, value) pairs with a tail
-supremum and a fitted log-log slope.  The slope is reported, never
-asserted.
+infinity" claim: an ordered list of (parameter, value) pairs with a
+fitted log-log slope.  The slope is reported, never asserted.
 """
 from __future__ import annotations
 
@@ -30,11 +29,6 @@ class DecayProfile:
 
     def __len__(self) -> int:
         return int(self.params.size)
-
-    def tail_sup(self, threshold: float) -> float:
-        """Largest value at parameters >= threshold (0 for an empty tail)."""
-        tail = self.values[self.params >= threshold]
-        return float(tail.max()) if tail.size else 0.0
 
     def loglog_slope(self) -> float:
         """Least-squares slope of log(value) vs log(param) on the outer half.

@@ -71,9 +71,9 @@ def halmos_operator(blocks: int, pad: int = 0) -> WindowedZOperator:
     Blocks n = 1..blocks sit on consecutive indices starting at 0; indices
     below 0 (the pad region) are zero.  The result is an orthogonal
     projection of rank `blocks` on its window, and the columns of block n
-    have l2 norm 1/sqrt(n).  The S x S matrix and its column and row profiles
-    (``qha example halmos``) peak at 16 bytes an entry: unpadded, blocks <= 127
-    fits MEMORY_BUDGET.
+    have l2 norm 1/sqrt(n) (:func:`halmos_column_profile` gives them without
+    the matrix).  The S x S matrix and its column and row profiles peak at 16
+    bytes an entry: unpadded, blocks <= 127 fits MEMORY_BUDGET.
     """
     if blocks < 1:
         raise PreconditionError("halmos_operator needs at least one block")
@@ -90,21 +90,19 @@ def halmos_operator(blocks: int, pad: int = 0) -> WindowedZOperator:
     return WindowedZOperator(-pad, total - 1, mat)
 
 
-def identity_window(lo: int, hi: int) -> WindowedZOperator:
-    return WindowedZOperator(lo, hi, np.eye(hi - lo + 1))
-
-
-def point_mass_operator(lo: int, hi: int, at: int = 0) -> WindowedZOperator:
-    """Rank-one delta_at (x) delta_at compression."""
-    size = hi - lo + 1
-    mat = np.zeros((size, size))
-    mat[at - lo, at - lo] = 1.0
-    return WindowedZOperator(lo, hi, mat)
-
-
-def diagonal_decay_operator(size: int) -> WindowedZOperator:
-    """diag(1, 1/2, ..., 1/size): compact-consistent reference."""
-    return WindowedZOperator(0, size - 1, np.diag(1.0 / np.arange(1, size + 1)))
+def halmos_column_profile(blocks: int) -> DecayProfile:
+    """The column profile of column_row_profiles(halmos_operator(blocks)), in
+    O(S) without the matrix, bit for bit: each of block n's n columns holds n
+    entries 1/n, and their squares are added in row order, as the dense
+    column sum adds them.  With the CSV rows ``qha example halmos`` makes of
+    it, a point takes about 320 bytes: blocks <= 2,590 fits MEMORY_BUDGET.
+    """
+    if blocks < 1:
+        raise PreconditionError("halmos_operator needs at least one block")
+    total = blocks * (blocks + 1) // 2
+    check_memory(320 * total, f"a block-projection profile on {total} points")
+    norms = [np.sqrt(np.cumsum(np.full(n, 1.0 / n) ** 2)[-1]) for n in range(1, blocks + 1)]
+    return DecayProfile(np.arange(total, dtype=float), np.repeat(norms, np.arange(1, blocks + 1)))
 
 
 def parity_window(lo: int, hi: int) -> WindowedZOperator:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .asymptotics.gridops import cac_example
 from .asymptotics.probes import CLASSIFICATIONS, PROBE_CASES, topology_probe
-from .asymptotics.windowed import WindowedFunction, column_row_profiles, halmos_operator
+from .asymptotics.windowed import WindowedFunction, halmos_column_profile
 from .conv import verify_norm_estimates
 from .errors import PreconditionError
 from .groups import FiniteAbelianGroup, convolve, fourier, read_group_function, write_group_function
@@ -50,11 +50,19 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _check_finite(header, rows) -> None:
+    for name, column in zip(header, zip(*rows)):
+        if not np.isfinite([v for v in column if isinstance(v, (float, np.floating))]).all():
+            raise ValueError(f"column {name!r} holds a non-finite value; nothing is written")
+
+
 def emit_csv(path, header, rows, comment: str | None = None) -> None:
     """Write rows with 17-significant-digit reals under an optional comment
-    line; path '-' writes to stdout."""
+    line; path '-' writes to stdout.  A non-finite real raises ValueError
+    naming its column, before anything is written."""
     if len(header) and rows and any(len(r) != len(header) for r in rows):
         raise ValueError("record arity does not match header")
+    _check_finite(header, rows)
     write_table(path, header, "%s", [[",".join(map(format_value, row)) for row in rows]], comment)
 
 
@@ -131,7 +139,7 @@ def _cmd_wiener_verify(args) -> int:
 
 
 def _cmd_example_halmos(args) -> int:
-    cols = column_row_profiles(halmos_operator(args.blocks))[0]
+    cols = halmos_column_profile(args.blocks)
     emit_csv(args.out, ("param", "value"), list(zip(cols.params, cols.values)), _manifest(args))
     return 0
 
@@ -201,10 +209,13 @@ def _cmd_rk(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.family, "*.csv")))
     if not paths:
         raise PreconditionError(f"no CSV files in {args.family}")
-    curves = rk_moduli([_read_windowed(p) for p in paths])
+    tables = [list(zip(curve.params, curve.values)) for curve in rk_moduli(
+        [_read_windowed(p) for p in paths])]
+    for table in tables:  # both, before either file is written
+        _check_finite(("param", "value"), table)
     stem, ext = os.path.splitext(args.out)
-    for path, curve in zip((args.out, stem + "_tailmass" + ext), curves):
-        emit_csv(path, ("param", "value"), list(zip(curve.params, curve.values)), _manifest(args))
+    for path, table in zip((args.out, stem + "_tailmass" + ext), tables):
+        emit_csv(path, ("param", "value"), table, _manifest(args))
     return 0
 
 

@@ -34,8 +34,8 @@ class FiniteAbelianGroup:
             raise ValueError("group needs at least one cyclic factor")
         if any(n < 1 for n in orders):
             raise ValueError(f"cyclic orders must be >= 1, got {orders}")
-        if not self.haar_weight > 0:
-            raise ValueError("haar_weight must be positive")
+        if not (math.isfinite(self.haar_weight) and self.haar_weight > 0):
+            raise ValueError("haar_weight must be finite and positive")
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "haar_weight", float(self.haar_weight))
 

@@ -6,8 +6,8 @@ quantities, DEFAULT_ZERO_TOL for rank decisions and "vanishes nowhere"
 thresholds (always relative to the largest magnitude present).
 
 Spectral norms and singular values of the sequence-space and grid models
-(topology probes, compactness trends, the projection sandwich, grid
-operator norms) come from one routine, :func:`entry_singular_values`.  It
+(topology probes, compactness trends, grid operator norms) come from one
+routine, :func:`entry_singular_values`.  It
 reads entries, not cells: finiteness, the tolerance and the block split
 come from a list of cells covering the nonzero ones, and a cell function
 reads each block (:func:`singular_values` lists a matrix's nonzero cells in
@@ -31,11 +31,11 @@ one scan; the topology probe lists two items' and reads A_i - A_j there):
   overflows at any scale of the entries;
 * every other block takes a dense ``svd``.
 
-The structure is read off the matrix; there is no flag to pass.  The
-differences of a modulation orbit (``gridops.ModulationOrbit.difference``)
-are real symmetric with ``J b J = -b``, so the topology probe's norms take
-the half-size route and hold no complex difference.  Dense random operators
-(``weyl.HilbertOp``) keep a plain SVD.
+The structure is read off the matrix; there is no flag to pass, except in
+``gridops.ModulationOrbit.difference_norm``: the differences of an orbit of
+an exactly symmetric Toeplitz base are real symmetric with ``J b J = -b`` bit
+for bit, so it takes :func:`_even_odd_values` of the whole difference
+directly.  Dense random operators (``weyl.HilbertOp``) keep a plain SVD.
 """
 from __future__ import annotations
 
@@ -259,8 +259,10 @@ def _even_odd_values(stack: np.ndarray) -> np.ndarray:
     """
     n = stack.shape[-1]
     m, r = n // 2, n - n // 2
-    x = stack[..., :r, :] + stack[..., ::-1, :][..., :r, :]
-    x = x[..., :m] - x[..., ::-1][..., :m]
+    top, bottom = stack[..., :r, :], stack[..., ::-1, :][..., :r, :]
+    # X = ((b + J b)[:r] - ((b + J b) J)[:r])[:, :m] / 2, one column half at a time.
+    x = top[..., :m] + bottom[..., :m]
+    x -= top[..., ::-1][..., :m] + bottom[..., ::-1][..., :m]
     x *= 0.5
     if r > m:
         x[..., m, :] *= np.sqrt(0.5)  # the middle row was counted twice

@@ -72,11 +72,6 @@ def _report(transforms, points, rows, threshold: float, ambient_dim: int) -> Reg
     return report
 
 
-def regular_fn(g: GroupFunction, threshold: float = DEFAULT_ZERO_TOL) -> RegularityReport:
-    """Regularity of a single function: nowhere-vanishing transform."""
-    return regular_set_fn([g], threshold)
-
-
 def regular_set_fn(
     functions: list[GroupFunction], threshold: float = DEFAULT_ZERO_TOL
 ) -> RegularityReport:

@@ -1,7 +1,8 @@
 """Direct-sum definitions of the phase-space products, transforms and
 operator actions, the corresponding space by one SVD, dense singular
 values, the topology probe's vector quantities on dense pairwise
-differences, the windowed transform profile shift by shift, and the CSV
+differences, the modulated box and the projection sandwich from dense
+S x S matrices, the windowed transform profile shift by shift, and the CSV
 readers and writers on the ``csv`` module with per-field conversion.
 
 Test oracles only: each one evaluates its defining formula with dense Weyl
@@ -285,6 +286,55 @@ def probe_vector_diffs(matrices, test_vectors, trace_tests) -> list[tuple[int, i
             weak = max(abs(np.sum(w.conj() * (d @ u))) for u, w in pairs)
             rows.append((i, j, float(strong), float(weak)))
     return rows
+
+
+def modulated_box(h: float, x_lo: float, x_hi: float, freq: float) -> np.ndarray:
+    """Phi C Phi* for the box convolution C (entries h where |i - j| <= 1/h)
+    and Phi = diag(e^(-i freq x)) on the step-h grid of [x_lo, x_hi]."""
+    idx = np.arange(round((x_hi - x_lo) / h) + 1)
+    box = np.where(np.abs(idx[:, None] - idx[None, :]) <= round(1 / h), h, 0.0)
+    phase = np.exp(-1j * freq * (x_lo + h * idx))
+    return phase[:, None] * box * phase.conj()[None, :]
+
+
+def cac_dense(h: float, n_max: int) -> dict:
+    """The projection sandwich on [0, n_max^2 + n_max/2 + 2] from dense S x S
+    matrices: the block projection A = sum_n (h/n) m_n m_n^T, the box
+    convolution C (entries h where |i - j| <= 1/h), C A C as
+    sum_n (h/n) (C m_n)(C m_n)^T, and every quantity of ``CacRecord``, with
+    g_n against the overlap length |I_n cap [x - 1, x + 1]|."""
+    size = round((n_max * n_max + n_max / 2 + 2) / h) + 1
+    band = round(1 / h)
+    idx = np.arange(size)
+    grid = h * idx
+    box = np.where(np.abs(idx[:, None] - idx[None, :]) <= band, h, 0.0)
+    masks = np.zeros((size, n_max))
+    for n in range(1, n_max + 1):
+        masks[round((n * n - n / 2) / h) : round((n * n + n / 2) / h), n - 1] = 1.0
+    weights = h / np.arange(1, n_max + 1)
+    proj = (masks * weights) @ masks.T
+    smoothed = box @ masks
+    product = (smoothed * weights) @ smoothed.T
+    g_errors, plateau = {}, {}
+    for n in range(2, n_max + 1):
+        a, b = n * n - n / 2, n * n + n / 2
+        g_disc = h * np.convolve(masks[:, n - 1], np.ones(2 * band))[band : band + size]
+        g_exact = np.maximum(0.0, np.minimum(b, grid + 1) - np.maximum(a, grid - 1))
+        g_errors[n] = float(np.abs(g_disc - g_exact).max())
+        interior = (grid > a + 1) & (grid < b - 1)
+        if interior.any():
+            plateau[n] = float(np.abs(g_disc[interior] - 2.0).max())
+    return {
+        "projector": proj,
+        "box": box,
+        "product": product,
+        "projection_residual": spectral_norm(proj @ proj - proj),
+        "g_max_errors": g_errors,
+        "plateau_max_dev": plateau,
+        "min_kernel_gap": float(((product - proj) / h).min()),
+        "product_norms": {n: float(np.sqrt(h * np.sum((product @ (masks[:, n - 1] / np.sqrt(n))) ** 2)))
+                          for n in range(1, n_max + 1)},
+    }
 
 
 def windowed_stft_profile(f, window, angles) -> np.ndarray:

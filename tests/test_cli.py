@@ -197,7 +197,7 @@ class TestDispatch:
         (["conv", "audit", "--n", "100000", "--samples", "5", "--seed", "1"],
          "verify_norm_estimates", MemoryError("Unable to allocate 7.28 TiB")),
         (["example", "halmos", "--blocks", "100000", "--out", "h.csv"],
-         "halmos_operator", MemoryError()),
+         "halmos_column_profile", MemoryError()),
     ])
     def test_memory_error_is_exit_2(self, tmp_path, monkeypatch, capsys, argv, target, exc):
         # Exit 1 means a mathematical audit failed; a refused allocation is
@@ -213,12 +213,13 @@ class TestDispatch:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, need", [
-        (["example", "cac", "--h", "0.25", "--nmax", "3", "--out", "c.csv"], "104,040"),
-        (["example", "halmos", "--blocks", "4", "--out", "h.csv"], "1,600"),
+        (["example", "cac", "--h", "0.25", "--nmax", "3", "--out", "c.csv"], "4,608"),
+        (["example", "halmos", "--blocks", "4", "--out", "h.csv"], "3,200"),
     ])
     def test_example_over_budget_is_exit_2(self, tmp_path, monkeypatch, capsys, argv, need):
-        # Each example checks its S x S size first (40 and 16 bytes an
-        # entry); the budget is lowered, so nothing large is ever allocated.
+        # Each example checks its size first: 8 bytes an entry of cac's
+        # largest block (24 points a side) and 320 bytes a profile point
+        # (10 points); the budget is lowered, so nothing large is allocated.
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 1000)
         code, out, err = run(argv, capsys)
@@ -511,6 +512,49 @@ class TestEmitCsv:
     def test_arity_checked(self, tmp_path):
         with pytest.raises(ValueError):
             emit_csv(tmp_path / "x.csv", ("a", "b"), [(1, 2, 3)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf), np.float32("nan")])
+    @pytest.mark.parametrize("path", ["x.csv", "-"])
+    def test_non_finite_value_names_its_column(self, tmp_path, monkeypatch, capsys, bad, path):
+        monkeypatch.chdir(tmp_path)
+        rows = [("a", 1, 0.5), ("b", 2, bad)]
+        with pytest.raises(ValueError, match="column 'value' holds a non-finite value"):
+            emit_csv(path, ("name", "count", "value"), rows)
+        assert capsys.readouterr().out == "" and not list(tmp_path.iterdir())
+
+
+class TestNonFiniteOutput:
+    """A run whose result overflows exits 2 and writes no file."""
+
+    def test_rk_tail_mass_overflow(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("fam").mkdir()
+        _write_csv("fam/a.csv", np.arange(-5, 6), np.full(11, 1e308 + 1e308j))
+        with pytest.warns(RuntimeWarning, match="overflow"):  # the l1 sum
+            code, out, err = run(["rk", "--family", "fam", "--out", "rk.csv"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: column 'value' holds a non-finite value")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fam"]
+
+    def test_stft_decay_overflow(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        _write_csv("f.csv", np.arange(-5, 6), np.full(11, 1e308 + 1e308j))
+        _write_csv("phi.csv", np.arange(-1, 2), np.full(3, 1e308 + 0j))
+        argv = ["stft", "decay", "--f", "f.csv", "--phi", "phi.csv", "--k", "grid:8", "--out", "d.csv"]
+        with pytest.warns(RuntimeWarning):  # the matmul overflows
+            code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: column 'sup_abs' holds a non-finite value")
+        assert not Path("d.csv").exists()
+
+    @pytest.mark.parametrize("weight", ["inf", "-inf", "nan"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_weight_is_rejected_before_reading(self, tmp_path, capsys, weight):
+        out = tmp_path / "o.csv"
+        argv = ["group", "dft", "--orders", "4", f"--weight={weight}",
+                "--input", str(tmp_path / "missing.csv"), "--out", str(out)]
+        assert run(argv, capsys) == (2, "", "error: haar_weight must be finite and positive\n")
+        assert not out.exists()
 
 
 class TestManifests:

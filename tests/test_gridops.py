@@ -11,10 +11,11 @@ from qha.asymptotics.gridops import (
     GridOperator,
     box_convolution_operator,
     cac_example,
-    modulated_box_operator,
     piecewise_box_smoothed_indicator,
 )
 from qha.errors import PreconditionError
+
+import _reference as ref
 
 
 class TestBoxOperator:
@@ -53,7 +54,7 @@ class TestBoxOperator:
 
     def test_modulated_box_is_unitarily_equivalent(self):
         plain = box_convolution_operator(0.1, -3.0, 3.0)
-        mod = modulated_box_operator(0.1, -3.0, 3.0, freq=17.0)
+        mod = GridOperator(0.1, -3.0, 3.0, ref.modulated_box(0.1, -3.0, 3.0, freq=17.0))
         assert mod.op_norm() == pytest.approx(plain.op_norm(), rel=1e-12)
         assert np.abs(mod.matrix.conj().T - mod.matrix).max() < 1e-14
 
@@ -111,14 +112,14 @@ class TestCacExample:
         assert rec.projection_residual < 1e-13
 
     def test_block_functions_are_unit_and_fixed(self):
-        rec = cac_example(0.1, 3)
-        proj = rec.projector
-        grid = proj.grid()
+        h = 0.1
+        proj = ref.cac_dense(h, 3)["projector"]
+        grid = h * np.arange(len(proj))
         for n in (1, 2, 3):
             mask = ((grid >= n * n - n / 2) & (grid < n * n + n / 2)).astype(float)
             f = mask / np.sqrt(n)
-            assert proj.vec_norm(f) == pytest.approx(1.0, abs=1e-12)
-            assert np.abs(proj.apply(f) - f).max() < 1e-12
+            assert np.sqrt(h * np.sum(f**2)) == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(proj @ f - f).max() < 1e-12
 
     def test_discrete_convolution_matches_formula_within_2h(self):
         h = 0.05
@@ -129,11 +130,32 @@ class TestCacExample:
         rec = cac_example(0.05, 4)
         assert max(rec.plateau_max_dev.values()) <= 1e-12
 
-    def test_product_matches_dense_sandwich(self):
-        rec = cac_example(0.05, 4)
-        box, proj = rec.box.matrix, rec.projector.matrix
-        dense = box @ proj @ box
-        assert np.abs(rec.product.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
+    def test_dense_product_matches_dense_sandwich(self):
+        # The oracle's rank form of C A C against the triple product.
+        dense = ref.cac_dense(0.05, 4)
+        sandwich = dense["box"] @ dense["projector"] @ dense["box"]
+        assert np.abs(dense["product"] - sandwich).max() <= 1e-12 * np.abs(sandwich).max()
+
+    @pytest.mark.parametrize("h", [0.25, 0.1, 0.05])
+    def test_structured_record_matches_dense_oracle(self, h):
+        # Each quantity within 1e-15 of its scale: the largest entry of
+        # C A C / h for the kernel gap, the plateau height 2 for the
+        # smoothing errors, ||C||^2 ||f_n|| <= (2 + h)^2 for a product norm,
+        # and for ||A^2 - A|| the largest block length n_max/h times ||A|| = 1,
+        # since each entry of the dense A^2 sums that many rounded products.
+        # n_max = 1 and 2 cover the overlapping pair s_1, s_2.
+        for n_max in range(1, 9):
+            rec, dense = cac_example(h, n_max), ref.cac_dense(h, n_max)
+            gap_scale = np.abs(dense["product"]).max() / h
+            assert abs(rec.projection_residual - dense["projection_residual"]) <= 1e-15 * n_max / h
+            assert abs(rec.min_kernel_gap - dense["min_kernel_gap"]) <= 1e-15 * gap_scale
+            for name in ("g_max_errors", "plateau_max_dev"):
+                got, want = getattr(rec, name), dense[name]
+                assert got.keys() == want.keys()
+                assert all(abs(got[n] - want[n]) <= 2e-15 for n in want)
+            assert rec.product_norms.keys() == dense["product_norms"].keys()
+            for n, want in dense["product_norms"].items():
+                assert abs(rec.product_norms[n] - want) <= 1e-15 * (2 + h) ** 2
 
     def test_kernel_domination(self):
         rec = cac_example(0.05, 4)
@@ -149,30 +171,28 @@ class TestCacExample:
         fine = cac_example(0.025, 3).worst_g_error()
         assert coarse / fine == pytest.approx(2.0, rel=0.5)
 
-    def test_matrices_stay_real(self):
-        rec = cac_example(0.25, 3)
-        for op in (rec.box, rec.projector, rec.product):
-            assert op.matrix.dtype == np.float64
-
-    def test_peak_memory_at_the_benchmark_size(self):
-        # Real box, projector and product matrices: the tracked peak is about
-        # 40 bytes per entry of the 821 x 821 grid (80 with complex copies).
+    def test_holds_no_grid_sized_matrix(self):
+        # S = 4691 points at n_max = 15; the largest block, 17/h = 340
+        # points a side, sets the peak (1.16 blocks), far below one S x S
+        # float array.
+        size = round((15**2 + 7.5 + 2) / 0.05) + 1
         tracemalloc.start()
         try:
-            cac_example(0.05, 6)
+            cac_example(0.05, 15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 44 * 821**2
+        assert peak < 2 * 8 * 340**2 < 8 * size**2 / 50
 
     def test_memory_budget_decides_before_allocating(self, monkeypatch):
-        # 40 bytes per entry of S x S: S <= 5181, which is n_max <= 15 at h = 0.05.
-        assert 40 * 5181**2 <= qha.errors.MEMORY_BUDGET < 40 * 5182**2
-        assert round((15**2 + 7.5 + 2) / 0.05) + 1 <= 5181 < round((16**2 + 8 + 2) / 0.05) + 1
-        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 40 * 51**2)  # h = 0.25, n_max = 3
-        assert cac_example(0.25, 3).box.size == 51
-        with pytest.raises(PreconditionError, match="61-point grid needs 148,840 bytes"):
-            cac_example(0.25, 3, x_hi=15.0)
+        # 8 bytes per entry of the largest block, (n_max + 2)/h points a side
+        # from n_max = 4 on: n_max <= 577 fits at h = 0.05 (n_max = 100 holds
+        # 2040 points, 33 MB, on a 201,041-point grid).
+        assert 8 * (579 * 20) ** 2 <= qha.errors.MEMORY_BUDGET < 8 * (580 * 20) ** 2
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 8 * 24**2)  # h = 0.25, n_max = 4
+        assert len(cac_example(0.25, 4).product_norms) == 4
+        with pytest.raises(PreconditionError, match="28-point block needs 6,272 bytes"):
+            cac_example(0.25, 5)
 
     def test_named_preconditions(self):
         with pytest.raises(PreconditionError, match="divide 0.5"):

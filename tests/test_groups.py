@@ -67,6 +67,9 @@ class TestStructure:
             FiniteAbelianGroup((0,))
         with pytest.raises(ValueError):
             FiniteAbelianGroup((3,), haar_weight=0.0)
+        for weight in (float("inf"), float("nan"), -float("inf")):
+            with pytest.raises(ValueError, match="haar_weight must be finite and positive"):
+                FiniteAbelianGroup((3,), haar_weight=weight)
 
     def test_dual_weight_roundtrip(self):
         g = FiniteAbelianGroup((4,), haar_weight=0.5)

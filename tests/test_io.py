@@ -202,7 +202,7 @@ class TestWritersAgainstCsvWriter:
     ROWS = [
         ("a", True, 1, np.int64(-3), 0.1),
         ("b", np.bool_(False), 2, np.float32(1 / 3), np.float64(-0.0)),
-        ("c", False, 10**20, 5e-324, float("nan")),
+        ("c", False, 10**20, 5e-324, -1.7976931348623157e308),
     ]
 
     @pytest.mark.parametrize("rows", [ROWS, []])

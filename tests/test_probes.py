@@ -16,7 +16,6 @@ from qha.asymptotics.gridops import (
     GridOperator,
     ModulationOrbit,
     box_convolution_operator,
-    modulated_box_operator,
 )
 from qha.asymptotics.probes import (
     PROBE_CASES,
@@ -84,7 +83,7 @@ class TestClassifier:
 
         grids = [
             box_convolution_operator(0.25, 0.0, 4.0).matrix,
-            modulated_box_operator(0.25, 0.0, 4.0, freq=3.0).matrix,
+            ref.modulated_box(0.25, 0.0, 4.0, freq=3.0),
         ]
         g_vec = [np.ones(len(grids[0]))]
         res = topology_probe(grids, g_vec, [(g_vec[0], g_vec[0])], tol=1e-12)
@@ -245,8 +244,7 @@ class TestModulationOrbit:
         case = box_modulation_case(freq_step=freq_step, **params)
         assert isinstance(case.matrices, ModulationOrbit)
         for i, m in enumerate(case.matrices):
-            ref = modulated_box_operator(h, -6.0, 6.0, freq_step * i).matrix
-            assert m.tobytes() == ref.tobytes()
+            assert m.tobytes() == ref.modulated_box(h, -6.0, 6.0, freq_step * i).tobytes()
         args = (case.test_vectors, case.trace_tests, 0.1)
         orbit = topology_probe(case.matrices, *args)
         dense = topology_probe(list(case.matrices), *args)
@@ -255,8 +253,8 @@ class TestModulationOrbit:
         assert [(r.i, r.j) for r in orbit.rows] == [(r.i, r.j) for r in dense.rows]
         for a, b in zip(orbit.rows, dense.rows):
             assert a.norm_diff == pytest.approx(b.norm_diff, rel=1e-12)
-            assert a.strongstar_diff == b.strongstar_diff
-            assert a.weakstar_diff == b.weakstar_diff
+            assert a.strongstar_diff == pytest.approx(b.strongstar_diff, rel=1e-12)
+            assert a.weakstar_diff == pytest.approx(b.weakstar_diff, rel=1e-12)
 
     @pytest.mark.parametrize("base", ["box-odd", "box-even", "complex", "real-nonpersymmetric"])
     def test_difference_has_the_dense_singular_values(self, monkeypatch, base):
@@ -289,6 +287,43 @@ class TestModulationOrbit:
         elif base == "real-nonpersymmetric":
             assert shapes == [("f", (n, n))] * 4
 
+    @pytest.mark.parametrize("base", ["box-odd", "box-even", "box-default", "complex",
+                                      "real-nonpersymmetric", "real-symmetric"])
+    def test_difference_norm_is_the_spectral_norm(self, base):
+        # A real symmetric Toeplitz base takes the half-size SVD directly, and
+        # must give spectral_norm's bits; any other base takes spectral_norm,
+        # and a symmetric base that is not Toeplitz is not J-odd.
+        if base == "box-default":
+            orbit = box_modulation_case().matrices
+        else:
+            h, hi = 0.25, (4.0 if base != "box-even" else 3.75)
+            op = box_convolution_operator(h, 0.0, hi)
+            rng = np.random.default_rng(7)
+            mat = rng.standard_normal((op.size, op.size))
+            if base == "complex":
+                op = GridOperator(h, 0.0, hi, mat + 1j * rng.standard_normal(mat.shape))
+            elif base.startswith("real"):
+                op = GridOperator(h, 0.0, hi, mat + mat.T if base == "real-symmetric" else mat)
+            orbit = ModulationOrbit(op, 3.0, 5)
+        for k in range(1, len(orbit)):
+            diff = orbit.difference(k)
+            assert orbit.difference_norm(k) == spectral_norm(diff)
+            if base != "box-default":
+                want = ref.spectral_norm(orbit[0] - orbit[k])
+                assert orbit.difference_norm(k) == pytest.approx(want, rel=1e-13)
+
+    def test_products_match_the_items(self):
+        # M_k r and l* M_k from the real base against the built items.
+        orbit = box_modulation_case(h=0.1, steps=5).matrices
+        rng = np.random.default_rng(3)
+        right, left = (rng.standard_normal((k, 121)) + 1j * rng.standard_normal((k, 121))
+                       for k in (3, 2))
+        got_right, got_left = orbit.products(right, left)
+        assert got_right.shape == (5, 3, 121) and got_left.shape == (5, 2, 121)
+        for k, item in enumerate(orbit):
+            assert np.abs(got_right[k] - right @ item.T).max() <= 1e-13
+            assert np.abs(got_left[k] - left.conj() @ item).max() <= 1e-13
+
     def test_read_only_items_and_list_route(self):
         box = box_convolution_operator(0.25, 0.0, 4.0)
         orbit = ModulationOrbit(box, 3.0, 4)
@@ -299,7 +334,8 @@ class TestModulationOrbit:
         vec = [np.ones(box.size)]
         res = topology_probe(orbit, vec, [(vec[0], vec[0])], tol=1e-12)
         dense = topology_probe(list(orbit), vec, [(vec[0], vec[0])], tol=1e-12)
-        assert [r.strongstar_diff for r in res.rows] == [r.strongstar_diff for r in dense.rows]
+        assert [r.strongstar_diff for r in res.rows] == pytest.approx(
+            [r.strongstar_diff for r in dense.rows], rel=1e-12)
 
 
 class TestPairwiseOracle:
@@ -321,11 +357,11 @@ class TestPairwiseOracle:
             assert abs(r.weakstar_diff - weak) <= 1e-13
 
 
-def test_box_modulation_probe_holds_under_two_items():
-    # The orbit builds items on access, each as one complex array, and the
-    # probe keeps one item, then one real difference of half its bytes: the
-    # norm's pass over the difference's nonzeros sets the peak (1.74 items;
-    # 2.12 when an item took two phase products).  The whole orbit is 9 items.
+def test_box_modulation_probe_holds_under_one_item():
+    # The probe builds no orbit item: the products come from the real base,
+    # and each norm from one real difference of half an item's bytes and its
+    # quarter-size even-odd block, which set the peak (0.87 items; 1.74 when
+    # every item was built and the norm took spectral_norm's route).
     case = box_modulation_case()
     item = case.matrices[0].nbytes
     tracemalloc.start()
@@ -334,7 +370,7 @@ def test_box_modulation_probe_holds_under_two_items():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * item
+    assert peak < item
 
 
 def test_parity_shift_probe_holds_under_one_item():

@@ -7,15 +7,21 @@ from qha.conv import symplectic_fourier
 from qha.errors import PreconditionError
 from qha.groups import FiniteAbelianGroup, GroupFunction, constant, delta, random_function
 from qha.weyl import PhaseSpace, identity_op, random_op, rank_one
+from qha.numerics import DEFAULT_ZERO_TOL
 from qha.wiener import (
+    RegularityReport,
     corresponding_space,
     degenerate_operator_set,
-    regular_fn,
     regular_op_set,
     regular_set_fn,
 )
 
 import _reference as ref
+
+
+def regular_fn(g: GroupFunction, threshold: float = DEFAULT_ZERO_TOL) -> RegularityReport:
+    """Regularity of a single function: nowhere-vanishing transform."""
+    return regular_set_fn([g], threshold)
 
 
 class TestFunctionRegularity:

@@ -10,11 +10,9 @@ from qha.asymptotics.windowed import (
     b0_diagnostic,
     column_row_profiles,
     compactness_proxy,
-    diagonal_decay_operator,
+    halmos_column_profile,
     halmos_operator,
-    identity_window,
     parity_window,
-    point_mass_operator,
     shift_operator,
     WindowedFunction,
     WindowedZOperator,
@@ -22,11 +20,34 @@ from qha.asymptotics.windowed import (
 from qha.errors import PreconditionError
 
 
+def identity_window(lo: int, hi: int) -> WindowedZOperator:
+    return WindowedZOperator(lo, hi, np.eye(hi - lo + 1))
+
+
+def point_mass_operator(lo: int, hi: int, at: int = 0) -> WindowedZOperator:
+    """Rank-one delta_at (x) delta_at compression."""
+    size = hi - lo + 1
+    mat = np.zeros((size, size))
+    mat[at - lo, at - lo] = 1.0
+    return WindowedZOperator(lo, hi, mat)
+
+
+def diagonal_decay_operator(size: int) -> WindowedZOperator:
+    """diag(1, 1/2, ..., 1/size): compact-consistent reference."""
+    return WindowedZOperator(0, size - 1, np.diag(1.0 / np.arange(1, size + 1)))
+
+
+def tail_sup(profile: DecayProfile, threshold: float) -> float:
+    """Largest value at parameters >= threshold (0 for an empty tail)."""
+    tail = profile.values[profile.params >= threshold]
+    return float(tail.max()) if tail.size else 0.0
+
+
 class TestDecayProfile:
     def test_tail_sup(self):
         p = DecayProfile([1.0, 2.0, 3.0], [0.5, 0.2, 0.1])
-        assert p.tail_sup(2.0) == pytest.approx(0.2)
-        assert p.tail_sup(99.0) == 0.0
+        assert tail_sup(p, 2.0) == pytest.approx(0.2)
+        assert tail_sup(p, 99.0) == 0.0
 
     def test_requires_increasing_params(self):
         with pytest.raises(ValueError):
@@ -69,6 +90,25 @@ class TestHalmosOperator:
             assert np.abs(seg - expected).max() < 1e-13
             start += n
         assert np.array_equal(cols.values, rows.values)  # symmetric
+
+    def test_column_profile_is_the_dense_profile_bit_for_bit(self):
+        # Per-block sequential sums add each column's squares in the dense
+        # column sum's row order; a pairwise sum would not (5.6e-17 off at 40).
+        for blocks in range(1, 41):
+            dense = column_row_profiles(halmos_operator(blocks))[0]
+            profile = halmos_column_profile(blocks)
+            assert profile.params.tobytes() == dense.params.tobytes()
+            assert profile.values.tobytes() == dense.values.tobytes()
+
+    def test_column_profile_budget_is_per_point(self, monkeypatch):
+        # 320 bytes a point, the profile and its CSV rows: blocks <= 2,590.
+        assert 320 * (2590 * 2591 // 2) <= qha.errors.MEMORY_BUDGET < 320 * (2591 * 2592 // 2)
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 320 * 10)
+        assert len(halmos_column_profile(4)) == 10
+        with pytest.raises(PreconditionError, match="on 15 points needs 4,800 bytes"):
+            halmos_column_profile(5)
+        with pytest.raises(PreconditionError, match="at least one block"):
+            halmos_column_profile(0)
 
     def test_pad_prepends_zero_region(self):
         op = halmos_operator(3, pad=5)
