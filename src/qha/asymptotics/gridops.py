@@ -20,7 +20,7 @@ from ..numerics import _even_odd_values, spectral_norm
 
 
 def _near_int(x: float, tol: float = 1e-9) -> bool:
-    return abs(x - round(x)) <= tol
+    return math.isfinite(x) and abs(x - round(x)) <= tol
 
 
 def _check_step(h: float) -> None:
@@ -113,7 +113,9 @@ class ModulationOrbit(Sequence):
     def __len__(self) -> int:
         return len(self._ks)
 
-    def __getitem__(self, k: int) -> np.ndarray:
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in self._ks[k]]
         phase = np.exp(-1j * (self._step * self._ks[k]) * self._base.grid())
         item = phase[:, None] * self._base.matrix
         item *= phase.conj()[None, :]  # in place: one complex S x S array
@@ -133,9 +135,10 @@ class ModulationOrbit(Sequence):
         return phase[:, None, :] * bx, yb * phase.conj()[:, None, :]
 
     def difference_norm(self, k: int) -> float:
-        """||M_0 - M_k||: spectral_norm(difference(k)), which for a real
-        symmetric Toeplitz B is taken straight from the half-size SVD of the
-        J-even to J-odd block, with no nonzero scan or structure check."""
+        """||M_0 - M_k|| of difference(k).  For a real symmetric Toeplitz B it
+        is taken straight from the half-size SVD of the J-even to J-odd block,
+        the one structured route of qha.numerics, with no nonzero scan; any
+        other B takes spectral_norm (exact block split, one batched SVD)."""
         diff = self.difference(k)
         if not self._even_odd:
             return spectral_norm(diff)

@@ -98,7 +98,7 @@ def halmos_column_profile(blocks: int) -> DecayProfile:
     it, a point takes about 320 bytes: blocks <= 2,590 fits MEMORY_BUDGET.
     """
     if blocks < 1:
-        raise PreconditionError("halmos_operator needs at least one block")
+        raise PreconditionError("halmos_column_profile needs at least one block")
     total = blocks * (blocks + 1) // 2
     check_memory(320 * total, f"a block-projection profile on {total} points")
     norms = [np.sqrt(np.cumsum(np.full(n, 1.0 / n) ** 2)[-1]) for n in range(1, blocks + 1)]

@@ -362,7 +362,10 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        # Every output is checked for finiteness before it is written, so an
+        # overflow surfaces as one error line, not also numpy's warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:  # PreconditionError is a ValueError
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -7,35 +7,21 @@ thresholds (always relative to the largest magnitude present).
 
 Spectral norms and singular values of the sequence-space and grid models
 (topology probes, compactness trends, grid operator norms) come from one
-routine, :func:`entry_singular_values`.  It
-reads entries, not cells: finiteness, the tolerance and the block split
-come from a list of cells covering the nonzero ones, and a cell function
-reads each block (:func:`singular_values` lists a matrix's nonzero cells in
-one scan; the topology probe lists two items' and reads A_i - A_j there):
+routine, :func:`entry_singular_values`.  It reads entries, not cells:
+finiteness and the block split come from a list of cells covering the
+nonzero ones, and a cell function reads each block (:func:`singular_values`
+lists a matrix's nonzero cells in one scan; the topology probe lists two
+items' and reads A_i - A_j there).  Rows and columns are grouped into the
+connected components of the bipartite graph of the exact nonzero pattern
+(never thresholded); each diagonal block of the permuted matrix is taken
+alone, and equally shaped blocks take one batched ``svd``.  Nothing is
+discarded, so the values are exact SVDs of the exact blocks.
 
-* exact block split: rows and columns are grouped into the connected
-  components of the bipartite graph of the exact nonzero pattern (never
-  thresholded), and each diagonal block of the permuted matrix is taken
-  alone, equally shaped blocks in one batched LAPACK call;
-* a complex block with ``J b J = conj(b)`` (J the exchange matrix) is made
-  real by ``Q = (I + iJ)/sqrt(2)`` (Cantoni & Butler, Linear Algebra Appl.
-  13, 1976), and a Hermitian (real symmetric) block goes to ``eigvalsh``;
-* a real symmetric block with ``J b J = -b`` is split by the same authors'
-  J-even/J-odd basis into ``[[0, X], [X^T, 0]]``: its singular values are
-  those of the ceil(n/2) x floor(n/2) block X, each twice, from one
-  half-size ``svd``;
-* each shortcut is taken only when the part it discards, E, satisfies
-  ``sqrt(||E||_1 ||E||_inf) <= 1e-12`` times the largest column norm of the
-  matrix, so it moves no singular value by more than 1e-12 of the norm;
-  the bound is a product of square roots, so it neither under- nor
-  overflows at any scale of the entries;
-* every other block takes a dense ``svd``.
-
-The structure is read off the matrix; there is no flag to pass, except in
+The one structured route is :func:`_even_odd_values`, taken only by
 ``gridops.ModulationOrbit.difference_norm``: the differences of an orbit of
 an exactly symmetric Toeplitz base are real symmetric with ``J b J = -b`` bit
-for bit, so it takes :func:`_even_odd_values` of the whole difference
-directly.  Dense random operators (``weyl.HilbertOp``) keep a plain SVD.
+for bit (J the exchange matrix), so their singular values come from one
+half-size SVD.  Dense random operators (``weyl.HilbertOp``) keep a plain SVD.
 """
 from __future__ import annotations
 
@@ -83,21 +69,13 @@ def svd_rank(rows: np.ndarray, rel_tol: float = DEFAULT_ZERO_TOL) -> RankResult:
     return RankResult(rank, svals, warnings)
 
 
-# A structural shortcut may discard a part E of a block only while
-# sqrt(||E||_1 ||E||_inf) >= ||E||_2 stays below this fraction of the
-# largest column norm of the whole matrix, itself a lower bound on its
-# spectral norm.  By Weyl's inequality every singular value then moves by
-# at most that much.
-_STRUCTURE_TOL = 1e-12
-
-
 def singular_values(m) -> np.ndarray:
     """All min(R, C) singular values of a finite R x C matrix, descending.
 
     The matrix is split exactly into the connected components of the
     bipartite row-column graph of its nonzero pattern; equally shaped blocks
-    are stacked, and each stack takes the cheapest route its structure allows
-    (see the module docstring).  Non-finite entries raise ValueError.
+    are stacked and take one batched SVD.  Non-finite entries raise
+    ValueError.
     """
     mat = np.asarray(m)
     mat = mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
@@ -116,16 +94,10 @@ def entry_singular_values(shape, rows, cols, cells) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     out = np.zeros(min(shape))
     nonzero = vals != 0
-    rows, cols, power = rows[nonzero], cols[nonzero], np.abs(vals[nonzero])
-    if out.size == 0 or power.size == 0:
+    if out.size == 0 or not nonzero.any():
         return out
-    top = float(power.max())
-    power /= top  # no overflow in the squares
-    power *= power
-    # bincount adds each column's squares in row order, as a dense column sum would.
-    tol = _STRUCTURE_TOL * top * float(np.sqrt(np.bincount(cols, weights=power).max()))
-    stacks = _block_stacks(shape, rows, cols, cells)
-    vals = np.concatenate([_stack_values(s, tol).ravel() for s in stacks])
+    stacks = _block_stacks(shape, rows[nonzero], cols[nonzero], cells)
+    vals = np.concatenate([np.linalg.svd(s, compute_uv=False).ravel() for s in stacks])
     out[: vals.size] = np.sort(vals)[::-1]
     return out
 
@@ -189,63 +161,6 @@ def _block_stacks(shape, rows: np.ndarray, cols: np.ndarray, cells):
         ri = r_order[r_start[ks][:, None] + np.arange(r)]
         ci = c_order[c_start[ks][:, None] + np.arange(c)]
         yield cells(ri[:, :, None], ci[:, None, :])
-
-
-def _bound(e: np.ndarray) -> float:
-    """Largest sqrt(||E||_1 ||E||_inf) over a stack of |E| blocks, as a product
-    of square roots: the product of the norms under- or overflows at 1e+-200."""
-    return float((np.sqrt(e.sum(axis=-2).max(axis=-1)) * np.sqrt(e.sum(axis=-1).max(axis=-1))).max())
-
-
-def _stack_values(stack: np.ndarray, tol: float) -> np.ndarray:
-    """Singular values of every block of a stack, shape (blocks, min(r, c)).
-
-    A complex stack with J b J = conj(b) (J the exchange matrix) within tol
-    is carried to a real stack by Q = (I + iJ)/sqrt(2): Q* b Q has real part
-    (X + J X J + J Y - Y J)/2 and imaginary part (Y + J Y J + X J - J X)/2
-    for b = X + iY, and only the imaginary part is discarded.
-    """
-    if np.iscomplexobj(stack):
-        x, y = stack.real, stack.imag
-        e = y + y[..., ::-1, ::-1]
-        e += x[..., :, ::-1]
-        e -= x[..., ::-1, :]
-        centro = 0.5 * _bound(np.abs(e, out=e)) <= tol
-        del e
-        if centro:
-            real = x + x[..., ::-1, ::-1]
-            real += y[..., ::-1, :]
-            real -= y[..., :, ::-1]
-            real *= 0.5
-            return _stack_values(real, tol)
-    if stack.shape[-1] == stack.shape[-2]:
-        # eigvalsh reads the lower triangle only: it discards the strictly
-        # upper part of b - b* and the imaginary diagonal, both dominated
-        # entrywise by |b - b*|.
-        if np.iscomplexobj(stack):
-            x, y = stack.real, stack.imag
-            skew = x - x.swapaxes(-1, -2)
-            np.hypot(skew, y + y.swapaxes(-1, -2), out=skew)
-        else:
-            skew = stack - stack.swapaxes(-1, -2)
-            np.abs(skew, out=skew)
-        hermitian = _bound(skew) <= tol
-        del skew
-        if hermitian:
-            if not np.iscomplexobj(stack) and stack.shape[-1] > 1 and _j_odd(stack, tol):
-                return _even_odd_values(stack)
-            return np.abs(np.linalg.eigvalsh(stack))
-    return np.linalg.svd(stack, compute_uv=False)
-
-
-def _j_odd(stack: np.ndarray, tol: float) -> bool:
-    """Whether J b J = -b holds within tol: the J-even part E = (b + J b J)/2
-    that the even-odd split discards passes the bound.  An entry of E is at
-    most ||E||_2, so one scalar refuses most stacks before any array exists."""
-    if abs(stack[0, 0, 0] + stack[0, -1, -1]) > 2.0 * tol:
-        return False
-    e = stack + stack[..., ::-1, ::-1]
-    return 0.5 * _bound(np.abs(e, out=e)) <= tol
 
 
 def _even_odd_values(stack: np.ndarray) -> np.ndarray:

@@ -1,14 +1,19 @@
 """Command-line surface: exit codes, CSV schemas, manifest determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qha.errors
 from qha.cli import build_parser, dispatch, emit_csv
@@ -299,6 +304,12 @@ class TestExampleAndProfileCommands:
         assert lines[1] == "param,value"
         assert len(lines) == 2 + 10  # 1+2+3+4 columns
 
+    def test_example_halmos_rejects_no_blocks(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        code, _, err = run(["example", "halmos", "--blocks", "0", "--out", str(out)], capsys)
+        assert (code, err) == (2, "error: halmos_column_profile needs at least one block\n")
+        assert not out.exists()
+
     def test_example_cac_record(self, tmp_path, capsys):
         out = tmp_path / "cac.csv"
         code, _, _ = run(["example", "cac", "--h", "0.25", "--nmax", "2", "--out", str(out)], capsys)
@@ -314,6 +325,15 @@ class TestExampleAndProfileCommands:
         assert code == 2
         assert err.startswith("error:") and "finite and positive" in err
         assert stdout == ""
+        assert not out.exists()
+
+    def test_example_cac_rejects_subnormal_step(self, tmp_path, capsys):
+        # 0.5 / 5e-324 is inf, which has no nearest integer.
+        out = tmp_path / "cac.csv"
+        code, stdout, err = run(["example", "cac", "--h", "5e-324", "--nmax", "1",
+                                 "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "error: step h = 5e-324 must divide 0.5 so interval endpoints land on the grid\n"
         assert not out.exists()
 
     def test_stft_decay_windowed(self, tmp_path, capsys):
@@ -526,25 +546,33 @@ class TestEmitCsv:
 class TestNonFiniteOutput:
     """A run whose result overflows exits 2 and writes no file."""
 
+    @staticmethod
+    def _assert_one_error_line(argv, capsys, err_start):
+        # In-process with warnings as errors, and as a command: numpy's
+        # overflow warning must not join the error line on stderr.
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(err_start) and err.count("\n") == 1
+        proc = _run_under_memory_limit("from qha.cli import main; main()", argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(err_start) and proc.stderr.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
     def test_rk_tail_mass_overflow(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("fam").mkdir()
         _write_csv("fam/a.csv", np.arange(-5, 6), np.full(11, 1e308 + 1e308j))
-        with pytest.warns(RuntimeWarning, match="overflow"):  # the l1 sum
-            code, out, err = run(["rk", "--family", "fam", "--out", "rk.csv"], capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: column 'value' holds a non-finite value")
+        self._assert_one_error_line(["rk", "--family", "fam", "--out", "rk.csv"], capsys,
+                                    "error: column 'value' holds a non-finite value")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fam"]
 
+    @pytest.mark.filterwarnings("error")
     def test_stft_decay_overflow(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         _write_csv("f.csv", np.arange(-5, 6), np.full(11, 1e308 + 1e308j))
         _write_csv("phi.csv", np.arange(-1, 2), np.full(3, 1e308 + 0j))
         argv = ["stft", "decay", "--f", "f.csv", "--phi", "phi.csv", "--k", "grid:8", "--out", "d.csv"]
-        with pytest.warns(RuntimeWarning):  # the matmul overflows
-            code, out, err = run(argv, capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: column 'sup_abs' holds a non-finite value")
+        self._assert_one_error_line(argv, capsys, "error: column 'sup_abs' holds a non-finite value")
         assert not Path("d.csv").exists()
 
     @pytest.mark.parametrize("weight", ["inf", "-inf", "nan"])
@@ -698,3 +726,106 @@ class TestParserCoverage:
         ]
         names = set(subactions[0].choices)
         assert names == {"group", "weyl", "conv", "wiener", "example", "probe", "stft", "bound", "rk", "run"}
+
+
+def _commands(parser, words=()):
+    """(subcommand words, options) of every leaf command of the parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, words + (name,))
+            return
+    yield words, [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+#: One value per option type.  Ints stay small: huge sizes run only in the
+#: RLIMIT_AS child of test_oversized_run_exits_2_before_allocating.
+_EDGES = ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308"]
+_BY_TYPE = {int: _EDGES + ["1", "2", "3"], float: _EDGES + ["5e-324", "0.25", "0.5"]}
+#: String options, by dest; paths are relative to the fixture directory.
+_BY_DEST = {
+    "orders": ["0", "-1", "2", "12", "4,3", "4,3,0", "nan", "1e308"],
+    "tails": _EDGES + ["0.5", "0.5,0.25", "1e308,1e308"],
+    "k": ["grid:0", "grid:-1", "grid:3", "grid:nan", "grid:1e308", "all", "3"],
+    **{dest: ["small.csv", "huge.csv", "window.csv", "missing.csv"]
+       for dest in ("input", "f", "g", "phi")},
+    "family": ["fam", "fam_huge", "empty", "missing"],
+    "manifest": ["weyl.json", "bound.json", "broken.json", "missing.json"],
+    "out": ["-", "out/o.csv"],
+}
+#: The commands whose exit 1 reports a failed audit.
+_AUDITS = {("weyl", "check"), ("conv", "audit"), ("wiener", "verify")}
+
+
+@st.composite
+def _argv(draw):
+    words, options = draw(st.sampled_from(list(_commands(build_parser()))))
+    argv = list(words)
+    for action in options:
+        if not action.required and draw(st.booleans()):
+            continue
+        if action.nargs == 0:
+            argv.append(action.option_strings[0])
+            continue
+        values = action.choices or _BY_TYPE.get(action.type) or _BY_DEST[action.dest]
+        value = draw(st.sampled_from(sorted(values)))
+        argv.append(f"{action.option_strings[0]}={value}" if action.option_strings else value)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Small input files, some of huge finite values, and manifests."""
+    root = tmp_path_factory.mktemp("fuzz")
+    t = np.arange(12)
+    _write_csv(root / "small.csv", t, np.cos(t) + 0.5j)
+    _write_csv(root / "huge.csv", t, np.full(12, 1e308 - 1e308j))
+    _write_csv(root / "window.csv", np.arange(-1, 2), np.full(3, 1e308 + 0j))
+    for family, files in (("fam", ["small.csv"]), ("fam_huge", ["small.csv", "huge.csv"]),
+                          ("empty", [])):
+        (root / family).mkdir()
+        for name in files:
+            (root / family / name).write_bytes((root / name).read_bytes())
+    (root / "weyl.json").write_text(json.dumps({"subcommand": "weyl check", "params": {"n": 2}}))
+    (root / "bound.json").write_text(json.dumps(
+        {"subcommand": "bound certify", "params": {"tails": "1e308", "eps": 1e308, "c": 1e308}}))
+    (root / "broken.json").write_text('{"subcommand": ')
+    return root
+
+
+def _non_finite_fields(text: str) -> list[str]:
+    bad = []
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            for field in line.split(","):
+                try:
+                    if not np.isfinite(float(field)):
+                        bad.append(field)
+                except ValueError:
+                    pass
+    return bad
+
+
+class TestFuzzParser:
+    @given(_argv())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_exit_codes_and_finite_output(self, fuzz_inputs, argv):
+        # Each run starts in the fixture directory with an empty out/.
+        shutil.rmtree(fuzz_inputs / "out", ignore_errors=True)
+        (fuzz_inputs / "out").mkdir()
+        stdout, cwd = io.StringIO(), os.getcwd()
+        os.chdir(fuzz_inputs)
+        try:
+            with (warnings.catch_warnings(), contextlib.redirect_stdout(stdout),
+                  contextlib.redirect_stderr(io.StringIO())):
+                warnings.simplefilter("error")
+                code = dispatch(argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert tuple(argv[:2]) in _AUDITS or (argv[:2] == ["probe", "topology"]
+                                                   and any(a.startswith("--expect") for a in argv))
+        if code == 0:
+            outputs = [stdout.getvalue()] + [p.read_text() for p in (fuzz_inputs / "out").iterdir()]
+            assert not [f for text in outputs for f in _non_finite_fields(text)]

@@ -259,8 +259,9 @@ class TestModulationOrbit:
     @pytest.mark.parametrize("base", ["box-odd", "box-even", "complex", "real-nonpersymmetric"])
     def test_difference_has_the_dense_singular_values(self, monkeypatch, base):
         # ModulationOrbit.difference(k) against the dense M_0 - M_k and one
-        # reference SVD; a symmetric Toeplitz box gives a symmetric J-odd
-        # matrix (one half-size real SVD), any other base the plain route.
+        # reference SVD; for a symmetric Toeplitz box difference_norm takes
+        # one half-size real SVD of the J-odd difference, for any other base
+        # the block-split route.
         h, hi = 0.25, (4.0 if base != "box-even" else 3.75)
         op = box_convolution_operator(h, 0.0, hi)
         rng = np.random.default_rng(5)
@@ -277,11 +278,12 @@ class TestModulationOrbit:
             want = ref.singular_values(orbit[0] - orbit[k])
             diff = orbit.difference(k)
             assert np.iscomplexobj(diff) == (base == "complex")
+            assert singular_values(diff) == pytest.approx(want, rel=1e-13, abs=1e-13 * want[0])
             monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
                 shapes.append((a.dtype.kind, a.shape[-2:])), svd(a, *args, **kwargs))[1])
-            got = singular_values(diff)
+            norm = orbit.difference_norm(k)
             monkeypatch.setattr(np.linalg, "svd", svd)
-            assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * want[0])
+            assert norm == pytest.approx(want[0], rel=1e-13)
         if base.startswith("box"):
             assert shapes == [("f", ((n + 1) // 2, n // 2))] * 4
         elif base == "real-nonpersymmetric":
@@ -290,9 +292,10 @@ class TestModulationOrbit:
     @pytest.mark.parametrize("base", ["box-odd", "box-even", "box-default", "complex",
                                       "real-nonpersymmetric", "real-symmetric"])
     def test_difference_norm_is_the_spectral_norm(self, base):
-        # A real symmetric Toeplitz base takes the half-size SVD directly, and
-        # must give spectral_norm's bits; any other base takes spectral_norm,
-        # and a symmetric base that is not Toeplitz is not J-odd.
+        # A real symmetric Toeplitz base takes the half-size SVD directly; any
+        # other base takes spectral_norm, and a symmetric base that is not
+        # Toeplitz is not J-odd.  Both agree with one dense SVD (of the real
+        # difference on the default grid, whose items are 601 x 601).
         if base == "box-default":
             orbit = box_modulation_case().matrices
         else:
@@ -306,11 +309,8 @@ class TestModulationOrbit:
                 op = GridOperator(h, 0.0, hi, mat + mat.T if base == "real-symmetric" else mat)
             orbit = ModulationOrbit(op, 3.0, 5)
         for k in range(1, len(orbit)):
-            diff = orbit.difference(k)
-            assert orbit.difference_norm(k) == spectral_norm(diff)
-            if base != "box-default":
-                want = ref.spectral_norm(orbit[0] - orbit[k])
-                assert orbit.difference_norm(k) == pytest.approx(want, rel=1e-13)
+            dense = orbit.difference(k) if base == "box-default" else orbit[0] - orbit[k]
+            assert orbit.difference_norm(k) == pytest.approx(ref.spectral_norm(dense), rel=1e-13)
 
     def test_products_match_the_items(self):
         # M_k r and l* M_k from the real base against the built items.
@@ -323,6 +323,16 @@ class TestModulationOrbit:
         for k, item in enumerate(orbit):
             assert np.abs(got_right[k] - right @ item.T).max() <= 1e-13
             assert np.abs(got_left[k] - left.conj() @ item).max() <= 1e-13
+
+    def test_slices_are_the_items(self):
+        orbit = box_modulation_case(h=0.25).matrices
+        part = orbit[1:3]
+        assert isinstance(part, list) and len(part) == 2
+        for got, k in [*zip(part, (1, 2)), (orbit[-1], len(orbit) - 1)]:
+            assert got.tobytes() == orbit[k].tobytes()
+        assert [m.tobytes() for m in orbit[::-4]] == [orbit[k].tobytes() for k in (8, 4, 0)]
+        with pytest.raises(IndexError):
+            orbit[len(orbit)]
 
     def test_read_only_items_and_list_route(self):
         box = box_convolution_operator(0.25, 0.0, 4.0)
