@@ -189,6 +189,12 @@ def piecewise_box_smoothed_indicator(n: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rank_one_min(a: np.ndarray, s: np.ndarray, i0: int, i1: int, c: float) -> float:
+    """min(a s^T less c on [i0, i1)^2), a, s >= 0, bit for bit in O(L): rounding keeps order."""
+    a_out, s_out = np.delete(a, slice(i0, i1)), np.delete(s, slice(i0, i1))
+    return min(a_out.min() * s.min(), a.min() * s_out.min(), a[i0:i1].min() * s[i0:i1].min() - c)
+
+
 @dataclass
 class CacRecord:
     """Verification record for the projection/box-convolution product."""
@@ -213,14 +219,14 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
     n^2 + n/2 + 1].  Only s_1 and s_2 overlap, so C A C - A is block diagonal
     over {1, 2}, {3}, ..., {n_max} and exactly 0 elsewhere (the grid always
     reaches past the last support): min_kernel_gap is min(0, block minima),
-    product_norms come from the rank form, and projection_residual from
-    A's blocks c 1 1^T.
+    a one-member block's from its rank-one factors in O(L), product_norms
+    from the rank form, and projection_residual from A's blocks c 1 1^T.
 
     Preconditions: h <= 0.5, 0.5/h integral, x_lo and x_hi on the grid of the
     endpoints n^2 +- n/2, and [x_lo, x_hi] covering [0, n_max^2 + n_max/2 + 2].
-    The largest block, (n_max + 2)/h points a side from n_max = 4 on, takes 8
-    bytes an entry: 2040 points (33 MB) at n_max = 100 and h = 0.05, where
-    n_max <= 577 fits MEMORY_BUDGET.
+    The budget counts the largest block, (n_max + 2)/h points a side from
+    n_max = 4 on, at 8 bytes an entry (only {1, 2} is formed): 2040 points
+    (33 MB) at n_max = 100 and h = 0.05, where n_max <= 577 fits MEMORY_BUDGET.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -253,19 +259,21 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
         idx = np.arange(lo, hi)
         smoothed = h * np.stack([_box_counts(idx, *spans[n], band, band) for n in members])
         weighted = smoothed.T * (h / np.array(members))
-        block = weighted @ smoothed  # C A C on the group
+        block = weighted @ smoothed if len(members) > 1 else None  # C A C on the group {1, 2}
         for n in members:
             i0, i1 = spans[n]
             image = weighted @ (smoothed[:, i0 - lo : i1 - lo].sum(axis=1) / np.sqrt(n))
             product_norms[n] = float(np.sqrt(h * (image * image).sum()))
-            block[i0 - lo : i1 - lo, i0 - lo : i1 - lo] -= h / n
+            if block is not None:
+                block[i0 - lo : i1 - lo, i0 - lo : i1 - lo] -= h / n
             # A's block is c 1 1^T on L points, c = h/n = p/q: A^2 - A is
             # (L c^2 - c) 1 1^T there, of norm L c |L c - 1|, here exactly.
             p, q = (h / n).as_integer_ratio()
             L = i1 - i0
             projection_residual = max(projection_residual, L * p * abs(L * p - q) / q**2)
-        min_kernel_gap = min(min_kernel_gap, float(block.min()) / h)
-        del block  # before the next group's block exists
+        least = (block.min() if block is not None  # else one member n, points on both sides
+                 else _rank_one_min(weighted[:, 0], smoothed[0], i0 - lo, i1 - lo, h / n))
+        min_kernel_gap = min(min_kernel_gap, float(least) / h)
 
     # Discrete smoothing of each interval indicator with the half-open box
     # (offsets in [-1, 1)), against the closed-form trapezoid.  Both vanish

@@ -9,6 +9,8 @@ norm => strong* => weak* holds for the measured quantities.  The probe takes
 no quadrature weight: a uniform weight scales every norm, every pairing and
 every normalization alike, so it cancels in each reported quantity.  The
 vector quantities come from per-item products, (A_i - A_j) v = A_i v - A_j v.
+Items come as a ModulationOrbit, a ShiftedCopies held as its base's nonzero
+entries, or a list of dense matrices (the independent route).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 from ..errors import PreconditionError
 from ..numerics import entry_singular_values
 from .gridops import ModulationOrbit, box_convolution_operator
-from .windowed import WindowedZOperator, halmos_operator, parity_window, shift_operator
+from .windowed import ShiftedCopies, halmos_operator
 
 CLASSIFICATIONS = ("norm", "strong*", "weak*", "divergent")
 
@@ -69,11 +71,11 @@ def topology_probe(
     """Classify the strongest topology whose pairwise differences over the
     second half of the sequence (the tail) stay within tol (finite and >= 0).
 
-    The sequence is a list of matrices or a ModulationOrbit.  An orbit builds
-    no item: its products come from its real base, and one norm per shift
-    difference j - i, ``ModulationOrbit.difference_norm``, serves every pair.
-    A list takes one norm per pair, reading A_i - A_j only on the cells where
-    A_i or A_j is nonzero, and stays the independent route.  trace_tests
+    The sequence is a ModulationOrbit, a ShiftedCopies or a list of matrices.
+    An orbit builds no item: products come from its base, and one norm per shift
+    difference j - i (``ModulationOrbit.difference_norm``) serves every pair.
+    Any other item gives its nonzero flat indices, cell function and products,
+    and a pair's norm reads A_i - A_j where A_i or A_j is nonzero.  trace_tests
     are (u, w) pairs standing for the rank-one pairing B -> <Bu, w>; both
     factors are normalized so the pairing is dominated by the operator norm.
     """
@@ -89,22 +91,16 @@ def topology_probe(
     count = len(sequence)
     tail_start = min(count - 1, (count + 1) // 2)
     # (A_i - A_j) v = A_i v - A_j v: each item's products A v, A u and v* A
-    # (||d* v|| = ||v* d||) are taken once.  An orbit gives them, and
-    # ||M_0 - M_k||, from its real base; a list keeps each item's nonzero
-    # flat indices and reads every pair's norm from them.
-    rights = vecs + [u for u, _ in pairs]
+    # (||d* v|| = ||v* d||) are taken once.
+    rights, lefts = np.stack(vecs + [u for u, _ in pairs]), np.stack(vecs)
     if isinstance(sequence, ModulationOrbit):
-        right, left = sequence.products(np.stack(rights), np.stack(vecs))
+        right, left = sequence.products(rights, lefts)
         by_shift = [0.0] + [sequence.difference_norm(k) for k in range(1, count)]
         norm = {(i, j): by_shift[j - i] for i in range(count) for j in range(i + 1, count)}
     else:
-        right, left, items = [], [], []
-        for k in range(count):
-            item = np.asarray(sequence[k])
-            item = item.astype(complex if np.iscomplexobj(item) else float, copy=False)
-            right.append(np.stack([item @ r for r in rights]))
-            left.append(np.stack([v.conj() @ item for v in vecs]))
-            items.append((item, np.flatnonzero(item != 0)))
+        form = (sequence.item_form if isinstance(sequence, ShiftedCopies)
+                else lambda k, *tests: _matrix_form(sequence[k], *tests))
+        items, right, left = zip(*(form(k, rights, lefts) for k in range(count)))
         norm = {(i, j): _difference_norm(items[i], items[j])
                 for i in range(count) for j in range(i + 1, count)}
     nv = len(vecs)
@@ -124,16 +120,23 @@ def topology_probe(
     return result
 
 
+def _matrix_form(item, right: np.ndarray, left: np.ndarray):
+    """``ShiftedCopies.item_form`` of a plain matrix, by scan, gather and matvec."""
+    item = np.asarray(item, dtype=complex if np.iscomplexobj(item) else float)
+    return ((item.shape, np.flatnonzero(item != 0), lambda ri, ci: item[ri, ci]),
+            np.stack([item @ r for r in right]), np.stack([v.conj() @ item for v in left]))
+
+
 def _difference_norm(first, second) -> float:
     """||A - B|| read on the sorted union of A's and B's nonzero flat indices,
     each cell the dense difference's own, signed zeros included."""
-    (a, flat_a), (b, flat_b) = first, second
+    (shape, flat_a, a), (_, flat_b, b) = first, second
     flat = np.concatenate([flat_a, flat_b])
     flat.sort()
     # A sorted union without np.union1d, whose first call imports numpy.ma.
     flat = flat[np.diff(flat, prepend=-1) > 0]
-    rows, cols = np.divmod(flat, a.shape[1])
-    vals = entry_singular_values(a.shape, rows, cols, lambda ri, ci: a[ri, ci] - b[ri, ci])
+    rows, cols = np.divmod(flat, shape[1])
+    vals = entry_singular_values(shape, rows, cols, lambda ri, ci: a(ri, ci) - b(ri, ci))
     return float(vals.max(initial=0.0))
 
 
@@ -146,6 +149,13 @@ class ProbeCase:
     trace_tests: list[tuple[np.ndarray, np.ndarray]]
 
 
+def _moves(shifts: list[int], theta_points: int) -> list[tuple[int, float]]:
+    """(k, 2 pi m / theta_points) per item, m cycling through 0..theta_points - 1."""
+    if not shifts or theta_points < 1:
+        raise PreconditionError("steps and theta_points must be >= 1")
+    return [(k, 2 * np.pi * (i % theta_points) / theta_points) for i, k in enumerate(shifts)]
+
+
 def halmos_shift_case(
     blocks: int = 8, steps: int = 8, theta_points: int = 16, seed: int = 0
 ) -> ProbeCase:
@@ -154,23 +164,12 @@ def halmos_shift_case(
     total = blocks * (blocks + 1) // 2
     pad = blocks
     hi = total * steps + total - 1
-    base = halmos_operator(blocks, pad)  # window [-pad, total - 1], zero-padded up to hi
-    window = WindowedZOperator(-pad, hi, np.pad(base.matrix, (0, hi - base.hi)))
-    thetas = 2 * np.pi * np.arange(theta_points) / theta_points
-    mats = []
-    shifts = [total * i for i in range(steps)]
-    for i, k in enumerate(shifts):
-        mats.append(shift_operator(window, k, float(thetas[i % theta_points])).matrix)
-    size = window.size
+    moves = _moves([total * i for i in range(steps)], theta_points)
+    base = halmos_operator(blocks, pad).matrix  # window [-pad, total - 1], zero up to hi
+    mats = ShiftedCopies(-pad, hi, *np.nonzero(base), base[base != 0], moves)
     rng = np.random.default_rng(seed)
-    vecs = []
-    for t in (0, 1, total // 2):
-        e = np.zeros(size)
-        e[t - window.lo] = 1.0
-        vecs.append(e)
-    v = np.zeros(size, dtype=complex)
-    v[-window.lo : -window.lo + total] = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-    vecs.append(v)
+    vecs = [np.eye(1, hi + pad + 1, t + pad)[0] for t in (0, 1, total // 2)]
+    vecs.append(np.pad(rng.standard_normal(total) + 1j * rng.standard_normal(total), (pad, hi + 1 - total)))
     tests = [(vecs[0], vecs[1]), (vecs[-1], vecs[0])]
     return ProbeCase(mats, vecs, tests)
 
@@ -184,20 +183,14 @@ def parity_shift_case(
     trace-class tests die off."""
     if 2 * (step * (steps - 1)) + support > half_width:
         raise PreconditionError("window too small for the requested shifts")
-    refl = parity_window(-half_width, half_width)
-    thetas = 2 * np.pi * np.arange(theta_points) / theta_points
-    mats = [
-        shift_operator(refl, step * i, float(thetas[i % theta_points])).matrix
-        for i in range(steps)
-    ]
-    size = refl.size
+    moves = _moves([step * i for i in range(steps)], theta_points)
+    size = 2 * half_width + 1
+    index = np.arange(size)  # the reflection j -> -j: one entry 1 per row
+    mats = ShiftedCopies(-half_width, half_width, index, index[::-1], np.ones(size), moves)
     rng = np.random.default_rng(seed)
-    vecs = []
-    for _ in range(2):
-        v = np.zeros(size, dtype=complex)
-        span = slice(half_width - support, half_width + support + 1)
-        v[span] = rng.standard_normal(2 * support + 1) + 1j * rng.standard_normal(2 * support + 1)
-        vecs.append(v)
+    n = 2 * support + 1  # centred on 0
+    vecs = [np.pad(rng.standard_normal(n) + 1j * rng.standard_normal(n), half_width - support)
+            for _ in range(2)]
     tests = [(vecs[0], vecs[1]), (vecs[1], vecs[0])]
     return ProbeCase(mats, vecs, tests)
 

@@ -7,6 +7,7 @@ be read on a boundary-free interior range.  A real matrix stays real.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,36 +106,45 @@ def halmos_column_profile(blocks: int) -> DecayProfile:
     return DecayProfile(np.arange(total, dtype=float), np.repeat(norms, np.arange(1, blocks + 1)))
 
 
-def parity_window(lo: int, hi: int) -> WindowedZOperator:
-    """Reflection about 0; needs a symmetric window lo = -hi."""
-    if lo != -hi:
-        raise PreconditionError("parity needs a symmetric window lo == -hi")
-    size = hi - lo + 1
-    mat = np.zeros((size, size))
-    j = np.arange(lo, hi + 1)
-    mat[j - lo, (-j) - lo] = 1.0
-    return WindowedZOperator(lo, hi, mat)
+class ShiftedCopies(Sequence):
+    """Items e^(i t j) B[j - k, l - k] e^(-i t l) on the window {lo..hi}: shifts
+    by (k, e^(i t)) of a real base B, compressed, held as B's nonzero entries
+    (window positions, row-major, and values) and each item's (k, t).  A cell,
+    zero or not, is (p[j] B[j - k, l - k]) conj(p[l]) for p = e^(i t j), as in
+    the dense compression, bit for bit; the window truncates the rest."""
 
+    def __init__(self, lo: int, hi: int, rows, cols, vals, moves: list[tuple[int, float]]):
+        self._lo, self._size, self._base, self._moves = lo, hi - lo + 1, (rows, cols, vals), moves
 
-def shift_operator(op: WindowedZOperator, k: int, theta: float = 0.0) -> WindowedZOperator:
-    """Phase-space shift by (k, e^(i theta)) acting by compression.
+    def __len__(self) -> int:
+        return len(self._moves)
 
-    New entries are e^(i theta (j-l)) a(j-k, l-k); whatever leaves the
-    window is truncated.
-    """
-    size = op.size
-    out = np.zeros((size, size), dtype=complex)
-    # rows/cols j with j-k inside the window; |k| >= size shifts everything out
-    d0 = max(0, k)
-    d1 = min(size, size + k)
-    if d1 > d0:
-        s0, s1 = d0 - k, d1 - k
-        out[d0:d1, d0:d1] = op.matrix[s0:s1, s0:s1]
-    j = np.arange(op.lo, op.hi + 1)
-    phase = np.exp(1j * theta * j)
-    np.multiply(phase[:, None], out, out=out)  # in place, the products in the same order
-    out *= phase.conj()[None, :]
-    return WindowedZOperator(op.lo, op.hi, out)
+    def __getitem__(self, k):  # items built dense, from their cell functions
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return self.item_form(k, *2 * [np.zeros((0, self._size))])[0][2](slice(None), slice(None))
+
+    def item_form(self, k: int, right: np.ndarray, left: np.ndarray):
+        """((shape, sorted nonzero flat indices, cells), A r, l* A) of item k, in O(nnz)."""
+        (shift, theta), (rows, cols, vals), size = self._moves[k], self._base, self._size
+        keep = (np.minimum(rows, cols) + shift >= 0) & (np.maximum(rows, cols) + shift < size)
+        rows, cols = rows[keep] + shift, cols[keep] + shift
+        flat, vals = np.append(rows * size + cols, -1), np.append(vals[keep], 0.0)  # end marks
+        phase = np.exp(1j * theta * np.arange(self._lo, self._lo + size))
+
+        def cells(ri, ci):
+            if isinstance(ri, slice):
+                ri, ci = np.arange(size)[ri, None], np.arange(size)[None, ci]
+            cell = ri * size + ci
+            at = np.searchsorted(flat[:-1], cell)
+            at[flat[at] != cell] = -1  # no entry there: the 0.0 end mark
+            out = phase[ri] * vals[at]
+            return np.multiply(out, phase[ci].conj(), out=out)
+
+        terms, out = cells(rows, cols), [np.zeros((len(x), size), dtype=complex) for x in (right, left)]
+        np.add.at(out[0], (slice(None), rows), terms * right[:, cols])
+        np.add.at(out[1], (slice(None), cols), left.conj()[:, rows] * terms)
+        return ((size, size), flat[:-1], cells), *out
 
 
 def column_row_profiles(op: WindowedZOperator) -> tuple[DecayProfile, DecayProfile]:
@@ -159,8 +169,8 @@ def b0_diagnostic(op: WindowedZOperator, tol: float, margin: int) -> B0Verdict:
     the outer region {|index| >= margin} of the window.  The margin must
     leave a nonempty outer region.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tol must be finite and positive, got {tol}")
     outer = np.abs(op.indices()) >= margin
     if not outer.any():
         raise PreconditionError(

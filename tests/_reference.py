@@ -1,8 +1,9 @@
 """Direct-sum definitions of the phase-space products, transforms and
 operator actions, the corresponding space by one SVD, dense singular
 values, the topology probe's vector quantities on dense pairwise
-differences, the modulated box and the projection sandwich from dense
-S x S matrices, the windowed transform profile shift by shift, and the CSV
+differences, the modulated box, the shifted reflection and block
+projection and the projection sandwich from dense S x S matrices, the
+windowed transform profile shift by shift, and the CSV
 readers and writers on the ``csv`` module with per-field conversion.
 
 Test oracles only: each one evaluates its defining formula with dense Weyl
@@ -30,7 +31,9 @@ import numpy as np
 import qha.conv
 import qha.groups
 import qha.weyl
+from qha.asymptotics.windowed import WindowedZOperator
 from qha.conv import INEQUALITY_NAMES, PINNED_ORIENTATION
+from qha.errors import PreconditionError
 from qha.weyl import HilbertOp, PhaseSpace, parity_op, weyl
 
 
@@ -295,6 +298,39 @@ def modulated_box(h: float, x_lo: float, x_hi: float, freq: float) -> np.ndarray
     box = np.where(np.abs(idx[:, None] - idx[None, :]) <= round(1 / h), h, 0.0)
     phase = np.exp(-1j * freq * (x_lo + h * idx))
     return phase[:, None] * box * phase.conj()[None, :]
+
+
+def parity_window(lo: int, hi: int) -> WindowedZOperator:
+    """Reflection about 0; needs a symmetric window lo = -hi."""
+    if lo != -hi:
+        raise PreconditionError("parity needs a symmetric window lo == -hi")
+    size = hi - lo + 1
+    mat = np.zeros((size, size))
+    j = np.arange(lo, hi + 1)
+    mat[j - lo, (-j) - lo] = 1.0
+    return WindowedZOperator(lo, hi, mat)
+
+
+def shift_operator(op: WindowedZOperator, k: int, theta: float = 0.0) -> WindowedZOperator:
+    """Phase-space shift by (k, e^(i theta)) acting by compression, densely.
+
+    New entries are e^(i theta (j-l)) a(j-k, l-k); whatever leaves the
+    window is truncated.  The dense oracle of ``windowed.ShiftedCopies``,
+    whose cells must have its bits.
+    """
+    size = op.size
+    out = np.zeros((size, size), dtype=complex)
+    # rows/cols j with j-k inside the window; |k| >= size shifts everything out
+    d0 = max(0, k)
+    d1 = min(size, size + k)
+    if d1 > d0:
+        s0, s1 = d0 - k, d1 - k
+        out[d0:d1, d0:d1] = op.matrix[s0:s1, s0:s1]
+    j = np.arange(op.lo, op.hi + 1)
+    phase = np.exp(1j * theta * j)
+    np.multiply(phase[:, None], out, out=out)  # in place, the products in the same order
+    out *= phase.conj()[None, :]
+    return WindowedZOperator(op.lo, op.hi, out)
 
 
 def cac_dense(h: float, n_max: int) -> dict:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qha.asymptotics.gridops as gridops
 import qha.errors
 from qha.asymptotics.gridops import (
     GridOperator,
@@ -156,6 +157,47 @@ class TestCacExample:
             assert rec.product_norms.keys() == dense["product_norms"].keys()
             for n, want in dense["product_norms"].items():
                 assert abs(rec.product_norms[n] - want) <= 1e-15 * (2 + h) ** 2
+
+    @staticmethod
+    def _block_min(a, s, i0, i1, c):
+        """The block form: a (L, 1) @ (1, L) product, c off the mask square, min."""
+        block = a[:, None] @ s[None, :]
+        block[i0:i1, i0:i1] -= c
+        return block.min()
+
+    @pytest.mark.parametrize("h, sizes", [(0.25, range(1, 9)), (0.1, range(1, 9)),
+                                          (0.05, [*range(1, 9), 40])])
+    def test_one_member_minimum_is_the_block_minimum(self, monkeypatch, h, sizes):
+        # Each one-member group's minimum from its factors against the block it
+        # stands for, bit for bit (test_structured_record_matches_dense_oracle
+        # compares min_kernel_gap with the dense S x S oracle).
+        seen, closed = [], gridops._rank_one_min
+
+        def both(*args):
+            got, want = closed(*args), self._block_min(*args)
+            seen.append(np.float64(got).tobytes() == np.float64(want).tobytes())
+            return got
+
+        monkeypatch.setattr(gridops, "_rank_one_min", both)
+        for n_max in sizes:
+            cac_example(h, n_max)
+        # Groups {1, 2}, {3}, ..., {n_max}; n_max = 1 leaves the one group {1}.
+        assert len(seen) == sum(1 if n_max == 1 else n_max - 2 for n_max in sizes)
+        assert all(seen)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rank_one_minimum_on_drawn_factors(self, seed):
+        # Non-negative factors across scales, with zeros, ties and subnormals,
+        # and a mask square anywhere that leaves points outside it.
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 30))
+        a, s = (rng.choice([0.0, 5e-324, 1.0, 3.0], size) * 10.0 ** rng.integers(-160, 150, size)
+                * np.where(rng.random(size) < 0.7, rng.random(size), 1.0) for _ in range(2))
+        i0 = int(rng.integers(0, size))
+        i1 = int(rng.integers(i0 + 1, size + 1)) if i0 else int(rng.integers(1, size))
+        c = float(rng.choice([0.0, 1e-300, 0.25, 1e300]))
+        got, want = gridops._rank_one_min(a, s, i0, i1, c), self._block_min(a, s, i0, i1, c)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_kernel_domination(self):
         rec = cac_example(0.05, 4)

@@ -24,6 +24,8 @@ from qha.asymptotics.probes import (
     parity_shift_case,
     topology_probe,
 )
+from qha.asymptotics.windowed import ShiftedCopies, WindowedZOperator, halmos_operator
+from qha.errors import PreconditionError
 from qha.numerics import singular_values, spectral_norm
 
 import _reference as ref
@@ -348,6 +350,99 @@ class TestModulationOrbit:
             [r.strongstar_diff for r in dense.rows], rel=1e-12)
 
 
+def _dense_shift_items(name):
+    """The default parity-shift or halmos-shift items, each built densely by
+    _reference.shift_operator from the dense reflection or padded projection."""
+    thetas = 2 * np.pi * np.arange(16) / 16
+    if name == "parity-shift":
+        window, shifts = ref.parity_window(-200, 200), [12 * i for i in range(8)]
+    else:
+        total, pad = 36, 8  # 8 blocks
+        hi = 9 * total - 1
+        base = halmos_operator(8, pad)
+        window = WindowedZOperator(-pad, hi, np.pad(base.matrix, (0, hi - base.hi)))
+        shifts = [total * i for i in range(8)]
+    return [ref.shift_operator(window, k, float(thetas[i % 16])).matrix for i, k in enumerate(shifts)]
+
+
+def _negative_zeros(m):
+    return int(np.count_nonzero((m.real == 0) & np.signbit(m.real))
+               + np.count_nonzero((m.imag == 0) & np.signbit(m.imag)))
+
+
+class TestShiftedCopies:
+    """The list cases hold entries, not items; every cell must keep the bits of
+    the dense compression, signed zeros included."""
+
+    @pytest.mark.parametrize("name", ["parity-shift", "halmos-shift"])
+    def test_items_are_the_dense_compressions_bit_for_bit(self, name):
+        seq, dense = PROBE_CASES[name]().matrices, _dense_shift_items(name)
+        assert isinstance(seq, ShiftedCopies) and len(seq) == len(dense) == 8
+        for got, want in zip(seq, dense, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert sum(_negative_zeros(m) for m in dense) > 0  # the bytes do compare signed zeros
+
+    @pytest.mark.parametrize("name", ["parity-shift", "halmos-shift"])
+    def test_item_form_reads_the_dense_cells(self, name):
+        # The flat indices are the dense item's nonzero cells; the cell function
+        # gives the dense item's bits on any cells, in the stacked block shapes
+        # the norm reads; the products agree with the dense matvecs to rounding.
+        seq, dense = PROBE_CASES[name]().matrices, _dense_shift_items(name)
+        size = dense[0].shape[0]
+        rng = np.random.default_rng(11)
+        right, left = (rng.standard_normal((m, size)) + 1j * rng.standard_normal((m, size))
+                       for m in (3, 2))
+        for k, want in enumerate(dense):
+            (shape, flat, cells), got_right, got_left = seq.item_form(k, right, left)
+            assert shape == want.shape
+            assert np.array_equal(flat, np.flatnonzero(want))
+            rows, cols = np.divmod(flat, size)
+            assert cells(rows, cols).tobytes() == want[rows, cols].tobytes()
+            for ri, ci in [(rows[:20].reshape(5, 4, 1), cols[:15].reshape(5, 1, 3)),
+                           (rng.integers(size, size=(5, 4, 1)), rng.integers(size, size=(5, 1, 3)))]:
+                assert cells(ri, ci).tobytes() == want[ri, ci].tobytes()
+            assert cells(slice(None), slice(None)).tobytes() == want.tobytes()
+            scale = np.abs(right).max() * np.abs(want).sum(axis=1).max()
+            assert np.abs(got_right - right @ want.T).max() <= 1e-15 * scale
+            assert np.abs(got_left - left.conj() @ want).max() <= 1e-15 * scale
+
+    def test_every_offset_matches_the_dense_shift(self):
+        # A sparse real base, shifted by every offset from all out on the left
+        # to all out on the right.
+        rng = np.random.default_rng(4)
+        lo, hi = -6, 5
+        size = hi - lo + 1
+        base = np.where(rng.random((size, size)) < 0.4, rng.standard_normal((size, size)), 0.0)
+        window = WindowedZOperator(lo, hi, base)
+        for theta in (0.0, 0.9, -2.5):
+            moves = [(k, theta) for k in range(-size - 4, size + 5)]
+            seq = ShiftedCopies(lo, hi, *np.nonzero(base), base[base != 0], moves)
+            for (k, _), got in zip(moves, seq, strict=True):
+                assert got.tobytes() == ref.shift_operator(window, k, theta).matrix.tobytes()
+                kept = slice(max(0, -k), max(0, size - k))  # the base rows and columns left in
+                assert np.count_nonzero(got) == np.count_nonzero(base[kept, kept])
+
+    def test_slices_and_negative_indices(self):
+        seq = parity_shift_case(half_width=40, support=4, step=3, steps=5).matrices
+        assert seq[-1].tobytes() == seq[4].tobytes()
+        assert seq[-5].tobytes() == seq[0].tobytes()
+        part = seq[1:4:2]
+        assert isinstance(part, list) and [m.tobytes() for m in part] == [seq[1].tobytes(), seq[3].tobytes()]
+        assert [m.tobytes() for m in seq[::-2]] == [seq[k].tobytes() for k in (4, 2, 0)]
+        assert seq[5:] == []
+        for k in (5, -6):
+            with pytest.raises(IndexError):
+                seq[k]
+
+    @pytest.mark.parametrize("name", ["parity-shift", "halmos-shift"])
+    @pytest.mark.parametrize("bad", [{"theta_points": 0}, {"theta_points": -3}, {"steps": 0},
+                                     {"steps": -1}])
+    def test_bad_arguments_raise(self, name, bad):
+        with pytest.raises(PreconditionError, match="steps and theta_points must be >= 1"):
+            PROBE_CASES[name](**bad)
+
+
 class TestPairwiseOracle:
     @pytest.mark.parametrize("name, params, as_list", [
         ("halmos-shift", {}, False), ("parity-shift", {}, False),
@@ -383,22 +478,24 @@ def test_box_modulation_probe_holds_under_one_item():
     assert peak < item
 
 
-def test_parity_shift_probe_holds_under_one_item():
-    # A parity-shift item has 401 nonzeros in 160,801 cells; the probe keeps
-    # each item's nonzero flat indices and reads every pair's norm from them,
-    # with no S x S difference.
-    case = parity_shift_case()
-    item = case.matrices[0].nbytes
+@pytest.mark.parametrize("name", ["parity-shift", "halmos-shift"])
+def test_shift_probe_holds_under_half_an_item(name):
+    # A parity-shift item has 401 nonzeros in 160,801 cells and a halmos-shift
+    # item ~204 in 110,224; the case holds their base entries and the probe
+    # never forms an item.  The peak, build included, is 0.42 of one dense
+    # item for both: the products of all 8 items (0.12 and 0.24 items) and the
+    # pair norms' block reads (1.97 items when every item was built dense).
     tracemalloc.start()
     try:
+        case = PROBE_CASES[name]()
         topology_probe(case.matrices, case.test_vectors, case.trace_tests, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < item
+    assert peak < 0.5 * 16 * len(case.test_vectors[0]) ** 2
 
 
-@pytest.mark.parametrize("case", ["parity-shift", "box-modulation"])
+@pytest.mark.parametrize("case", ["parity-shift", "halmos-shift", "box-modulation"])
 def test_probe_leaves_numpy_ma_unloaded(tmp_path, case):
     """The probe takes sorted unions without np.unique, union1d or isin, whose
     first call imports numpy.ma (~16 ms for every `qha probe topology`)."""

@@ -7,6 +7,7 @@ crash every traced run, so it fails here first.  ``spans.py`` and
 so that import must load them.  Both files are only read.
 """
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -111,3 +112,28 @@ def test_read_windowed_resolves_reader_at_call_time(tmp_path, monkeypatch):
     path.write_text("index,re,im\n-1,0,0\n0,1,0\n")
     assert cli._read_windowed(path).lo == -1
     assert calls == [path]
+
+
+def _called(node: ast.AST) -> str | None:
+    func = node.func if isinstance(node, ast.Call) else None
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def test_every_hypothesis_settings_is_derandomized():
+    # Tier-1 draws the same examples on every run: every settings(...) under
+    # tests/ sets derandomize=True, and every @given test is decorated with one.
+    seen = 0
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and _called(node.value) == "settings" for t in node.targets}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{node.lineno}" if hasattr(node, "lineno") else path.name
+            if _called(node) == "settings":
+                seen += 1
+                flag = {k.arg: k.value for k in node.keywords}.get("derandomize")
+                assert isinstance(flag, ast.Constant) and flag.value is True, where
+            if isinstance(node, ast.FunctionDef) and any(_called(d) == "given" for d in node.decorator_list):
+                assert any(_called(d) == "settings" or getattr(d, "id", None) in named
+                           for d in node.decorator_list), where
+    assert seen >= 10

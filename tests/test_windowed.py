@@ -12,12 +12,12 @@ from qha.asymptotics.windowed import (
     compactness_proxy,
     halmos_column_profile,
     halmos_operator,
-    parity_window,
-    shift_operator,
     WindowedFunction,
     WindowedZOperator,
 )
 from qha.errors import PreconditionError
+
+from _reference import parity_window, shift_operator
 
 
 def identity_window(lo: int, hi: int) -> WindowedZOperator:
@@ -162,6 +162,12 @@ class TestProfilesAndVerdicts:
         op = point_mass_operator(-8, 8, at=0)
         for margin in (1, 3, 8):
             assert b0_diagnostic(op, tol=1e-12, margin=margin).consistent
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # NaN gave consistent=False and inf gave True before it was checked.
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            b0_diagnostic(point_mass_operator(-8, 8), tol=tol, margin=3)
 
     def test_margin_must_leave_outer_region(self):
         with pytest.raises(PreconditionError):
