@@ -1,11 +1,13 @@
 """Command-line experiment runner.
 
-Each subcommand runs one diagnostic; the convolution-theorem residuals,
-the orientation oracle, the compactness profiles, b0_diagnostic and
-tail_bound_trial have none and run as library calls.  All numerical output
-goes to CSV (files or stdout).  Randomized audits require an explicit seed,
-outputs embed their reproducibility manifest in a leading comment line, and
-re-running a manifest via ``qha run`` produces byte-identical files.
+Every subcommand and option is declared in one table, ``_COMMANDS``, from
+which :func:`build_parser` builds the parser.  Each subcommand runs one
+diagnostic; the convolution-theorem residuals, the orientation oracle, the
+compactness profiles, b0_diagnostic and tail_bound_trial have none and run
+as library calls.  All numerical output goes to CSV (files or stdout).
+Randomized audits require an explicit seed, outputs embed their
+reproducibility manifest in a leading comment line, and re-running a
+manifest via ``qha run`` produces byte-identical files.
 
 Exit codes: 0 success, 1 a mathematical audit failed, 2 usage or
 precondition error, or an allocation refused for lack of memory.
@@ -239,119 +241,94 @@ def _cmd_run(args) -> int:
     if argv[:1] == ["run"]:
         print("error: a manifest cannot name the 'run' subcommand", file=sys.stderr)
         return 2
-    for key, value in man["params"].items():
-        if isinstance(value, bool):
-            if value:
-                argv.append(f"--{key}")
-        else:
-            argv += [f"--{key}", str(value)]
-    if "seed" in man:
-        argv += ["--seed", str(man["seed"])]
-    for key, value in (outputs or {}).items():
-        argv += [f"--{key}", str(value)]
+    seed = {"seed": man["seed"]} if "seed" in man else {}
+    fields = {**man["params"], **seed, **(outputs or {})}
+    if any(value is None or isinstance(value, (list, dict)) for value in fields.values()):
+        print("error: manifest params, seed and outputs must be strings, numbers or booleans",
+              file=sys.stderr)
+        return 2
+    for key, value in fields.items():
+        if not isinstance(value, bool):
+            argv.append(f"--{key}={value}")  # a value may start with '-'
+        elif value:
+            argv.append(f"--{key}")
     return dispatch(argv)
 
 
 # --- parser ---------------------------------------------------------------------
 
+#: Every subcommand, in ``qha --help`` order: its words, help line, handler and
+#: options.  This is the one place subcommands and options are declared.  A
+#: row with no handler is a group word, and a row with no help line is left
+#: out of its group's listing.  An option is (dest, type, default[, argparse
+#: keywords]): a default of ``...`` makes it required, a ``bool`` is a bare
+#: flag, and a lone dest is a positional.
+_COMMANDS = (
+    ("group", "function calculus on finite groups", None, ()),
+    ("group dft", "Fourier transform of a CSV function", _cmd_group,
+     (("orders", str, ..., {"help": "comma-separated cyclic orders"}), ("weight", float, 1.0),
+      ("input", str, ...), ("out", str, ...))),
+    ("group conv", "convolution of two CSV functions", _cmd_group,
+     (("orders", str, ...), ("weight", float, 1.0), ("f", str, ...), ("g", str, ...),
+      ("out", str, ...))),
+    ("weyl", "projective representation identities", None, ()),
+    ("weyl check", "PASS/FAIL per identity with max residual", _cmd_weyl_check,
+     (("n", int, ...),)),
+    ("conv", "convolution calculus audits", None, ()),
+    ("conv audit", "randomized norm-inequality audit", _cmd_conv_audit,
+     (("n", int, ...), ("samples", int, ...), ("seed", int, ...), ("out", str, None))),
+    ("wiener", "regularity predicate agreement audit", None, ()),
+    ("wiener verify", None, _cmd_wiener_verify,
+     (("n", int, ...), ("samples", int, ...), ("seed", int, ...), ("degenerate", bool, False),
+      ("out", str, None))),
+    ("example", "reference constructions", None, ()),
+    ("example halmos", "block projection column-norm profile", _cmd_example_halmos,
+     (("blocks", int, ...), ("out", str, ...))),
+    ("example cac", "box-convolution sandwich verification record", _cmd_example_cac,
+     (("h", float, ...), ("nmax", int, ...), ("out", str, ...))),
+    ("probe", "convergence-topology probes", None, ()),
+    ("probe topology", None, _cmd_probe_topology,
+     (("case", str, ..., {"choices": sorted(PROBE_CASES)}), ("tol", float, ...),
+      ("out", str, None), ("expect", str, None, {"choices": CLASSIFICATIONS}))),
+    ("stft", "windowed transform decay profiles", None, ()),
+    ("stft decay", None, _cmd_stft_decay,
+     (("f", str, ...), ("phi", str, ...),
+      ("k", str, "grid:64", {"help": "'grid:M' dual sampling"}), ("out", str, ...))),
+    ("bound", "certified tail bounds", None, ()),
+    ("bound certify", None, _cmd_bound_certify,
+     (("tails", str, ..., {"help": "comma-separated generator tails"}), ("eps", float, ...),
+      ("c", float, ...))),
+    ("rk", "equicontinuity/tail-mass moduli of a family", _cmd_rk,
+     (("family", str, ..., {"help": "directory of index,re,im CSV files"}), ("out", str, ...))),
+    ("run", "re-run a JSON experiment manifest", _cmd_run, (("manifest",),)),
+)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process (parsing leaves it unchanged)."""
+    """The one parser of the process (parsing leaves it unchanged), built from
+    :data:`_COMMANDS`: each option's flag is --<dest>, and the subcommand word
+    under a group word ``w`` is parsed into ``<w>_cmd``."""
     parser = argparse.ArgumentParser(
         prog="qha",
         description="Finite phase-space harmonic analysis workbench",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_group = sub.add_parser("group", help="function calculus on finite groups")
-    group_sub = p_group.add_subparsers(dest="group_cmd", required=True)
-    p_dft = group_sub.add_parser("dft", help="Fourier transform of a CSV function")
-    p_dft.add_argument("--orders", required=True, help="comma-separated cyclic orders")
-    p_dft.add_argument("--weight", type=float, default=1.0)
-    p_dft.add_argument("--input", required=True)
-    p_dft.add_argument("--out", required=True)
-    p_dft.set_defaults(func=_cmd_group)
-    p_conv = group_sub.add_parser("conv", help="convolution of two CSV functions")
-    p_conv.add_argument("--orders", required=True)
-    p_conv.add_argument("--weight", type=float, default=1.0)
-    p_conv.add_argument("--f", required=True)
-    p_conv.add_argument("--g", required=True)
-    p_conv.add_argument("--out", required=True)
-    p_conv.set_defaults(func=_cmd_group)
-
-    p_weyl = sub.add_parser("weyl", help="projective representation identities")
-    weyl_sub = p_weyl.add_subparsers(dest="weyl_cmd", required=True)
-    p_check = weyl_sub.add_parser("check", help="PASS/FAIL per identity with max residual")
-    p_check.add_argument("--n", type=int, required=True)
-    p_check.set_defaults(func=_cmd_weyl_check)
-
-    p_conv2 = sub.add_parser("conv", help="convolution calculus audits")
-    conv_sub = p_conv2.add_subparsers(dest="conv_cmd", required=True)
-    p_audit = conv_sub.add_parser("audit", help="randomized norm-inequality audit")
-    p_audit.add_argument("--n", type=int, required=True)
-    p_audit.add_argument("--samples", type=int, required=True)
-    p_audit.add_argument("--seed", type=int, required=True)
-    p_audit.add_argument("--out", default=None)
-    p_audit.set_defaults(func=_cmd_conv_audit)
-
-    p_wiener = sub.add_parser("wiener", help="regularity predicate agreement audit")
-    wiener_sub = p_wiener.add_subparsers(dest="wiener_cmd", required=True)
-    p_verify = wiener_sub.add_parser("verify")
-    p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--samples", type=int, required=True)
-    p_verify.add_argument("--seed", type=int, required=True)
-    p_verify.add_argument("--degenerate", action="store_true")
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=_cmd_wiener_verify)
-
-    p_example = sub.add_parser("example", help="reference constructions")
-    ex_sub = p_example.add_subparsers(dest="example_cmd", required=True)
-    p_halmos = ex_sub.add_parser("halmos", help="block projection column-norm profile")
-    p_halmos.add_argument("--blocks", type=int, required=True)
-    p_halmos.add_argument("--out", required=True)
-    p_halmos.set_defaults(func=_cmd_example_halmos)
-    p_cac = ex_sub.add_parser("cac", help="box-convolution sandwich verification record")
-    p_cac.add_argument("--h", type=float, required=True)
-    p_cac.add_argument("--nmax", type=int, required=True)
-    p_cac.add_argument("--out", required=True)
-    p_cac.set_defaults(func=_cmd_example_cac)
-
-    p_probe = sub.add_parser("probe", help="convergence-topology probes")
-    probe_sub = p_probe.add_subparsers(dest="probe_cmd", required=True)
-    p_topo = probe_sub.add_parser("topology")
-    p_topo.add_argument("--case", choices=sorted(PROBE_CASES), required=True)
-    p_topo.add_argument("--tol", type=float, required=True)
-    p_topo.add_argument("--out", default=None)
-    p_topo.add_argument("--expect", choices=CLASSIFICATIONS)
-    p_topo.set_defaults(func=_cmd_probe_topology)
-
-    p_stft = sub.add_parser("stft", help="windowed transform decay profiles")
-    stft_sub = p_stft.add_subparsers(dest="stft_cmd", required=True)
-    p_decay = stft_sub.add_parser("decay")
-    p_decay.add_argument("--f", required=True)
-    p_decay.add_argument("--phi", required=True)
-    p_decay.add_argument("--k", default="grid:64", help="'grid:M' dual sampling")
-    p_decay.add_argument("--out", required=True)
-    p_decay.set_defaults(func=_cmd_stft_decay)
-
-    p_bound = sub.add_parser("bound", help="certified tail bounds")
-    bound_sub = p_bound.add_subparsers(dest="bound_cmd", required=True)
-    p_cert = bound_sub.add_parser("certify")
-    p_cert.add_argument("--tails", required=True, help="comma-separated generator tails")
-    p_cert.add_argument("--eps", type=float, required=True)
-    p_cert.add_argument("--c", type=float, required=True)
-    p_cert.set_defaults(func=_cmd_bound_certify)
-
-    p_rk = sub.add_parser("rk", help="equicontinuity/tail-mass moduli of a family")
-    p_rk.add_argument("--family", required=True, help="directory of index,re,im CSV files")
-    p_rk.add_argument("--out", required=True)
-    p_rk.set_defaults(func=_cmd_rk)
-
-    p_run = sub.add_parser("run", help="re-run a JSON experiment manifest")
-    p_run.add_argument("manifest")
-    p_run.set_defaults(func=_cmd_run)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, help_line, handler, options in _COMMANDS:
+        group, _, word = words.rpartition(" ")
+        sub = groups[group].add_parser(word, **({} if help_line is None else {"help": help_line}))
+        if handler is None:
+            groups[words] = sub.add_subparsers(dest=f"{word}_cmd", required=True)
+            continue
+        sub.set_defaults(func=handler)
+        for dest, *spec in options:
+            if not spec:
+                sub.add_argument(dest)
+                continue
+            kind, default, keywords = (*spec, {})[:3]
+            typed = {"action": "store_true"} if kind is bool else {"type": kind}
+            sub.add_argument(f"--{dest}", required=default is ...,
+                             default=None if default is ... else default, **typed, **keywords)
     return parser
 
 

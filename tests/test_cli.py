@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -633,6 +634,15 @@ class TestManifests:
         for action in actions:
             assert f"--{action.dest}" in action.option_strings, action.option_strings
 
+    def test_rerun_of_a_path_that_starts_with_a_dash(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["example", "halmos", "--blocks", "2", "--out=-x.csv"], capsys)[0] == 0
+        first = Path("-x.csv").read_bytes()
+        Path("m.json").write_bytes(first.split(b"\n", 1)[0].removeprefix(b"# manifest: "))
+        Path("-x.csv").unlink()
+        assert run(["run", "m.json"], capsys)[0] == 0
+        assert Path("-x.csv").read_bytes() == first
+
     def test_expect_leaves_the_output_unchanged(self, tmp_path, capsys):
         # --expect asserts on the classification; it is no param of the manifest.
         out = tmp_path / "p.csv"
@@ -672,14 +682,22 @@ class TestManifests:
         {"subcommand": "probe topology", "params": [1]},
         {"subcommand": "weyl check", "params": {"n": 3}, "outputs": ["out.csv"]},
         {"subcommand": "weyl check", "params": {"n": 3}, "outputs": "out.csv"},
+        # A null, list or object value would reach argv as its str().
+        {"subcommand": "example halmos", "params": {"blocks": 2}, "outputs": {"out": None}},
+        {"subcommand": "example halmos", "params": {"blocks": None}, "outputs": {"out": "h.csv"}},
+        {"subcommand": "example halmos", "params": {"blocks": [2]}, "outputs": {"out": "h.csv"}},
+        {"subcommand": "conv audit", "params": {"n": 3, "samples": 2}, "seed": None},
+        {"subcommand": "conv audit", "params": {"n": 3, "samples": 2}, "seed": {"value": 1}},
     ])
-    def test_wrongly_typed_fields_are_usage_errors(self, tmp_path, capsys, manifest):
-        man_path = tmp_path / "typed.json"
-        man_path.write_text(json.dumps(manifest))
-        code, out, err = run(["run", str(man_path)], capsys)
+    def test_wrongly_typed_fields_are_usage_errors(self, tmp_path, capsys, monkeypatch, manifest):
+        monkeypatch.chdir(tmp_path)
+        Path("typed.json").write_text(json.dumps(manifest))
+        code, out, err = run(["run", "typed.json"], capsys)
         assert code == 2
         assert "must be" in err
+        assert err.count("\n") == 1
         assert out == ""
+        assert os.listdir() == ["typed.json"]
 
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         man_path = tmp_path / "broken.json"
@@ -726,6 +744,35 @@ class TestParserCoverage:
         ]
         names = set(subactions[0].choices)
         assert names == {"group", "weyl", "conv", "wiener", "example", "probe", "stft", "bound", "rk", "run"}
+
+
+def _parsers(parser):
+    """The parser and every subparser under it, depth first in table order."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+class TestParserText:
+    def test_help_matches_golden(self, monkeypatch):
+        # qha --help, then each group word's --help, then each leaf's, at 80 columns.
+        monkeypatch.setenv("COLUMNS", "80")
+        parsers = sorted(_parsers(build_parser()), key=lambda p: p._subparsers is None)
+        text = "".join(p.format_help() for p in parsers)
+        assert text == (GOLDEN / "help.txt").read_text()
+
+    def test_readme_commands_parse_and_cover_every_leaf(self):
+        # Every qha line of the README's command-line block, without its comment.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        argvs = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                 if line.startswith("qha ")]
+        for argv in argvs:
+            build_parser().parse_args(argv)
+        for words, _ in _commands(build_parser()):
+            assert any(tuple(argv[:len(words)]) == words for argv in argvs), words
 
 
 def _commands(parser, words=()):

@@ -5,9 +5,14 @@
 crash every traced run, so it fails here first.  ``spans.py`` and
 ``libops.py`` look modules up in ``sys.modules`` after ``import qha.cli``,
 so that import must load them.  Both files are only read.
+
+The source's own bookkeeping is checked here too: derandomized hypothesis
+tests, a command-table row for every CLI handler, and a reader for every
+private name.
 """
 
 import ast
+import collections
 import functools
 import importlib
 import importlib.util
@@ -137,3 +142,51 @@ def test_every_hypothesis_settings_is_derandomized():
                 assert any(_called(d) == "settings" or getattr(d, "id", None) in named
                            for d in node.decorator_list), where
     assert seen >= 10
+
+
+def test_every_handler_has_its_row():
+    # Every _cmd_* function handles one row of the command table, except
+    # _cmd_group, which branches on group_cmd for both group rows; a row has
+    # a handler exactly when it is a leaf, not a group word.
+    from qha import cli
+
+    handlers = collections.Counter(handler.__name__ for *_, handler, _ in cli._COMMANDS if handler)
+    defined = {name for name in vars(cli) if name.startswith("_cmd_")}
+    assert handlers == {**dict.fromkeys(defined, 1), "_cmd_group": 2}
+    group_words = {words.rpartition(" ")[0] for words, *_ in cli._COMMANDS} - {""}
+    for words, _, handler, _ in cli._COMMANDS:
+        assert (handler is None) == (words in group_words), words
+
+
+def _names_read(tree: ast.AST) -> collections.Counter:
+    """Every name a tree reads: loaded names and attributes, and imported names."""
+    names = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names[node.name] += 1
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            names[node.id if isinstance(node, ast.Name) else node.attr] += 1
+    return names
+
+
+def test_every_private_name_is_used():
+    # No underscore-prefixed top-level name of src/qha is left that nothing in
+    # src/ reads outside its own definition.
+    trees = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src").rglob("*.py"))}
+    read = sum(map(_names_read, trees.values()), collections.Counter())
+    unused, seen = [], 0
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    seen += 1
+                    if read[name] == _names_read(node)[name]:
+                        unused.append(f"{path.relative_to(ROOT)}:{name}")
+    assert seen > 20
+    assert unused == []
