@@ -67,7 +67,9 @@ def box_convolution_operator(h: float, x_lo: float, x_hi: float) -> GridOperator
     """Convolution by the indicator of [-1, 1]: entries h * 1(|x_i - x_j| <= 1).
 
     Symmetric Toeplitz; interior row sums are 2 + h, and the operator norm
-    tends to 2 (the peak of the kernel's transform) as h -> 0.
+    tends to 2 (the peak of the kernel's transform) as h -> 0.  The matrix
+    and GridOperator's finiteness mask peak at 9 bytes an entry (9.003-9.015
+    measured by tracemalloc, S = 1201..6001): S <= 10922 fits MEMORY_BUDGET.
     """
     _check_step(h)
     if h > 0.5:
@@ -78,6 +80,7 @@ def box_convolution_operator(h: float, x_lo: float, x_hi: float) -> GridOperator
     if not _near_int(steps):
         raise PreconditionError(f"(x_hi - x_lo)/h = {steps} must be integral")
     size = int(round(steps)) + 1
+    check_memory(9 * size**2, f"a box convolution on {size} points")
     band = int(np.floor(1.0 / h + 1e-9))
     taps = np.where(np.abs(np.arange(1 - size, size)) <= band, h, 0.0)
     # Row i is taps[size - 1 - i:][:size]: a copy of the row-reversed Hankel view.
@@ -209,9 +212,10 @@ class CacRecord:
         return max(self.g_max_errors.values()) if self.g_max_errors else 0.0
 
 
-def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = None) -> CacRecord:
-    """Verify C A C, A the block projection and C the box convolution on a
-    grid of step h, from their exact structure, with no S x S array.
+def cac_example(h: float, n_max: int) -> CacRecord:
+    """Verify C A C, A the block projection and C the box convolution on the
+    grid of step h that starts at 0, from their exact structure, with no
+    S x S array.
 
     A = sum_n (h/n) m_n m_n^T for the indicators m_n of I_n = [n^2 - n/2,
     n^2 + n/2) is block diagonal and C is real symmetric, so C A C =
@@ -222,11 +226,11 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
     a one-member block's from its rank-one factors in O(L), product_norms
     from the rank form, and projection_residual from A's blocks c 1 1^T.
 
-    Preconditions: h <= 0.5, 0.5/h integral, x_lo and x_hi on the grid of the
-    endpoints n^2 +- n/2, and [x_lo, x_hi] covering [0, n_max^2 + n_max/2 + 2].
-    The budget counts the largest block, (n_max + 2)/h points a side from
-    n_max = 4 on, at 8 bytes an entry (only {1, 2} is formed): 2040 points
-    (33 MB) at n_max = 100 and h = 0.05, where n_max <= 577 fits MEMORY_BUDGET.
+    Preconditions: h <= 0.5 and 0.5/h integral, so the endpoints n^2 +- n/2
+    lie on the grid.  The budget counts the largest block, (n_max + 2)/h
+    points a side from n_max = 4 on, at 8 bytes an entry (only {1, 2} is
+    formed): 2040 points (33 MB) at n_max = 100 and h = 0.05, where
+    n_max <= 577 fits MEMORY_BUDGET.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -237,17 +241,8 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
         raise PreconditionError(
             f"step h = {h} must divide 0.5 so interval endpoints land on the grid"
         )
-    needed = n_max * n_max + n_max / 2.0 + 2.0
-    if x_hi is None:
-        x_hi = needed
-    if x_lo > 0.0 or x_hi < needed:
-        raise PreconditionError(
-            f"grid [{x_lo}, {x_hi}] must cover [0, {needed}] for n_max = {n_max}"
-        )
-    if not (_near_int(x_lo / h) and _near_int(x_hi / h)):
-        raise PreconditionError(f"grid [{x_lo}, {x_hi}] must lie on the step-{h} grid")
-    band, zero = round(1.0 / h), round(-x_lo / h)
-    spans = {n: (zero + round((n * n - n / 2.0) / h), zero + round((n * n + n / 2.0) / h))
+    band = round(1.0 / h)
+    spans = {n: (round((n * n - n / 2.0) / h), round((n * n + n / 2.0) / h))
              for n in range(1, n_max + 1)}
     groups = [[1, 2][:n_max]] + [[n] for n in range(3, n_max + 1)]
     ends = [(max(0, spans[g[0]][0] - band), spans[g[-1]][1] + band) for g in groups]
@@ -281,8 +276,8 @@ def cac_example(h: float, n_max: int, x_lo: float = 0.0, x_hi: float | None = No
     g_max_errors, plateau_max_dev = {}, {}
     for n in range(2, n_max + 1):
         i0, i1 = spans[n]
-        idx = np.arange(max(0, i0 - band - 1), i1 + band + 1)  # inside [x_lo, x_hi]
-        grid = x_lo + h * idx
+        idx = np.arange(max(0, i0 - band - 1), i1 + band + 1)  # the grid starts at 0
+        grid = h * idx
         g_disc = h * _box_counts(idx, i0, i1, band - 1, band)
         g_max_errors[n] = float(np.abs(g_disc - piecewise_box_smoothed_indicator(n, grid)).max())
         interior = (grid > n * n - n / 2.0 + 1.0) & (grid < n * n + n / 2.0 - 1.0)

@@ -149,25 +149,24 @@ class ProbeCase:
     trace_tests: list[tuple[np.ndarray, np.ndarray]]
 
 
-def _moves(shifts: list[int], theta_points: int) -> list[tuple[int, float]]:
-    """(k, 2 pi m / theta_points) per item, m cycling through 0..theta_points - 1."""
-    if not shifts or theta_points < 1:
-        raise PreconditionError("steps and theta_points must be >= 1")
-    return [(k, 2 * np.pi * (i % theta_points) / theta_points) for i, k in enumerate(shifts)]
+def _moves(shifts: list[int]) -> list[tuple[int, float]]:
+    """(k, 2 pi m / 16) per item, m cycling through 0..15."""
+    if not shifts:
+        raise PreconditionError("steps must be >= 1")
+    return [(k, 2 * np.pi * (i % 16) / 16) for i, k in enumerate(shifts)]
 
 
-def halmos_shift_case(
-    blocks: int = 8, steps: int = 8, theta_points: int = 16, seed: int = 0
-) -> ProbeCase:
+def halmos_shift_case(blocks: int = 8, steps: int = 8) -> ProbeCase:
     """Right-shifted copies of the block projection, spaced one full support
-    apart: unit operator norm forever, vanishing action on any fixed vector."""
+    apart: unit operator norm forever, vanishing action on any fixed vector.
+    Item phases cycle through 16 angles; the random test vector is seed 0's."""
     total = blocks * (blocks + 1) // 2
     pad = blocks
     hi = total * steps + total - 1
-    moves = _moves([total * i for i in range(steps)], theta_points)
+    moves = _moves([total * i for i in range(steps)])
     base = halmos_operator(blocks, pad).matrix  # window [-pad, total - 1], zero up to hi
     mats = ShiftedCopies(-pad, hi, *np.nonzero(base), base[base != 0], moves)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     vecs = [np.eye(1, hi + pad + 1, t + pad)[0] for t in (0, 1, total // 2)]
     vecs.append(np.pad(rng.standard_normal(total) + 1j * rng.standard_normal(total), (pad, hi + 1 - total)))
     tests = [(vecs[0], vecs[1]), (vecs[-1], vecs[0])]
@@ -175,19 +174,19 @@ def halmos_shift_case(
 
 
 def parity_shift_case(
-    half_width: int = 200, support: int = 10, step: int = 12, steps: int = 8,
-    theta_points: int = 16, seed: int = 0,
+    half_width: int = 200, support: int = 10, step: int = 12, steps: int = 8
 ) -> ProbeCase:
     """Shifted reflections: every item is a partial isometry preserving the
     norm of centrally supported vectors exactly, yet all pairings with fixed
-    trace-class tests die off."""
+    trace-class tests die off.  Item phases cycle through 16 angles; the
+    random test vectors are seed 0's."""
     if 2 * (step * (steps - 1)) + support > half_width:
         raise PreconditionError("window too small for the requested shifts")
-    moves = _moves([step * i for i in range(steps)], theta_points)
+    moves = _moves([step * i for i in range(steps)])
     size = 2 * half_width + 1
     index = np.arange(size)  # the reflection j -> -j: one entry 1 per row
     mats = ShiftedCopies(-half_width, half_width, index, index[::-1], np.ones(size), moves)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = 2 * support + 1  # centred on 0
     vecs = [np.pad(rng.standard_normal(n) + 1j * rng.standard_normal(n), half_width - support)
             for _ in range(2)]
@@ -196,16 +195,16 @@ def parity_shift_case(
 
 
 def box_modulation_case(
-    h: float = 0.02, half_width: float = 6.0, freq_step: float = 12.0, steps: int = 9,
-    gauss_width: float = 0.8,
+    h: float = 0.02, freq_step: float = 12.0, steps: int = 9
 ) -> ProbeCase:
-    """Frequency-conjugated box smoothing: constant spectral norm (unitary
-    equivalence) while the action on a fixed Gaussian fades with frequency."""
-    box = box_convolution_operator(h, -half_width, half_width)
+    """Frequency-conjugated box smoothing on [-6, 6]: constant spectral norm
+    (unitary equivalence) while the action on fixed Gaussians of width 0.8,
+    centred at 0 and 1, fades with frequency."""
+    box = box_convolution_operator(h, -6.0, 6.0)
     grid = box.grid()
     mats = ModulationOrbit(box, freq_step, steps)
-    gauss = np.exp(-(grid**2) / (2 * gauss_width**2))
-    bump = np.exp(-((grid - 1.0) ** 2) / (2 * gauss_width**2))
+    gauss = np.exp(-(grid**2) / (2 * 0.8**2))
+    bump = np.exp(-((grid - 1.0) ** 2) / (2 * 0.8**2))
     vecs = [gauss, bump]
     tests = [(gauss, bump), (bump, gauss)]
     return ProbeCase(mats, vecs, tests)

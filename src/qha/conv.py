@@ -39,8 +39,9 @@ import numpy as np
 
 from .errors import GroupMismatchError, check_memory
 from .groups import GroupFunction, _convolve, _same_group, lp_norm
+from .numerics import DEFAULT_EQ_TOL
 from .weyl import (
-    HilbertOp, PhaseSpace, _fourier_weyl, _fourier_weyl_inverse, _singular_values, rank_one,
+    HilbertOp, PhaseSpace, _fourier_weyl, _fourier_weyl_inverse, rank_one,
     reflection_symmetric_unit,
 )
 
@@ -189,10 +190,11 @@ def convolution_theorem_residuals(
     return out
 
 
-def pin_orientation(n: int = 3, seed: int = 0, samples: int = 5, tol: float = 1e-10) -> OrientationReport:
+def pin_orientation(n: int = 3, seed: int = 0) -> OrientationReport:
     """Brute-force oracle over the four kernel orientations at dimension n.
 
-    Pins the variant with the most identities satisfied (ties broken by the
+    Pins the variant with the most identities satisfied, each within
+    DEFAULT_EQ_TOL (1e-10) on 5 random samples (ties broken by the
     documented default).  No variant satisfies all three in the unweighted
     classical form; the report carries the weighted operator-operator
     residual showing the exact finite-N identity.
@@ -200,13 +202,13 @@ def pin_orientation(n: int = 3, seed: int = 0, samples: int = 5, tol: float = 1e
     residuals: dict[str, tuple[float, float, float]] = {}
     weighted: dict[str, float] = {}
     for variant in ORIENTATION_VARIANTS:
-        r = convolution_theorem_residuals(n, seed, samples, variant)
+        r = convolution_theorem_residuals(n, seed, 5, variant)
         residuals[variant] = (r["fn_fn"], r["fn_op"], r["op_op"])
         weighted[variant] = r["op_op_weighted"]
     best: str | None = None
     best_score = -1
     for variant in ORIENTATION_VARIANTS:
-        score = sum(1 for r in residuals[variant] if r <= tol)
+        score = sum(1 for r in residuals[variant] if r <= DEFAULT_EQ_TOL)
         if score > best_score or (score == best_score and variant == PINNED_ORIENTATION):
             best, best_score = variant, score
     return OrientationReport(residuals, weighted, best)
@@ -257,12 +259,12 @@ def verify_norm_estimates(n: int, samples: int, seed: int) -> NormAuditReport:
     report = NormAuditReport(dict.fromkeys(INEQUALITY_NAMES, 0.0), dict.fromkeys(INEQUALITY_NAMES, 0))
     for start, f, g, a, b in _sample_blocks(n, samples, seed):
         l1_f = np.abs(f).reshape(len(f), -1).sum(axis=1) * (1.0 / n)
-        sup_g, op_b = _sup_norms(g), _singular_values(b)[:, 0]
-        tr_a = _singular_values(a).sum(axis=1)
+        sup_g, op_b = _sup_norms(g), np.linalg.svd(b, compute_uv=False)[:, 0]
+        tr_a = np.linalg.svd(a, compute_uv=False).sum(axis=1)
         ratios = {
             "fn_fn_sup": (_sup_norms(_convolve(f, g, 1.0 / n, (-2, -1))), l1_f * sup_g),
-            "fn_op_op": (_singular_values(_conv_fn_op(f, b))[:, 0], l1_f * op_b),
-            "op_fn_op": (_singular_values(_conv_fn_op(g, a))[:, 0], tr_a * sup_g),
+            "fn_op_op": (np.linalg.svd(_conv_fn_op(f, b), compute_uv=False)[:, 0], l1_f * op_b),
+            "op_fn_op": (np.linalg.svd(_conv_fn_op(g, a), compute_uv=False)[:, 0], tr_a * sup_g),
             "op_op_sup": (_sup_norms(_conv_op_op(a, b)), tr_a * op_b),
         }
         for name, (num, den) in ratios.items():

@@ -138,8 +138,9 @@ def delta(group: FiniteAbelianGroup, at=None) -> GroupFunction:
     return GroupFunction(group, vals)
 
 
-def constant(group: FiniteAbelianGroup, value=1.0) -> GroupFunction:
-    return GroupFunction(group, np.full(group.cardinality, value, dtype=complex))
+def constant(group: FiniteAbelianGroup) -> GroupFunction:
+    """The constant function 1."""
+    return GroupFunction(group, np.full(group.cardinality, 1.0, dtype=complex))
 
 
 def random_function(group: FiniteAbelianGroup, rng: np.random.Generator) -> GroupFunction:

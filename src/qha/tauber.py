@@ -131,8 +131,8 @@ def certified_tail_bound(cert: NetCertificate) -> float:
     return bound
 
 
-def greedy_l1_net(functions: list[np.ndarray], epsilon: float, weight: float = 1.0):
-    """Greedy eps-net in the weighted l1 metric.
+def greedy_l1_net(functions: list[np.ndarray], epsilon: float):
+    """Greedy eps-net in the unweighted l1 metric.
 
     Returns (center_indices, assignment, max_radius) with every member
     assigned to a center within epsilon (max_radius is the verified
@@ -144,39 +144,32 @@ def greedy_l1_net(functions: list[np.ndarray], epsilon: float, weight: float = 1
     assignment = [-1] * len(functions)
     for i, f in enumerate(functions):
         for c in centers:
-            if weight * np.abs(f - functions[c]).sum() <= epsilon:
+            if np.abs(f - functions[c]).sum() <= epsilon:
                 assignment[i] = c
                 break
         else:
             centers.append(i)
             assignment[i] = i
     radius = max(
-        (weight * float(np.abs(functions[i] - functions[a]).sum()) for i, a in enumerate(assignment)),
+        (float(np.abs(functions[i] - functions[a]).sum()) for i, a in enumerate(assignment)),
         default=0.0,
     )
     return centers, assignment, radius
 
 
-def tail_bound_trial(
-    rng: np.random.Generator,
-    window: int = 48,
-    support: int = 6,
-    generators: int = 3,
-    perturbations: int = 4,
-    bound_c: float = 3.0,
-    epsilon: float = 0.05,
-) -> tuple[float, float]:
+def tail_bound_trial(rng: np.random.Generator) -> tuple[float, float]:
     """One randomized soundness instance: (measured sup-tail, certified bound).
 
-    Generators are finitely supported convolvers on a lattice window, the
-    family consists of l1-perturbations of radius <= epsilon, the convolved
-    functions are sup-bounded by C, and the tail region is the outer third
-    of the valid shift range.
+    Three generators are convolvers supported on [-6, 6], each with four
+    l1-perturbations of radius <= epsilon = 0.05; they convolve three
+    functions on the lattice window [-48, 48], sup-bounded by C = 3, and the
+    tail region is the outer third of the valid shift range.
     """
+    window, support, bound_c, epsilon = 48, 6, 3.0, 0.05
     width = 2 * support + 1
     gens = [
         rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        for _ in range(generators)
+        for _ in range(3)
     ]
     fs = []
     for _ in range(3):
@@ -201,7 +194,7 @@ def tail_bound_trial(
 
     measured = 0.0
     for g in gens:
-        for _ in range(perturbations):
+        for _ in range(4):
             d = rng.standard_normal(width) + 1j * rng.standard_normal(width)
             d = d * (epsilon * rng.random() / max(np.abs(d).sum(), 1e-300))
             measured = max(measured, float(tail_values(g + d).max()))
@@ -304,8 +297,8 @@ def uniform_compactness_profile(
     return DecayProfile(np.arange(a.dim**2, dtype=float), sup)
 
 
-def modulate_family_is_regular(window: GroupFunction, threshold: float = 1e-8) -> bool:
-    """Whether the family of all modulations of the window is regular.
+def modulate_family_is_regular(window: GroupFunction) -> bool:
+    """Whether the family of all modulations of the window is regular at threshold 1e-8.
 
     Equivalent to the window's transform having at least one nonvanishing
     point (modulation translates the transform over the whole dual).
@@ -315,4 +308,4 @@ def modulate_family_is_regular(window: GroupFunction, threshold: float = 1e-8) -
 
     group = window.group
     family = [modulate(window, group.character(freqs)) for freqs in group.elements()]
-    return regular_set_fn(family, threshold).is_regular
+    return regular_set_fn(family).is_regular

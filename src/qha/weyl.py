@@ -39,10 +39,6 @@ class PhaseSpace:
     def omega(self) -> complex:
         return complex(np.exp(2j * np.pi / self.n))
 
-    @property
-    def haar_weight(self) -> float:
-        return 1.0 / self.n
-
     def points(self):
         """All N^2 points (a, b) in lexicographic order."""
         n = self.n
@@ -109,7 +105,7 @@ class HilbertOp:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        sv = _singular_values(self.matrix)
+        sv = np.linalg.svd(self.matrix, compute_uv=False)
         sv.setflags(write=False)
         return sv
 
@@ -123,11 +119,6 @@ class HilbertOp:
 
     def __repr__(self) -> str:
         return f"HilbertOp(dim={self.dim})"
-
-
-def _singular_values(mats: np.ndarray) -> np.ndarray:
-    """Singular values, descending, of each matrix on the trailing two axes."""
-    return np.linalg.svd(mats, compute_uv=False)
 
 
 def identity_op(n: int) -> HilbertOp:

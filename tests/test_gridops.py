@@ -14,6 +14,7 @@ from qha.asymptotics.gridops import (
     cac_example,
     piecewise_box_smoothed_indicator,
 )
+from qha.asymptotics.probes import box_modulation_case
 from qha.errors import PreconditionError
 
 import _reference as ref
@@ -52,6 +53,21 @@ class TestBoxOperator:
             box_convolution_operator(0.25, 5.0, 5.0)
         with pytest.raises(PreconditionError):
             box_convolution_operator(0.3, 0.0, 1.0)  # 1/0.3 not integral
+
+    def test_memory_budget_decides_before_allocating(self, monkeypatch):
+        # 9 bytes per entry: the S x S float matrix and GridOperator's finiteness mask.
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 2**20)
+        assert box_convolution_operator(0.04, -6.0, 6.0).size == 301  # 815,409 bytes fit
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="box convolution on 1201 points needs 12,981,609 bytes"):
+                box_convolution_operator(0.01, -6.0, 6.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(PreconditionError, match="12,981,609 bytes"):
+            box_modulation_case(h=0.01)
 
     def test_modulated_box_is_unitarily_equivalent(self):
         plain = box_convolution_operator(0.1, -3.0, 3.0)
@@ -239,7 +255,5 @@ class TestCacExample:
     def test_named_preconditions(self):
         with pytest.raises(PreconditionError, match="divide 0.5"):
             cac_example(0.2, 9)
-        with pytest.raises(PreconditionError, match="cover"):
-            cac_example(0.1, 3, x_lo=0.0, x_hi=5.0)
         with pytest.raises(PreconditionError, match="h <= 0.5"):
             cac_example(0.7, 2)

@@ -1,0 +1,123 @@
+"""Rejection and reporting branches of the library, one table row each.
+
+Each row is a call and what it must end in: an exception of the given type
+whose message contains the fragment, or, where the type is None, a returned
+string that contains it (a verdict, a report's warning or a value).  Every
+row runs in a fresh temporary directory, under the ``np.errstate`` the
+``qha`` command runs under.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qha.asymptotics.gridops import GridOperator, ModulationOrbit, box_convolution_operator
+from qha.asymptotics.probes import parity_shift_case, topology_probe
+from qha.asymptotics.profiles import DecayProfile
+from qha.asymptotics.windowed import (
+    WindowedFunction,
+    WindowedZOperator,
+    compactness_proxy,
+    halmos_operator,
+)
+from qha.cli import dispatch
+from qha.conv import conv_op_op, symplectic_fourier
+from qha.errors import GroupMismatchError, PreconditionError
+from qha.groups import FiniteAbelianGroup, GroupFunction
+from qha.numerics import svd_rank
+from qha.tauber import greedy_l1_net, rk_moduli, windowed_stft_profile
+from qha.weyl import identity_op
+from qha.wiener import regular_op_set, regular_set_fn
+
+
+def _stft_decay_on_gapped_indices() -> str:
+    Path("f.csv").write_text("index,re,im\n-1,1,0\n1,1,0\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = dispatch(["stft", "decay", "--f", "f.csv", "--phi", "f.csv", "--k", "grid:4",
+                         "--out", "d.csv"])
+    return f"exit {code}, {Path('d.csv').exists()}: {err.getvalue()}"
+
+
+def _overflowing_difference_norm() -> float:
+    # A real symmetric Toeplitz base near the largest float: the sine factor
+    # 2 sin(pi/2) = 2 overflows the half-size even-odd SVD.
+    base = box_convolution_operator(0.5, 0.0, 2.0)
+    huge = GridOperator(0.5, 0.0, 2.0, base.matrix * 3e307 / 0.5)
+    return ModulationOrbit(huge, 2 * np.pi, 2).difference_norm(1)
+
+
+BRANCHES = [
+    ("cli-stft-decay-gapped-indices", _stft_decay_on_gapped_indices, None,
+     "exit 2, False: error: f.csv: indices must be contiguous"),
+    ("conv_op_op-dimensions", lambda: conv_op_op(identity_op(2), identity_op(3)),
+     GroupMismatchError, "dimension mismatch: 2 vs 3"),
+    ("symplectic_fourier-not-square",
+     lambda: symplectic_fourier(GroupFunction(FiniteAbelianGroup((2, 3)), np.ones(6))),
+     GroupMismatchError, "needs a function on Z_N x Z_N"),
+    ("group-no-factor", lambda: FiniteAbelianGroup(()), ValueError, "at least one cyclic factor"),
+    ("group-element-residues", lambda: FiniteAbelianGroup((2, 3)).element((1,)),
+     ValueError, "expected 2 residues"),
+    ("group-function-length", lambda: GroupFunction(FiniteAbelianGroup((3,)), np.ones(2)),
+     ValueError, "values must have length 3"),
+    ("group-function-getitem",
+     lambda: str(GroupFunction(FiniteAbelianGroup((2, 3)), np.arange(6))[(1, -1)]), None, "(5+0j)"),
+    ("svd_rank-empty-stack", lambda: f"rank {svd_rank(np.zeros((0, 4))).rank}", None, "rank 0"),
+    ("svd_rank-near-threshold", lambda: svd_rank(np.diag([1.0, 2e-8])).warnings[0],
+     None, "1 singular value(s) within a decade of the rank threshold 1.000e-08"),
+    ("windowed_stft_profile-zero-window",
+     lambda: windowed_stft_profile(WindowedFunction(-3, np.ones(7)), WindowedFunction(0, np.zeros(1)),
+                                   np.zeros(2)),
+     PreconditionError, "window function is identically zero"),
+    ("greedy_l1_net-epsilon", lambda: greedy_l1_net([np.ones(2)], 0.0),
+     ValueError, "epsilon must be positive"),
+    ("rk_moduli-empty", lambda: rk_moduli([]), ValueError, "rk_moduli needs a nonempty family"),
+    ("regular_op_set-empty", lambda: regular_op_set([]), ValueError, "nonempty set of operators"),
+    ("regular_op_set-dimensions", lambda: regular_op_set([identity_op(2), identity_op(3)]),
+     ValueError, "operators must share one dimension"),
+    # On Z_2 the transform's 2e-8 entry is computed just at the threshold
+    # 1e-8 * max = 2e-8, and its singular value just above it.
+    ("regular_set_fn-disagree",
+     lambda: regular_set_fn([GroupFunction(FiniteAbelianGroup((2,)), [1 + 1e-8, 1 - 1e-8])]).warnings[-1],
+     None, "transform zero set and translate-span rank disagree"),
+    ("grid-operator-non-integral", lambda: GridOperator(0.3, 0.0, 1.0, np.eye(4)),
+     PreconditionError, "must be integral"),
+    ("grid-operator-shape", lambda: GridOperator(0.5, 0.0, 1.0, np.eye(2)),
+     ValueError, "matrix shape (2, 2) does not match grid size 3"),
+    ("difference_norm-overflow", _overflowing_difference_norm, ValueError, "matrix entries must be finite"),
+    ("topology_probe-zero-vector",
+     lambda: topology_probe([np.eye(2)], [np.zeros(2)], [(np.ones(2), np.ones(2))], 0.1),
+     ValueError, "test vectors must be nonzero"),
+    ("topology_probe-no-tests", lambda: topology_probe([np.eye(2)], [np.ones(2)], [], 0.1),
+     ValueError, "need nonempty test vector and trace test sets"),
+    ("parity_shift_case-window", lambda: parity_shift_case(half_width=10),
+     PreconditionError, "window too small"),
+    ("decay-profile-shape", lambda: DecayProfile(np.arange(2.0), np.ones(3)),
+     ValueError, "1d arrays of equal length"),
+    ("decay-profile-negative", lambda: DecayProfile(np.arange(2.0), [1.0, -1.0]),
+     ValueError, "profile values must be nonnegative"),
+    ("windowed-function-2d", lambda: WindowedFunction(0, np.ones((2, 2))),
+     ValueError, "values must be one-dimensional"),
+    ("windowed-operator-shape", lambda: WindowedZOperator(0, 2, np.eye(2)),
+     ValueError, "does not match window size 3"),
+    ("halmos_operator-pad", lambda: halmos_operator(2, pad=-1), PreconditionError, "pad must be nonnegative"),
+    ("compactness_proxy-sizes", lambda: compactness_proxy(halmos_operator, [3, 2], 0.5),
+     PreconditionError, "sizes must be strictly increasing"),
+    ("compactness_proxy-inconclusive", lambda: compactness_proxy(halmos_operator, [2], 0.5).verdict,
+     None, "inconclusive"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", [pytest.param(*row[1:], id=row[0]) for row in BRANCHES])
+def test_branch(call, error, fragment, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if error is None:
+            assert fragment in call()
+        else:
+            with pytest.raises(error) as caught:
+                call()
+            assert fragment in str(caught.value)

@@ -7,8 +7,8 @@ crash every traced run, so it fails here first.  ``spans.py`` and
 so that import must load them.  Both files are only read.
 
 The source's own bookkeeping is checked here too: derandomized hypothesis
-tests, a command-table row for every CLI handler, and a reader for every
-private name.
+tests, a command-table row for every CLI handler, a reader for every
+private name, and a caller for every defaulted public parameter.
 """
 
 import ast
@@ -190,3 +190,57 @@ def test_every_private_name_is_used():
                         unused.append(f"{path.relative_to(ROOT)}:{name}")
     assert seen > 20
     assert unused == []
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(called name, parameter, its position in a call or, keyword-only, its
+    name, where) per defaulted parameter of a public function or method; a
+    class is called by its own name for __init__, and a method's self is
+    never an argument."""
+    scopes = [(None, tree.body)] + [(node.name, node.body) for node in tree.body
+                                    if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+    for cls, body in scopes:
+        for node in body:
+            if not isinstance(node, ast.FunctionDef) or (
+                    node.name.startswith("_") and not (cls and node.name == "__init__")):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args][cls is not None:]
+            positional = params[len(params) - len(args.defaults):] if args.defaults else []
+            keyword = [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            name = cls if node.name == "__init__" else node.name
+            where = f"{cls}.{node.name}" if cls else node.name
+            for param in positional + keyword:
+                yield name, param, params.index(param) if param in params else param, where
+
+
+def _arguments_passed(tree: ast.Module) -> set:
+    """(called name, keyword or index) per explicit argument of every call.
+    Starred and ** arguments pass nothing, and ``ref.`` calls reach the
+    same-named oracles of tests/_reference.py, not src/qha."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or getattr(getattr(node.func, "value", None), "id", None) == "ref":
+            continue
+        name = _called(node)
+        explicit = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
+        passed |= {(name, i) for i in range(explicit)}
+        passed |= {(name, k.arg) for k in node.keywords if k.arg is not None}
+    return passed
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # A defaulted parameter of the public API that no call in src/, tests/ or
+    # perfbench/ passes has one value in use: it is a constant, not a knob.
+    passed = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            passed |= _arguments_passed(ast.parse(path.read_text()))
+    unset, seen = [], 0
+    for path in sorted((ROOT / "src" / "qha").rglob("*.py")):
+        for name, param, index, where in _defaulted_parameters(ast.parse(path.read_text())):
+            seen += 1
+            if (name, param) not in passed and (name, index) not in passed:
+                unset.append(f"{path.relative_to(ROOT)}:{where}({param})")
+    assert seen > 20
+    assert unset == []
