@@ -145,7 +145,8 @@ class ModulationOrbit(Sequence):
         diff = self.difference(k)
         if not self._even_odd:
             return spectral_norm(diff)
-        norm = float(_even_odd_values(diff[None]).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            norm = float(_even_odd_values(diff[None]).max())
         if not math.isfinite(norm):
             raise ValueError("matrix entries must be finite")
         return norm

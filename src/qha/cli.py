@@ -208,7 +208,7 @@ def _cmd_rk(args) -> int:
 
     if args.out == "-":
         raise PreconditionError("rk writes two files; --out must be a file path, not '-'")
-    paths = sorted(glob.glob(os.path.join(args.family, "*.csv")))
+    paths = sorted(glob.glob(os.path.join(glob.escape(args.family), "*.csv")))
     if not paths:
         raise PreconditionError(f"no CSV files in {args.family}")
     tables = [list(zip(curve.params, curve.values)) for curve in rk_moduli(

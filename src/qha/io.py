@@ -1,14 +1,19 @@
 """The CSV format: one table writer and one table reader.
 
 Function ``index,re,im`` files have CRLF rows (the ``csv``-module dialect),
-result tables LF rows; a ``# comment`` line ends with LF.  Accepted number
-syntax: the file as the ``csv`` module reads it, keys as ``int`` and values
-as ``float`` parse them (whitespace, sign, ``_``, quotes,
-``nan``/``inf``/``infinity`` in any case; no ``3.0`` key).
+result tables LF rows; a ``# comment`` line ends with LF.
+
+The reader takes the header from the first line that is neither empty nor
+a ``#`` line.  Empty and ``#`` lines before it are opaque text: no quoting
+and no length limit.  After it come plain ASCII rows (no NUL, no
+0x1c-0x1f) with LF or CRLF endings, where empty lines are skipped and
+nothing else is: one ``np.loadtxt`` call reads an int64 key and two
+float64 values per row, each with optional whitespace and sign (no quotes,
+``_``, ``#`` line or ``3.0`` key).  Every rejection is a ValueError whose
+message starts with the path.
 """
 from __future__ import annotations
 
-import csv
 import sys
 
 import numpy as np
@@ -19,14 +24,14 @@ CSV_HEADER = ("index", "re", "im")
 
 def write_table(path, header, row_format: str, columns, comment=None, eol="\n") -> None:
     """Write ``row_format % row`` per row under the header, as one write; row i
-    takes entry i of each of the equal-length columns.  Path '-' or None is stdout."""
+    takes entry i of each of the equal-length columns.  Path '-' is stdout."""
     nrows, ncols = len(columns[0]), len(columns)
     fields = [None] * (nrows * ncols)
     for k, col in enumerate(columns):
         fields[k::ncols] = col
     text = ("" if comment is None else f"# {comment}\n") + ",".join(header) + eol
     text += (row_format + eol) * nrows % tuple(fields)
-    if path is None or path == "-":
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", newline="") as fh:
@@ -34,41 +39,24 @@ def write_table(path, header, row_format: str, columns, comment=None, eol="\n") 
 
 
 def read_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Integer indices and finite complex values of an index,re,im file.  One
-    ``np.loadtxt`` call reads the rows; what it fails on or may read
-    differently (non-ASCII, NUL, 0x1c-0x1f) takes the csv route."""
-    try:
-        with open(path, newline="") as fh:
-            first = next((r for r in csv.reader(fh) if r and not r[0].startswith("#")), None)
-            body = fh.read()
-        if (first is None or [c.strip() for c in first] != list(CSV_HEADER) or not body.isascii()
-                or any(c in body for c in "\0\x1c\x1d\x1e\x1f") or not body or body.isspace()):
-            raise ValueError
-        dtype = [("index", np.int64), ("re", np.float64), ("im", np.float64)]
-        table = np.loadtxt(body.split("\n"), dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        values = table["re"].astype(complex)
-        values.imag = table["im"]
-        if np.isfinite(values).all():
-            return table["index"], values
-    except (ValueError, csv.Error):
-        pass
-    with open(path, newline="") as fh:
-        try:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-        except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise ValueError(f"{path}: {exc}") from None
-    if not rows or [c.strip() for c in rows[0]] != list(CSV_HEADER):
+    """Integer indices and finite complex values of an index,re,im file."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        head = next((line for line in fh if line.strip("\r\n") and line[0] != "#"), "")
+        body = fh.read()
+    if [c.strip() for c in head.split(",")] != list(CSV_HEADER):
         raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != len(CSV_HEADER):
-            raise ValueError(f"{path}: data row {i} has {len(row)} fields, expected {len(CSV_HEADER)}")
-    if len(rows) == 1:
+    if not body.isascii() or any(c in body for c in "\0\x1c\x1d\x1e\x1f"):
+        raise ValueError(f"{path}: rows must be ASCII without NUL or 0x1c-0x1f")
+    if not body.strip():
         raise ValueError(f"{path}: no data rows")
-    indices, values = [], []
-    for row in rows[1:]:
-        v = complex(float(row[1]), float(row[2]))
-        if not np.isfinite(v):
-            raise ValueError(f"{path}: non-finite value at index {row[0]}")
-        indices.append(int(row[0]))
-        values.append(v)
-    return np.array(indices), np.array(values)
+    dtype = [("index", np.int64), ("re", np.float64), ("im", np.float64)]
+    try:
+        table = np.loadtxt(body.split("\n"), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    values = table["re"].astype(complex)
+    values.imag = table["im"]
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{path}: non-finite value at index {table['index'][bad.argmax()]}")
+    return table["index"], values

@@ -137,17 +137,16 @@ def degenerate_operator_set(n: int, seed: int = 0) -> dict[str, HilbertOp]:
     return ops
 
 
-def corresponding_space(
-    ps: PhaseSpace, d0_basis: list[GroupFunction], threshold: float = DEFAULT_ZERO_TOL
-) -> list[HilbertOp]:
+def corresponding_space(ps: PhaseSpace, d0_basis: list[GroupFunction]) -> list[HilbertOp]:
     """Orthonormal (HS) basis of span{f * A : A an operator, f in d0_basis}.
 
     F_weyl(f * A) = F_sigma(f) . F_weyl(A) makes A -> f * A diagonal in the
     Weyl basis, so the span is that of the U_xi* with xi outside the common
     zero set of the F_sigma(f), decided by the joint-magnitude rule of the
-    regularity reports (the joint magnitude is exactly the singular-value
-    profile of the stacked maps A -> f * A).  The basis is canonical: U_xi* /
-    sqrt(N) for each such xi in point order; no SVD is taken.
+    regularity reports at the fixed threshold DEFAULT_ZERO_TOL (the joint
+    magnitude is exactly the singular-value profile of the stacked maps
+    A -> f * A).  The basis is canonical: U_xi* / sqrt(N) for each such xi
+    in point order; no SVD is taken.
 
     Returns [] for an empty basis.  Enlarging d0_basis never shrinks the
     result.  At finite dimension every translation-invariant function space
@@ -162,7 +161,7 @@ def corresponding_space(
         return []
     for f in d0_basis:
         _same_group(f.group, ps.as_group())
-    _joint, zero = _common_zeros([symplectic_fourier(f).values for f in d0_basis], threshold)
+    _joint, zero = _common_zeros([symplectic_fourier(f).values for f in d0_basis], DEFAULT_ZERO_TOL)
     return [
         HilbertOp(weyl(ps, xi).matrix.conj().T / np.sqrt(ps.n))
         for xi, z in zip(ps.points(), zero) if not z

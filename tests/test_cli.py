@@ -401,6 +401,15 @@ class TestExampleAndProfileCommands:
         assert out.exists()
         assert (tmp_path / "moduli_tailmass.csv").exists()
 
+    def test_rk_family_name_is_not_a_pattern(self, tmp_path, capsys):
+        # "fam[1]" as a glob pattern would match "fam1", not the directory itself.
+        fam = tmp_path / "fam[1]"
+        fam.mkdir()
+        (fam / "h.csv").write_text("index,re,im\n0,1.0,0.0\n1,0.5,0.0\n")
+        out = tmp_path / "moduli.csv"
+        code, _, err = run(["rk", "--family", str(fam), "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        assert out.exists() and (tmp_path / "moduli_tailmass.csv").exists()
 
     def test_rk_rejects_stdout(self, tmp_path, capsys, monkeypatch):
         # rk writes the modulus and the tail masses to two files, so '-' names no file.
@@ -451,33 +460,47 @@ MALFORMED_CSVS = {
     "missing_field": "index,re,im\n0,1.0,0.0\n1,2.0\n",
     "non_finite": "index,re,im\n0,1.0,0.0\n1,nan,0.0\n",
     "header_only": "index,re,im\n",
-    # Longer than the csv module's field limit (131,072 characters): before
-    # the header, and as a quoted field, which takes the csv-module route.
-    "long_comment": "#" + "x" * 140_000 + "\nindex,re,im\n0,1.0,0.0\n1,0.5,0.0\n",
     "long_quoted_field": 'index,re,im\n0,1.0,0.0\n1,"0.' + "5" * 140_000 + '",0.0\n',
+    # Contiguous keys past the int64 range.
+    "index_beyond_int64": "index,re,im\n99999999999999999999,1.0,0.0\n100000000000000000000,0.5,0.0\n",
 }
+
+
+def _reading_argv(command, tmp_path, text) -> list[str]:
+    """argv of a command that reads `text` as bad.csv beside a good.csv."""
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("index,re,im\n0,1.0,0.0\n1,0.5,0.0\n")
+    bad.write_text(text)
+    return {
+        "group dft": ["group", "dft", "--orders", "2", "--input", str(bad)],
+        "group conv": ["group", "conv", "--orders", "2", "--f", str(good), "--g", str(bad)],
+        "stft decay": ["stft", "decay", "--f", str(bad), "--phi", str(good), "--k", "grid:4"],
+        "rk": ["rk", "--family", str(tmp_path)],
+    }[command] + ["--out", str(tmp_path / "out.csv")]
+
+
+READING_COMMANDS = ["group dft", "group conv", "stft decay", "rk"]
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize("kind", sorted(MALFORMED_CSVS))
-    @pytest.mark.parametrize("command", ["group dft", "group conv", "stft decay", "rk"])
+    @pytest.mark.parametrize("command", READING_COMMANDS)
     def test_usage_error_and_no_output(self, tmp_path, capsys, command, kind):
-        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-        good.write_text("index,re,im\n0,1.0,0.0\n1,0.5,0.0\n")
-        bad.write_text(MALFORMED_CSVS[kind])
         out = tmp_path / "out.csv"
-        argv = {
-            "group dft": ["group", "dft", "--orders", "2", "--input", str(bad)],
-            "group conv": ["group", "conv", "--orders", "2", "--f", str(good), "--g", str(bad)],
-            "stft decay": ["stft", "decay", "--f", str(bad), "--phi", str(good), "--k", "grid:4"],
-            "rk": ["rk", "--family", str(tmp_path)],
-        }[command]
-        code, _, err = run(argv + ["--out", str(out)], capsys)
+        code, _, err = run(_reading_argv(command, tmp_path, MALFORMED_CSVS[kind]), capsys)
         assert code == 2
         assert err.startswith("error:") and "bad.csv" in err
         assert "Traceback" not in err
         assert not out.exists()
         assert not (tmp_path / "out_tailmass.csv").exists()
+
+    @pytest.mark.parametrize("command", READING_COMMANDS)
+    def test_long_comment_before_header_is_read(self, tmp_path, capsys, command):
+        # A '#' line is opaque text, with no length limit.
+        text = "#" + "x" * 140_000 + "\nindex,re,im\n0,1.0,0.0\n1,0.5,0.0\n"
+        code, _, err = run(_reading_argv(command, tmp_path, text), capsys)
+        assert (code, err) == (0, "")
+        assert (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
         "extra", [["--samples", "-1"], ["--samples", "0"], ["--samples", "-1", "--degenerate"]]

@@ -1,14 +1,20 @@
 """The CSV layer against the csv-module readers and writers it replaced.
 
-``qha.io.read_table`` parses the plain form with one ``np.loadtxt`` call
-and hands everything else to the csv route.  The oracles in
-``tests/_reference.py`` are the readers and writers as they stood on the
-``csv`` module with per-field ``int``/``float``, so verdicts and accepted
-values must match them bit for bit; the index,re,im reader must also give
-the same message.
+``qha.io.read_table`` reads every file with one ``np.loadtxt`` call.  The
+oracles in ``tests/_reference.py`` are the readers and writers as they
+stood on the ``csv`` module with per-field ``int``/``float``.  The writers
+must match them byte for byte.  The reader's contract is narrower than the
+oracle's: no quoting, no ``_`` in numbers, no ``#`` line after the header,
+ASCII rows with LF or CRLF endings, int64 keys.  So every file it accepts
+must give the oracle's indices and values bit for bit, every file it
+rejects gets a message that starts with the path, and the verdicts may
+differ only on the files the narrowing names (``NARROWED``) and on ``#``
+lines the oracle would quote (``WIDENED``).
 """
 
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -103,11 +109,46 @@ def _indexed(reader, path):
     return ("accepted", [int(i) for i in indices], _bits(values))
 
 
+#: Files the oracle accepts and the reader rejects: quotes, ``_``, a ``#``
+#: line after the header, a lone CR, a non-ASCII digit and a key past int64.
+NARROWED = {
+    "quoted_value", "quoted_index", "underscore_value", "underscore_index_0_0",
+    "underscore_index_1_0", "mid_file_comment", "lone_cr", "cr_then_crlf",
+    "arabic_indic_digit", "huge_index", "quote_swallows_header",
+}
+#: Files the oracle rejects and the reader accepts: a '"' in a comment line
+#: opens a csv quoted field that never closes.
+WIDENED = {"quote_never_closed"}
+
+
+def _without_leading_comments(text: str) -> str:
+    """The text as the reader sees it: '#' lines before the header dropped."""
+    lines = list(io.StringIO(text, newline=""))
+    start = next((i for i, line in enumerate(lines) if line.strip("\r\n") and line[0] != "#"),
+                 len(lines))
+    return "".join(line for line in lines[:start] if line[0] != "#") + "".join(lines[start:])
+
+
 class TestReaderAgainstCsvRoute:
     @pytest.mark.parametrize("name", sorted(EDGE_FILES))
     def test_indexed_edge_file(self, tmp_path, name):
         path = _write(tmp_path, EDGE_FILES[name])
-        assert _indexed(_read_indexed_csv, path) == _indexed(ref.read_indexed_csv, path)
+        got, want = _indexed(_read_indexed_csv, path), _indexed(ref.read_indexed_csv, path)
+        flipped = {"accepted": "rejected", "rejected": "accepted"}[want[0]]
+        assert got[0] == (flipped if name in NARROWED | WIDENED else want[0])
+        if got[0] == "rejected":
+            assert got[1].startswith(f"{path}: ")
+        elif name in WIDENED:
+            plain = _write(tmp_path, _without_leading_comments(EDGE_FILES[name]), "plain.csv")
+            assert got == _indexed(ref.read_indexed_csv, plain)
+        else:
+            assert got == want
+
+    def test_invalid_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"# \xff\nindex,re,im\n0,1,\xff\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
+            _read_indexed_csv(path)
 
     def test_edge_table_covers_both_verdicts(self, tmp_path):
         verdicts = {_indexed(_read_indexed_csv, _write(tmp_path, t))[0] for t in EDGE_FILES.values()}
@@ -175,11 +216,28 @@ PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def _outside_narrowing(text: str) -> bool:
+    """True when the text has no field opening with '"', no '_', no lone CR,
+    no non-ASCII character and no '#' line after the header."""
+    lines = text.split("\n")
+    start = next((i for i, line in enumerate(lines) if line.strip("\r") and line[0] != "#"),
+                 len(lines))
+    return not (re.search(r'(^|,)"', text, re.M) or "_" in text or re.search("\r(?!\n)", text)
+                or not text.isascii() or any(line[:1] == "#" for line in lines[start + 1:]))
+
+
 @PROPERTY
 @given(text=csv_texts(("index", "re", "im")))
 def test_indexed_reader_matches_csv_route(tmp_path, text):
     path = _write(tmp_path, text)
-    assert _indexed(_read_indexed_csv, path) == _indexed(ref.read_indexed_csv, path)
+    got = _indexed(_read_indexed_csv, path)
+    plain = _write(tmp_path, _without_leading_comments(text), "plain.csv")
+    if got[0] == "accepted":
+        assert got == _indexed(ref.read_indexed_csv, plain)
+    else:
+        assert got[1].startswith(f"{path}: ")
+    if _outside_narrowing(text):
+        assert got[0] == _indexed(ref.read_indexed_csv, path)[0]
 
 
 SPECIAL = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 1 / 3, 0.1, -2.5e-300]

@@ -9,6 +9,7 @@ row runs in a fresh temporary directory, under the ``np.errstate`` the
 
 import contextlib
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,3 +122,13 @@ def test_branch(call, error, fragment, tmp_path, monkeypatch):
             with pytest.raises(error) as caught:
                 call()
             assert fragment in str(caught.value)
+
+
+def test_difference_norm_overflow_raises_without_errstate():
+    # Under numpy's default error state an overflow in the half-size SVD
+    # would warn; with warnings as errors the ValueError must still come first.
+    assert np.geterr()["over"] == "warn"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            _overflowing_difference_norm()

@@ -216,11 +216,17 @@ def _defaulted_parameters(tree: ast.Module):
 
 def _arguments_passed(tree: ast.Module) -> set:
     """(called name, keyword or index) per explicit argument of every call.
-    Starred and ** arguments pass nothing, and ``ref.`` calls reach the
-    same-named oracles of tests/_reference.py, not src/qha."""
+    Starred and ** arguments pass nothing, nor does a call inside a
+    ``with pytest.raises(...)`` block (a value only rejected is not in use),
+    and ``ref.`` calls reach the same-named oracles of tests/_reference.py,
+    not src/qha."""
+    raising = {id(node) for block in ast.walk(tree) if isinstance(block, ast.With)
+               and any(_called(item.context_expr) == "raises" for item in block.items)
+               for stmt in block.body for node in ast.walk(stmt)}
     passed = set()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or getattr(getattr(node.func, "value", None), "id", None) == "ref":
+        if (not isinstance(node, ast.Call) or id(node) in raising
+                or getattr(getattr(node.func, "value", None), "id", None) == "ref"):
             continue
         name = _called(node)
         explicit = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))

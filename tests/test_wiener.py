@@ -223,8 +223,6 @@ def test_bad_threshold_rejected(threshold):
         regular_fn(ps.function(np.ones(9)), threshold)
     with pytest.raises(ValueError, match="threshold"):
         regular_op_set([identity_op(3)], threshold)
-    with pytest.raises(ValueError, match="threshold"):
-        corresponding_space(ps, [ps.function(np.ones(9))], threshold)
 
 
 def test_equivalence_audit_randomized():
