@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import PreconditionError, check_memory
-from ..numerics import _even_odd_values, spectral_norm
+from ..numerics import spectral_norm
 
 
 def _near_int(x: float, tol: float = 1e-9) -> bool:
@@ -109,8 +109,8 @@ class ModulationOrbit(Sequence):
 
     def __init__(self, base: GridOperator, step: float, steps: int):
         self._base, self._step, self._ks = base, step, range(steps)
-        mat = base.matrix  # exactly real symmetric Toeplitz: J D J = -D bit for bit
-        self._even_odd = (not np.iscomplexobj(mat) and base.size > 1 and np.array_equal(mat, mat.T)
+        mat = base.matrix  # exactly real symmetric Toeplitz: B_ij = b(|i - j|) bit for bit
+        self._even_odd = (not np.iscomplexobj(mat) and np.array_equal(mat, mat.T)
                           and np.array_equal(mat[1:, 1:], mat[:-1, :-1]))
 
     def __len__(self) -> int:
@@ -138,18 +138,43 @@ class ModulationOrbit(Sequence):
         return phase[:, None, :] * bx, yb * phase.conj()[:, None, :]
 
     def difference_norm(self, k: int) -> float:
-        """||M_0 - M_k|| of difference(k).  For a real symmetric Toeplitz B it
-        is taken straight from the half-size SVD of the J-even to J-odd block,
-        the one structured route of qha.numerics, with no nonzero scan; any
-        other B takes spectral_norm (exact block split, one batched SVD)."""
-        diff = self.difference(k)
+        """||M_0 - M_k||, finite or ValueError; any B but an exactly real
+        symmetric Toeplitz one takes spectral_norm of difference(k).
+
+        For that B, difference(k) is D_ij = d(n - 1 - i - j) with the taps
+        d(q) = 2 sin(k step h q / 2) b(|q|), odd in q, b the first row of B.
+        In the basis of J-even vectors (e_i + e_(n-1-i))/sqrt(2), and e_m for
+        odd n = 2m + 1, then J-odd ones, D is [[0, X], [X^T, 0]]: X_ij =
+        d(i - j) + d(n - 1 - i - j), row m times sqrt(1/2) for odd n.  So ||D||
+        is the root of the top eigenvalue of X^T X, X two window views of the
+        taps over max |d| (the Gram cannot overflow); no n x n array is formed.
+        """
         if not self._even_odd:
-            return spectral_norm(diff)
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-            norm = float(_even_odd_values(diff[None]).max())
-        if not math.isfinite(norm):
+            return spectral_norm(self.difference(k))
+        n, m, b = self._base.size, self._base.size // 2, self._base.matrix[0]
+        with np.errstate(over="ignore"):  # the check below reports it
+            taps = self._sines(k) * np.concatenate([b[:0:-1], b])  # d(n - 1 - p)
+        scale = float(np.abs(taps).max())
+        if not math.isfinite(scale):
+            raise ValueError("matrix entries must be finite")
+        if scale == 0.0:
+            return 0.0
+        taps /= scale
+        x = sliding_window_view(taps, m)
+        x = x[: n - m] + x[n - 1 : m - 1 : -1]
+        del taps  # X and its Gram set the peak: n^2 / 2 doubles, not an n x n D
+        x[m : n - m] *= np.sqrt(0.5)  # odd n: e_m is its own J-even vector
+        x = x.T @ x  # rebinding frees X before eigvalsh
+        norm = scale * math.sqrt(np.linalg.eigvalsh(x)[-1])
+        if not math.isfinite(norm):  # finite taps, a norm past the float range
             raise ValueError("matrix entries must be finite")
         return norm
+
+    def _sines(self, k: int) -> np.ndarray:
+        """s(n - 1 - p), p = 0..2n - 2, of the odd s(q) = 2 sin(k step h q / 2)."""
+        half = 2.0 * np.sin((0.5 * self._step * self._ks[k] * self._base.h)
+                            * np.arange(1, self._base.size))
+        return np.concatenate([half[::-1], [0.0], -half])
 
     def difference(self, k: int) -> np.ndarray:
         """A matrix with the singular values of M_0 - M_k, real for a real B.
@@ -157,15 +182,11 @@ class ModulationOrbit(Sequence):
         With t = k step, (M_0 - M_k)_ij = B_ij (1 - e^(-i t h (i - j))) is
         Psi (2i sin(t h (i - j) / 2) B_ij) Psi* for the diagonal unitary
         Psi = diag(e^(-i t x / 2)).  The result is J (S o B), J the row
-        reversal and S the odd Toeplitz sine factor, built from n - 1 sines:
-        (J S)_ij = s(n - 1 - i - j) is a Hankel view of 2n - 1 values.  For a
-        symmetric Toeplitz B it is symmetric with J D J = -D.
+        reversal and S the odd Toeplitz sine factor: (J S)_ij = s(n - 1 - i - j)
+        is a Hankel view of the 2n - 1 values :meth:`_sines`, from n - 1 sines.
+        For a symmetric Toeplitz B it is symmetric with J D J = -D.
         """
-        base = self._base
-        n = base.size
-        half = 2.0 * np.sin((0.5 * self._step * self._ks[k] * base.h) * np.arange(1, n))
-        hankel = np.concatenate([half[::-1], [0.0], -half])
-        return sliding_window_view(hankel, n) * base.matrix[::-1]
+        return sliding_window_view(self._sines(k), self._base.size) * self._base.matrix[::-1]
 
 
 def _box_counts(idx: np.ndarray, i0: int, i1: int, below: int, above: int) -> np.ndarray:

@@ -156,19 +156,24 @@ def _moves(shifts: list[int]) -> list[tuple[int, float]]:
     return [(k, 2 * np.pi * (i % 16) / 16) for i, k in enumerate(shifts)]
 
 
+def _chirp(n: int) -> np.ndarray:
+    """exp(-(4t/n)^2 / 2 + i (t + t^2/4)), t = p - (n-1)/2 for p < n: a nonzero Gaussian chirp."""
+    t = np.arange(n) - (n - 1) / 2
+    return np.exp(-0.5 * (4 * t / n) ** 2 + 1j * (t + t * t / 4))
+
+
 def halmos_shift_case(blocks: int = 8, steps: int = 8) -> ProbeCase:
     """Right-shifted copies of the block projection, spaced one full support
     apart: unit operator norm forever, vanishing action on any fixed vector.
-    Item phases cycle through 16 angles; the random test vector is seed 0's."""
+    Item phases cycle through 16 angles; the last test vector is _chirp."""
     total = blocks * (blocks + 1) // 2
     pad = blocks
     hi = total * steps + total - 1
     moves = _moves([total * i for i in range(steps)])
     base = halmos_operator(blocks, pad).matrix  # window [-pad, total - 1], zero up to hi
     mats = ShiftedCopies(-pad, hi, *np.nonzero(base), base[base != 0], moves)
-    rng = np.random.default_rng(0)
     vecs = [np.eye(1, hi + pad + 1, t + pad)[0] for t in (0, 1, total // 2)]
-    vecs.append(np.pad(rng.standard_normal(total) + 1j * rng.standard_normal(total), (pad, hi + 1 - total)))
+    vecs.append(np.pad(_chirp(total), (pad, hi + 1 - total)))
     tests = [(vecs[0], vecs[1]), (vecs[-1], vecs[0])]
     return ProbeCase(mats, vecs, tests)
 
@@ -178,18 +183,16 @@ def parity_shift_case(
 ) -> ProbeCase:
     """Shifted reflections: every item is a partial isometry preserving the
     norm of centrally supported vectors exactly, yet all pairings with fixed
-    trace-class tests die off.  Item phases cycle through 16 angles; the
-    random test vectors are seed 0's."""
+    trace-class tests die off.  Item phases cycle through 16 angles; the test
+    vectors are _chirp(2 support + 1) and its conjugate, centred on 0."""
     if 2 * (step * (steps - 1)) + support > half_width:
         raise PreconditionError("window too small for the requested shifts")
     moves = _moves([step * i for i in range(steps)])
     size = 2 * half_width + 1
     index = np.arange(size)  # the reflection j -> -j: one entry 1 per row
     mats = ShiftedCopies(-half_width, half_width, index, index[::-1], np.ones(size), moves)
-    rng = np.random.default_rng(0)
-    n = 2 * support + 1  # centred on 0
-    vecs = [np.pad(rng.standard_normal(n) + 1j * rng.standard_normal(n), half_width - support)
-            for _ in range(2)]
+    chirp = np.pad(_chirp(2 * support + 1), half_width - support)
+    vecs = [chirp, chirp.conj()]
     tests = [(vecs[0], vecs[1]), (vecs[1], vecs[0])]
     return ProbeCase(mats, vecs, tests)
 

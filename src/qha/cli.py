@@ -175,7 +175,8 @@ def _read_windowed(path) -> WindowedFunction:
     from .groups import _read_indexed_csv
 
     indices, values = _read_indexed_csv(path)
-    if not np.array_equal(indices, indices[0] + np.arange(len(indices))):
+    # Unit steps in int64 can wrap (max then min); the span in Python ints cannot.
+    if int(indices[-1]) - int(indices[0]) != len(indices) - 1 or (np.diff(indices) != 1).any():
         raise ValueError(f"{path}: indices must be contiguous")
     return WindowedFunction(int(indices[0]), values)
 

@@ -17,11 +17,8 @@ connected components of the bipartite graph of the exact nonzero pattern
 alone, and equally shaped blocks take one batched ``svd``.  Nothing is
 discarded, so the values are exact SVDs of the exact blocks.
 
-The one structured route is :func:`_even_odd_values`, taken only by
-``gridops.ModulationOrbit.difference_norm``: the differences of an orbit of
-an exactly symmetric Toeplitz base are real symmetric with ``J b J = -b`` bit
-for bit (J the exchange matrix), so their singular values come from one
-half-size SVD.  Dense random operators (``weyl.HilbertOp``) keep a plain SVD.
+Dense random operators (``weyl.HilbertOp``) keep a plain SVD; only the orbit
+norms of ``gridops.ModulationOrbit.difference_norm`` take a structured route.
 """
 from __future__ import annotations
 
@@ -161,25 +158,3 @@ def _block_stacks(shape, rows: np.ndarray, cols: np.ndarray, cells):
         ri = r_order[r_start[ks][:, None] + np.arange(r)]
         ci = c_order[c_start[ks][:, None] + np.arange(c)]
         yield cells(ri[:, :, None], ci[:, None, :])
-
-
-def _even_odd_values(stack: np.ndarray) -> np.ndarray:
-    """Singular values of a real symmetric stack with J b J = -b.
-
-    In the orthonormal basis of J-even vectors (e_i + e_(n-1-i))/sqrt(2), and
-    e_m for odd n = 2m + 1, then J-odd vectors (e_i - e_(n-1-i))/sqrt(2), b is
-    [[0, X], [X^T, 0]]: b carries each parity to the other.  So b has the
-    singular values of the ceil(n/2) x floor(n/2) block X twice, and one zero
-    for odd n; only the J-even part (b + J b J)/2 is discarded.
-    """
-    n = stack.shape[-1]
-    m, r = n // 2, n - n // 2
-    top, bottom = stack[..., :r, :], stack[..., ::-1, :][..., :r, :]
-    # X = ((b + J b)[:r] - ((b + J b) J)[:r])[:, :m] / 2, one column half at a time.
-    x = top[..., :m] + bottom[..., :m]
-    x -= top[..., ::-1][..., :m] + bottom[..., ::-1][..., :m]
-    x *= 0.5
-    if r > m:
-        x[..., m, :] *= np.sqrt(0.5)  # the middle row was counted twice
-    vals = np.linalg.svd(x, compute_uv=False)
-    return np.concatenate([vals, vals, np.zeros(vals.shape[:-1] + (r - m,))], axis=-1)

@@ -463,6 +463,8 @@ MALFORMED_CSVS = {
     "long_quoted_field": 'index,re,im\n0,1.0,0.0\n1,"0.' + "5" * 140_000 + '",0.0\n',
     # Contiguous keys past the int64 range.
     "index_beyond_int64": "index,re,im\n99999999999999999999,1.0,0.0\n100000000000000000000,0.5,0.0\n",
+    # Keys that are contiguous only once int64 wraps: max, then min.
+    "index_wraps_int64": "index,re,im\n9223372036854775807,1.0,0.0\n-9223372036854775808,0.5,0.0\n",
 }
 
 

@@ -165,21 +165,6 @@ class TestRoutes:
         assert singular_values(m) == pytest.approx(want, rel=1e-13, abs=1e-13 * want[0])
         assert routes == [route]
 
-    @pytest.mark.parametrize("n", [6, 7])
-    def test_even_odd_values_take_one_half_size_svd(self, routes, monkeypatch, n):
-        r = np.random.default_rng(n).standard_normal((n, n))
-        m = (r + r.T) - (r + r.T)[::-1, ::-1]
-        want = ref.singular_values(m)
-        shapes, svd = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
-            shapes.append(a.shape[-2:]), svd(a, *args, **kwargs))[1])
-        routes.clear()
-        got = np.sort(numerics._even_odd_values(m[None])[0])[::-1]
-        assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * want[0])
-        assert routes == [("svd", "f")]
-        assert shapes == [((n + 1) // 2, n // 2)]
-        assert got[-1] == (0.0 if n % 2 else pytest.approx(want[-1], rel=1e-13))
-
     @pytest.mark.parametrize("factor", [1e-200, 1e200])
     @pytest.mark.parametrize("kind, route", [
         ("neither", ("svd", "c")),

@@ -262,8 +262,8 @@ class TestModulationOrbit:
     def test_difference_has_the_dense_singular_values(self, monkeypatch, base):
         # ModulationOrbit.difference(k) against the dense M_0 - M_k and one
         # reference SVD; for a symmetric Toeplitz box difference_norm takes
-        # one half-size real SVD of the J-odd difference, for any other base
-        # the block-split route.
+        # one real eigvalsh of the floor(n/2)-square Gram of the J-even to
+        # J-odd block and no svd, for any other base the block-split route.
         h, hi = 0.25, (4.0 if base != "box-even" else 3.75)
         op = box_convolution_operator(h, 0.0, hi)
         rng = np.random.default_rng(5)
@@ -275,26 +275,32 @@ class TestModulationOrbit:
         n = op.size
         assert n == (16 if base == "box-even" else 17)
         orbit = ModulationOrbit(op, 3.0, 5)
-        shapes, svd = [], np.linalg.svd
+        calls = []
+
+        def spy(name):
+            original = getattr(np.linalg, name)
+            return lambda a, *args, **kwargs: (calls.append((name, a.dtype.kind, a.shape[-2:])),
+                                               original(a, *args, **kwargs))[1]
+
         for k in range(1, 5):
             want = ref.singular_values(orbit[0] - orbit[k])
             diff = orbit.difference(k)
             assert np.iscomplexobj(diff) == (base == "complex")
             assert singular_values(diff) == pytest.approx(want, rel=1e-13, abs=1e-13 * want[0])
-            monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
-                shapes.append((a.dtype.kind, a.shape[-2:])), svd(a, *args, **kwargs))[1])
-            norm = orbit.difference_norm(k)
-            monkeypatch.setattr(np.linalg, "svd", svd)
+            with monkeypatch.context() as patch:
+                for name in ("svd", "eigvalsh"):
+                    patch.setattr(np.linalg, name, spy(name))
+                norm = orbit.difference_norm(k)
             assert norm == pytest.approx(want[0], rel=1e-13)
         if base.startswith("box"):
-            assert shapes == [("f", ((n + 1) // 2, n // 2))] * 4
+            assert calls == [("eigvalsh", "f", (n // 2, n // 2))] * 4
         elif base == "real-nonpersymmetric":
-            assert shapes == [("f", (n, n))] * 4
+            assert calls == [("svd", "f", (n, n))] * 4
 
     @pytest.mark.parametrize("base", ["box-odd", "box-even", "box-default", "complex",
                                       "real-nonpersymmetric", "real-symmetric"])
     def test_difference_norm_is_the_spectral_norm(self, base):
-        # A real symmetric Toeplitz base takes the half-size SVD directly; any
+        # A real symmetric Toeplitz base takes the half-size Gram route; any
         # other base takes spectral_norm, and a symmetric base that is not
         # Toeplitz is not J-odd.  Both agree with one dense SVD (of the real
         # difference on the default grid, whose items are 601 x 601).
@@ -313,6 +319,40 @@ class TestModulationOrbit:
         for k in range(1, len(orbit)):
             dense = orbit.difference(k) if base == "box-default" else orbit[0] - orbit[k]
             assert orbit.difference_norm(k) == pytest.approx(ref.spectral_norm(dense), rel=1e-13)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.floats(0.5, 20.0), st.integers(1, 4))
+    def test_difference_norm_matches_a_dense_svd(self, n, seed, step, k):
+        # Any real symmetric Toeplitz base of odd or even size: the half-size
+        # Gram route against one dense SVD of the built items' difference.
+        first = np.random.default_rng(seed).standard_normal(n)
+        idx = np.arange(n)
+        base = GridOperator(0.25, 0.0, 0.25 * (n - 1), first[np.abs(idx[:, None] - idx)])
+        orbit = ModulationOrbit(base, step, 5)
+        want = ref.singular_values(orbit[0] - orbit[k])[0]
+        assert orbit.difference_norm(k) == pytest.approx(want, rel=1e-13)
+
+    def test_difference_norm_scales_with_the_base(self):
+        # The Gram is formed from the taps over max |d|: a 1e200 base neither
+        # overflows nor loses digits.
+        box = box_convolution_operator(0.25, 0.0, 4.0)
+        huge = GridOperator(0.25, 0.0, 4.0, 1e200 * box.matrix)
+        for k in range(1, 5):
+            want = 1e200 * ModulationOrbit(box, 3.0, 5).difference_norm(k)
+            assert ModulationOrbit(huge, 3.0, 5).difference_norm(k) == pytest.approx(want, rel=1e-13)
+
+    def test_difference_norm_peaks_below_half_a_real_difference(self):
+        # The default orbit's norm holds the 301 x 300 block and its 300-square
+        # Gram, never the 601 x 601 difference (n^2 doubles).
+        orbit = box_modulation_case().matrices
+        n = orbit[0].shape[0]
+        tracemalloc.start()
+        try:
+            orbit.difference_norm(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2
 
     def test_products_match_the_items(self):
         # M_k r and l* M_k from the real base against the built items.
@@ -463,9 +503,10 @@ class TestPairwiseOracle:
 
 def test_box_modulation_probe_holds_under_one_item():
     # The probe builds no orbit item: the products come from the real base,
-    # and each norm from one real difference of half an item's bytes and its
-    # quarter-size even-odd block, which set the peak (0.87 items; 1.74 when
-    # every item was built and the norm took spectral_norm's route).
+    # and each norm from a quarter-size even-odd block and its Gram, built
+    # from the taps (peak 0.36 items; 0.87 when each norm folded a real
+    # difference of half an item's bytes, 1.74 when every item was built and
+    # the norm took spectral_norm's route).
     case = box_modulation_case()
     item = case.matrices[0].nbytes
     tracemalloc.start()
@@ -497,11 +538,14 @@ def test_shift_probe_holds_under_half_an_item(name):
 @pytest.mark.parametrize("case", ["parity-shift", "halmos-shift", "box-modulation"])
 def test_probe_leaves_numpy_ma_unloaded(tmp_path, case):
     """The probe takes sorted unions without np.unique, union1d or isin, whose
-    first call imports numpy.ma (~16 ms for every `qha probe topology`)."""
+    first call imports numpy.ma (~16 ms for every `qha probe topology`), and
+    the cases draw their test vectors from no generator, so numpy.random
+    (~10 ms) is not imported either."""
     src = str(Path(qha.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = ["probe", "topology", "--case", case, "--tol", "0.1", "--out", str(tmp_path / "p.csv")]
-    code = f"import sys, qha.cli; print(qha.cli.dispatch({argv!r}), 'numpy.ma' in sys.modules)"
+    code = (f"import sys, qha.cli; print(qha.cli.dispatch({argv!r}), 'numpy.ma' in sys.modules,"
+            " 'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.split()[-2:] == ["0", "False"]
+    assert out.stdout.split()[-3:] == ["0", "False", "False"]

@@ -43,12 +43,15 @@ def _stft_decay_on_gapped_indices() -> str:
     return f"exit {code}, {Path('d.csv').exists()}: {err.getvalue()}"
 
 
-def _overflowing_difference_norm() -> float:
-    # A real symmetric Toeplitz base near the largest float: the sine factor
-    # 2 sin(pi/2) = 2 overflows the half-size even-odd SVD.
+def _huge_box_orbit(entry: float) -> ModulationOrbit:
+    """The orbit, step 2 pi, of a real symmetric Toeplitz box of the given entries."""
     base = box_convolution_operator(0.5, 0.0, 2.0)
-    huge = GridOperator(0.5, 0.0, 2.0, base.matrix * 3e307 / 0.5)
-    return ModulationOrbit(huge, 2 * np.pi, 2).difference_norm(1)
+    return ModulationOrbit(GridOperator(0.5, 0.0, 2.0, base.matrix * entry / 0.5), 2 * np.pi, 2)
+
+
+def _overflowing_difference_norm() -> float:
+    # Entries 1e308: the sine factor 2 sin(pi/2) = 2 overflows the taps d(q).
+    return _huge_box_orbit(1e308).difference_norm(1)
 
 
 BRANCHES = [
@@ -89,6 +92,12 @@ BRANCHES = [
     ("grid-operator-shape", lambda: GridOperator(0.5, 0.0, 1.0, np.eye(2)),
      ValueError, "matrix shape (2, 2) does not match grid size 3"),
     ("difference_norm-overflow", _overflowing_difference_norm, ValueError, "matrix entries must be finite"),
+    # Entries 8e307 give finite taps (at most 1.6e308), but the norm of the
+    # 17-point box is past the float range.
+    ("difference_norm-norm-overflow",
+     lambda: ModulationOrbit(GridOperator(0.25, 0.0, 4.0, box_convolution_operator(
+         0.25, 0.0, 4.0).matrix * 8e307 / 0.25), 3.0, 5).difference_norm(2),
+     ValueError, "matrix entries must be finite"),
     ("topology_probe-zero-vector",
      lambda: topology_probe([np.eye(2)], [np.zeros(2)], [(np.ones(2), np.ones(2))], 0.1),
      ValueError, "test vectors must be nonzero"),
@@ -125,10 +134,21 @@ def test_branch(call, error, fragment, tmp_path, monkeypatch):
 
 
 def test_difference_norm_overflow_raises_without_errstate():
-    # Under numpy's default error state an overflow in the half-size SVD
-    # would warn; with warnings as errors the ValueError must still come first.
+    # Under numpy's default error state an overflow in the taps would warn;
+    # with warnings as errors the ValueError must still come first.
     assert np.geterr()["over"] == "warn"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             _overflowing_difference_norm()
+
+
+def test_difference_norm_up_to_the_float_range_is_finite():
+    # Entries 3e307 keep the taps finite (6e307), and the norm 6e307 sqrt(3)
+    # is below the largest float: the Gram of the block over max |d| gives it
+    # with no warning, matching one dense SVD of the difference over 1e307.
+    orbit = _huge_box_orbit(3e307)
+    want = 1e307 * np.linalg.norm(orbit.difference(1) / 1e307, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert orbit.difference_norm(1) == pytest.approx(want, rel=1e-13)

@@ -8,7 +8,8 @@ so that import must load them.  Both files are only read.
 
 The source's own bookkeeping is checked here too: derandomized hypothesis
 tests, a command-table row for every CLI handler, a reader for every
-private name, and a caller for every defaulted public parameter.
+private name, a caller for every defaulted public parameter, and numpy.random
+reached only where a caller seeds a draw.
 """
 
 import ast
@@ -190,6 +191,38 @@ def test_every_private_name_is_used():
                         unused.append(f"{path.relative_to(ROOT)}:{name}")
     assert seen > 20
     assert unused == []
+
+
+def _draws_from_numpy_random(node: ast.AST, annotations: set[int]) -> bool:
+    """Whether node reads np.random / numpy.random or imports it; annotations
+    (the ids of their nodes) are never evaluated and do not count."""
+    if isinstance(node, ast.Attribute) and id(node) not in annotations:
+        return node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.random") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.random") or (
+            node.module == "numpy" and any(a.name == "random" for a in node.names))
+    return False
+
+
+def test_numpy_random_only_where_a_caller_seeds_a_draw():
+    # Importing numpy.random costs ~10 ms a process, so it is reached only in
+    # the functions that draw from a seed their caller gives, never on import
+    # or in a fixed construction such as a probe case's test vectors.
+    found = set()
+    for path in sorted((ROOT / "src" / "qha").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = ".".join(path.relative_to(ROOT / "src" / "qha").with_suffix("").parts)
+        annotations = {id(n) for node in ast.walk(tree)
+                       for note in (getattr(node, "annotation", None), getattr(node, "returns", None))
+                       if note is not None for n in ast.walk(note)}
+        owner = {id(n): node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                 for n in ast.walk(node)}
+        found |= {f"{module}.{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if _draws_from_numpy_random(node, annotations)}
+    assert found == {"conv._sample_blocks", "conv.sharpness_witness",
+                     "wiener.degenerate_operator_set", "cli._cmd_wiener_verify"}
 
 
 def _defaulted_parameters(tree: ast.Module):
