@@ -150,7 +150,8 @@ class ModulationOrbit(Sequence):
         taps over max |d| (the Gram cannot overflow); no n x n array is formed.
         """
         if not self._even_odd:
-            return spectral_norm(self.difference(k))
+            with np.errstate(over="ignore", invalid="ignore"):  # spectral_norm reports it
+                return spectral_norm(self.difference(k))
         n, m, b = self._base.size, self._base.size // 2, self._base.matrix[0]
         with np.errstate(over="ignore"):  # the check below reports it
             taps = self._sines(k) * np.concatenate([b[:0:-1], b])  # d(n - 1 - p)

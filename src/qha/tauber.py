@@ -218,30 +218,44 @@ def rk_moduli(
     Any finite family on a bounded window trivially passes both conditions
     in the limit; the curves are informative for families meant to model
     unbounded spreading (growing shifts, slow tails) inside the window.
+
+    Members go heaviest first; each computes its distances only up to its last
+    shift whose :func:`_distance_bounds` reaches the sup held, so a skipped one
+    is below that sup and the values equal the full max bit for bit.  Tables
+    take 41 bytes a shift (tracemalloc): max_shift <= 26,188,824 fits MEMORY_BUDGET.
     """
     if not family:
         raise ValueError("rk_moduli needs a nonempty family")
-    lo = min(h.lo for h in family)
-    hi = max(h.hi for h in family)
-    span = hi - lo
-    if max_shift is None:
-        max_shift = max(1, span // 4)
-    shifts = np.arange(1, max_shift + 1)
+    span = max(h.hi for h in family) - min(h.lo for h in family)
+    max_shift = max(1, span // 4) if max_shift is None else max_shift
+    check_memory(41 * max_shift, f"rk moduli over {max_shift:,} shifts")
+    shifts = np.arange(1.0, max_shift + 1)
     modulus = np.zeros(shifts.size)
-    for h in family:
-        inside = int(np.searchsorted(shifts, h.values.size))  # the shifts s < size
-        dist = np.full(shifts.size, 2 * float(np.abs(h.values).sum()))
-        dist[:inside] = _shift_distances(h.values, inside)
-        modulus = np.maximum(modulus, dist)
+    for twice, vals in sorted(((2 * float(np.abs(h.values).sum()), h.values) for h in family),
+                              key=lambda member: member[0], reverse=True):
+        inside = min(vals.size - 1, shifts.size)  # the shifts s < size
+        np.maximum(modulus[inside:], twice, out=modulus[inside:])
+        reach = _distance_bounds(vals, twice, inside) >= modulus[:inside]
+        count = np.flatnonzero(reach).max(initial=-1) + 1
+        np.maximum(modulus[:count], _shift_distances(vals, count), out=modulus[:count])
     if tail_marks is None:
         tail_marks = sorted({span // 8, span // 4, span // 2, span} - {0})
     marks = np.asarray(sorted(tail_marks), dtype=float)
-    tail = np.zeros(marks.size)
-    for h in family:
-        idx = np.arange(h.lo, h.hi + 1)
-        for i, m in enumerate(marks):
-            tail[i] = max(tail[i], float(np.abs(h.values[np.abs(idx) > m]).sum()))
-    return DecayProfile(shifts.astype(float), modulus), DecayProfile(marks, tail)
+    tail = [max(float(np.abs(h.values[np.abs(np.arange(h.lo, h.hi + 1)) > m]).sum()) for h in family)
+            for m in marks]
+    return DecayProfile(shifts, modulus), DecayProfile(marks, tail)
+
+
+def _distance_bounds(vals: np.ndarray, twice: float, count: int) -> np.ndarray:
+    """Upper bounds on _shift_distances(vals, count) as computed, twice = 2 ||h||_1:
+    ||shift_s(h) - h||_1 <= twice - (the mass of h's last s points).  Rounding
+    moves a distance and its bound by at most ~size eps twice plus ~size
+    subnormal units, so a slack of 4 size eps (twice + tiny) covers both.  A
+    non-finite twice bounds nothing: inf, with no inf - inf."""
+    if not np.isfinite(twice):
+        return np.full(count, np.inf)
+    slack = 4 * vals.size * np.finfo(float).eps * (twice + np.finfo(float).tiny)
+    return (twice + slack) - np.abs(vals[: -count - 1 : -1]).cumsum()
 
 
 #: Complex entries per block of shifted differences in ``_shift_distances`` (~0.5 MB).

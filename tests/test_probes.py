@@ -239,9 +239,12 @@ class TestListRouteNorms:
 
 
 class TestModulationOrbit:
-    @pytest.mark.parametrize("params", [{"h": 0.02}, {"h": 0.25, "steps": 5}],
+    @pytest.mark.parametrize("params", [{"h": 0.02, "steps": 5}, {"h": 0.25, "steps": 5}],
                              ids=["default", "small"])
     def test_orbit_route_matches_dense_route(self, params):
+        # The default grid on 5 items (10 pairs, shifts 1-4): the dense route
+        # takes a full 601 x 601 SVD per pair.  All 8 default shift norms are
+        # checked against the reference SVD in TestNormsAgainstDenseSvd.
         freq_step, h = 12.0, params["h"]
         case = box_modulation_case(freq_step=freq_step, **params)
         assert isinstance(case.matrices, ModulationOrbit)

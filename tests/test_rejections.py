@@ -54,6 +54,14 @@ def _overflowing_difference_norm() -> float:
     return _huge_box_orbit(1e308).difference_norm(1)
 
 
+def _overflowing_nonsymmetric_difference_norm() -> float:
+    # A real non-symmetric base takes spectral_norm of difference(k), whose
+    # product with the sine factor overflows entries 1e308.
+    mat = np.full((5, 5), 1e308)
+    mat[0, 1] = 5e307
+    return ModulationOrbit(GridOperator(0.5, 0.0, 2.0, mat), 2 * np.pi, 2).difference_norm(1)
+
+
 BRANCHES = [
     ("cli-stft-decay-gapped-indices", _stft_decay_on_gapped_indices, None,
      "exit 2, False: error: f.csv: indices must be contiguous"),
@@ -92,6 +100,8 @@ BRANCHES = [
     ("grid-operator-shape", lambda: GridOperator(0.5, 0.0, 1.0, np.eye(2)),
      ValueError, "matrix shape (2, 2) does not match grid size 3"),
     ("difference_norm-overflow", _overflowing_difference_norm, ValueError, "matrix entries must be finite"),
+    ("difference_norm-nonsymmetric-overflow", _overflowing_nonsymmetric_difference_norm, ValueError,
+     "matrix entries must be finite"),
     # Entries 8e307 give finite taps (at most 1.6e308), but the norm of the
     # 17-point box is past the float range.
     ("difference_norm-norm-overflow",
@@ -141,6 +151,9 @@ def test_difference_norm_overflow_raises_without_errstate():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             _overflowing_difference_norm()
+        # The same for an overflow in the product of difference(k).
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            _overflowing_nonsymmetric_difference_norm()
 
 
 def test_difference_norm_up_to_the_float_range_is_finite():

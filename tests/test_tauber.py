@@ -1,6 +1,7 @@
 """Windowed transforms, certified tail bounds, compactness moduli and
 localization operators."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -380,6 +381,108 @@ class TestRkModulusBlocks:
     def test_nan_member_is_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             WindowedFunction(0, [1.0, np.nan, 2.0])
+
+
+def _bound_member(kind, rng, n, family):
+    """One member of kind: alternating (|h(t-1) - h(t)| = |h(t-1)| + |h(t)|,
+    the bound exact), a copy or negated copy of an earlier member, huge
+    (2 ||h||_1 overflows, distances at s = 1 finite), subnormal, or random."""
+    if kind in ("copy", "negated") and family:
+        src = family[rng.integers(len(family))].values
+        return src.copy() if kind == "copy" else -src
+    if kind == "alternating":
+        return (-1.0) ** np.arange(n) * rng.exponential(size=n) * np.exp(2j * np.pi * rng.random())
+    if kind == "huge":
+        return np.full(max(n, 4), 0.6e308) * np.exp(2j * np.pi * rng.random())
+    if kind == "subnormal":
+        return (rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n)) * 5e-324
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@st.composite
+def bound_families(draw):
+    """1-5 members that stress the bound of the pruned route, at mixed lo and
+    sizes 1..40, with a max_shift below or above the sizes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["alternating", "copy", "negated", "huge", "subnormal", "random"])
+    family = []
+    for _ in range(draw(st.integers(1, 5))):
+        vals = _bound_member(draw(kinds), rng, draw(st.integers(1, 40)), family)
+        family.append(WindowedFunction(draw(st.integers(-50, 50)), vals))
+    return family, draw(st.integers(1, 2 * max(h.values.size for h in family) + 2))
+
+
+def _family_rows(family, max_shift):
+    """The modulus and the shift rows each member's _shift_distances computed."""
+    rows = []
+    original = qha.tauber._shift_distances
+
+    def spy(vals, count):
+        rows.append(int(count))
+        return original(vals, count)
+
+    with mock.patch.object(qha.tauber, "_shift_distances", spy):
+        modulus, _ = rk_moduli(family, max_shift=max_shift)
+    return modulus.values, rows
+
+
+class TestRkPrunedRoute:
+    """Members go heaviest first and skip the shifts where their bound
+    2 ||h||_1 - (mass of the last s points), plus a rounding slack, is
+    below the sup held; the modulus must not change by a bit."""
+
+    @RK_PROPERTY
+    @given(drawn=bound_families())
+    def test_equals_per_shift_loop(self, drawn):
+        family, max_shift = drawn
+        # Overflowing sums warn in the loop and in rk_moduli alike; nothing
+        # else (no inf - inf) may warn.
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _rk_hex(family, max_shift)
+            want = _loop_hex(family, max_shift)
+        assert got == want
+
+    def test_computed_distance_within_its_bound(self):
+        rng = np.random.default_rng(31)
+        for i in range(600):
+            kind = ("alternating", "subnormal", "random")[i % 3]
+            vals = _bound_member(kind, rng, int(rng.integers(2, 200)), [])
+            count = vals.size - 1
+            bounds = qha.tauber._distance_bounds(vals, 2 * float(np.abs(vals).sum()), count)
+            assert np.all(qha.tauber._shift_distances(vals, count) <= bounds), (i, kind)
+
+    def test_benchmark_shaped_family_skips_most_rows(self):
+        # The benchmark's family: 16 members of 4001 values, envelopes
+        # exp(-|t - 40k| / (100 + 50k)), 1000 shifts (16,000 rows unpruned).
+        rng = np.random.default_rng(606)
+        t = np.arange(-2000, 2001)
+        family = [WindowedFunction(-2000, (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size))
+                                   * np.exp(-np.abs(t - 40.0 * k) / (100.0 + 50.0 * k))) for k in range(16)]
+        modulus, rows = _family_rows(family, 1000)
+        assert len(rows) == 16 and sum(rows) <= 7000
+        assert modulus.tobytes() == ref.rk_modulus(family, np.arange(1, 1001)).tobytes()
+
+    def test_bound_tying_the_sup_is_computed(self):
+        # A skip needs a bound strictly below the sup held: member b's bound
+        # at s = 1, 2 equals the heavier member a's distances there.
+        b = np.array([2.0, 2.0, 0.0, 0.0])
+        tie = qha.tauber._distance_bounds(b, 8.0, 3)
+        assert tie[0] == tie[1] > tie[2] and tie[0] / 2 > 4.0
+        modulus, rows = _family_rows([WindowedFunction(0, [tie[0] / 2, 0.0, 0.0]), WindowedFunction(0, b)], 4)
+        assert modulus.tolist() == [tie[0]] * 4 and rows == [2, 2]
+
+    def test_memory_budget_decides_before_allocating(self, monkeypatch):
+        # 41 bytes a shift: 25 for the shift tables, 16 for a member's bounds.
+        assert 41 * 26_188_824 <= qha.errors.MEMORY_BUDGET < 41 * 26_188_825
+        member = [WindowedFunction(-3, np.arange(7) + 1j)]
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 41 * 1000)
+        assert rk_moduli(member, max_shift=1000)[0].values.size == 1000
+        with pytest.raises(PreconditionError, match="rk moduli over 1,001 shifts needs 41,041 bytes"):
+            rk_moduli(member, max_shift=1001)
+        monkeypatch.undo()
+        with pytest.raises(PreconditionError, match="over 1,000,000,000 shifts"):
+            rk_moduli(member, max_shift=10**9)
 
 
 class TestLocalizationOperator:
