@@ -126,7 +126,7 @@ def _cmd_wiener_verify(args) -> int:
         raise ValueError("samples must be >= 1, or >= 0 with --degenerate")
     PhaseSpace(args.n)  # rejects n < 1 before any draw
     rng = np.random.default_rng(args.seed)
-    # Drawn one at a time: regular_op_set checks the budget before the first N^4 table.
+    # Drawn one at a time: regular_op_set checks the budget, 18 bytes per N^3 entry (N <= 390), first.
     cases = ((f"random_{i}", random_op(args.n, rng)) for i in range(args.samples))
     if args.degenerate:
         cases = itertools.chain(cases, degenerate_operator_set(args.n, seed=args.seed).items())

@@ -42,7 +42,8 @@ class RankResult:
 
 
 def svd_rank(rows: np.ndarray, rel_tol: float = DEFAULT_ZERO_TOL) -> RankResult:
-    """Numerical rank of the row span of `rows`, relative SVD threshold.
+    """Numerical rank of the row span of `rows`, relative SVD threshold; a
+    stack (blocks, R, C) is read as its block-diagonal matrix (one batched SVD).
 
     Ties near the threshold are flagged as warnings rather than silently
     classified.
@@ -50,7 +51,7 @@ def svd_rank(rows: np.ndarray, rel_tol: float = DEFAULT_ZERO_TOL) -> RankResult:
     mat = np.asarray(rows, dtype=complex)
     if mat.size == 0:
         return RankResult(0, np.zeros(0))
-    svals = np.linalg.svd(mat, compute_uv=False)
+    svals = np.sort(np.linalg.svd(mat, compute_uv=False), axis=None)[::-1]
     smax = svals[0] if svals.size else 0.0
     if smax == 0.0:
         return RankResult(0, svals)

@@ -228,21 +228,24 @@ def rk_moduli(
         raise ValueError("rk_moduli needs a nonempty family")
     span = max(h.hi for h in family) - min(h.lo for h in family)
     max_shift = max(1, span // 4) if max_shift is None else max_shift
+    if max_shift < 1:
+        raise PreconditionError(f"max_shift must be at least 1, got {max_shift}")
     check_memory(41 * max_shift, f"rk moduli over {max_shift:,} shifts")
     shifts = np.arange(1.0, max_shift + 1)
     modulus = np.zeros(shifts.size)
-    for twice, vals in sorted(((2 * float(np.abs(h.values).sum()), h.values) for h in family),
-                              key=lambda member: member[0], reverse=True):
-        inside = min(vals.size - 1, shifts.size)  # the shifts s < size
-        np.maximum(modulus[inside:], twice, out=modulus[inside:])
-        reach = _distance_bounds(vals, twice, inside) >= modulus[:inside]
-        count = np.flatnonzero(reach).max(initial=-1) + 1
-        np.maximum(modulus[:count], _shift_distances(vals, count), out=modulus[:count])
     if tail_marks is None:
         tail_marks = sorted({span // 8, span // 4, span // 2, span} - {0})
     marks = np.asarray(sorted(tail_marks), dtype=float)
-    tail = [max(float(np.abs(h.values[np.abs(np.arange(h.lo, h.hi + 1)) > m]).sum()) for h in family)
-            for m in marks]
+    with np.errstate(over="ignore"):  # an l1 mass past the float range is inf, not a warning
+        for twice, vals in sorted(((2 * float(np.abs(h.values).sum()), h.values) for h in family),
+                                  key=lambda member: member[0], reverse=True):
+            inside = min(vals.size - 1, shifts.size)  # the shifts s < size
+            np.maximum(modulus[inside:], twice, out=modulus[inside:])
+            reach = _distance_bounds(vals, twice, inside) >= modulus[:inside]
+            count = np.flatnonzero(reach).max(initial=-1) + 1
+            np.maximum(modulus[:count], _shift_distances(vals, count), out=modulus[:count])
+        tail = [max(float(np.abs(h.values[np.abs(np.arange(h.lo, h.hi + 1)) > m]).sum()) for h in family)
+                for m in marks]
     return DecayProfile(shifts, modulus), DecayProfile(marks, tail)
 
 

@@ -19,7 +19,7 @@ from .errors import check_memory
 from .groups import GroupFunction, _same_group, fourier, translate
 from .numerics import DEFAULT_ZERO_TOL, svd_rank
 from .weyl import (
-    HilbertOp, PhaseSpace, fourier_weyl, identity_op, op_translate_stack, parity_op, rank_one,
+    HilbertOp, PhaseSpace, fourier_weyl, identity_op, parity_op, rank_one,
     reflection_symmetric_unit, weyl,
 )
 
@@ -96,24 +96,28 @@ def regular_op_set(
 
     zero_set lives on the phase space; translate_span_rank is the rank of
     span{alpha_x(A) : A in the set, x in the phase space} inside the
-    N^2-dimensional matrix space.  The stacked translates and their SVD peak
-    at 40 bytes per operator and N^4 entry (33 measured as ru_maxrss growth
-    for one operator at N = 40..56, 34-37 per operator for two to four), so
-    one operator fits MEMORY_BUDGET up to N = 71.
+    N^2-dimensional matrix space.  As alpha_(a,b)(A)[s,t] = omega^(b(s-t))
+    A[s-a, t-a], a unitary DFT over b splits the stacked translates exactly
+    into N blocks, one per d = s - t: block d stacks sqrt(N) C_d, C_d[a, s] =
+    A[s-a, s-a-d], of each operator (kN x N), so no DFT is computed.  The
+    blocks and their SVD peak below 18 bytes per operator and N^3 entry
+    (tracemalloc, N >= 64): one operator fits MEMORY_BUDGET up to N = 390.
     """
     if not operators:
         raise ValueError("regular_op_set needs a nonempty set of operators")
     n = operators[0].dim
     if any(op.dim != n for op in operators):
         raise ValueError("operators must share one dimension")
-    check_memory(40 * len(operators) * n**4,
+    check_memory(18 * len(operators) * n**3,
                  f"the translate span of {len(operators)} operator(s) at N = {n}")
     ps = PhaseSpace(n)
-    rows = np.concatenate(
-        [op_translate_stack(op, ps.points()).reshape(n * n, n * n) for op in operators]
-    )
+    offset = (np.arange(n) - np.arange(n)[:, None]) % n  # offset[i, j] = j - i
+    # diag[d, op, m] = sqrt(N) A_op[m, m - d]; block d has diag[d, op, s - a] at row (op, a), column s
+    diag = np.sqrt(n) * np.stack([op.matrix for op in operators])[
+        np.arange(len(operators))[:, None], np.arange(n), offset[:, None]]
+    blocks = np.take(diag, offset, axis=2).reshape(n, len(operators) * n, n)
     transforms = [fourier_weyl(op).values for op in operators]
-    return _report(transforms, ps.points(), rows, threshold, n * n)
+    return _report(transforms, ps.points(), blocks, threshold, n * n)
 
 
 def degenerate_operator_set(n: int, seed: int = 0) -> dict[str, HilbertOp]:

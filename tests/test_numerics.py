@@ -197,3 +197,59 @@ class TestRoutes:
         monkeypatch.setattr(numerics, "_block_stacks", lambda *args: list(kept(*args))[:-1])
         with pytest.raises(AssertionError):
             _assert_matches_dense(m)
+
+
+def _block_diagonal(stack: np.ndarray) -> np.ndarray:
+    """The (B R) x (B C) block-diagonal matrix of a (B, R, C) stack."""
+    b, r, c = stack.shape
+    out = np.zeros((b * r, b * c), dtype=stack.dtype)
+    for k in range(b):
+        out[k * r : (k + 1) * r, k * c : (k + 1) * c] = stack[k]
+    return out
+
+
+def _with_values(svals, rows, cols, rng) -> np.ndarray:
+    """A random rows x cols complex matrix with the given singular values."""
+    q = [np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+         for m in (rows, cols)]
+    middle = np.zeros((rows, cols))
+    middle[np.arange(len(svals)), np.arange(len(svals))] = svals
+    return q[0] @ middle @ q[1].conj().T
+
+
+class TestSvdRankStack:
+    """svd_rank reads a (B, R, C) stack as the block-diagonal matrix of its
+    blocks: the same rank, values and warnings as that 2-D matrix."""
+
+    @staticmethod
+    def _assert_same(stack):
+        got, want = numerics.svd_rank(stack), numerics.svd_rank(_block_diagonal(stack))
+        assert got.singular_values.shape == want.singular_values.shape
+        top = want.singular_values[0] if want.singular_values.size else 0.0
+        assert np.abs(got.singular_values - want.singular_values).max(initial=0.0) <= 1e-13 * top
+        assert np.all(np.diff(got.singular_values) <= 0)
+        assert got.rank == want.rank
+        assert got.warnings == want.warnings
+        return got
+
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (4, 6, 3), (3, 2, 5), (5, 4, 4), (2, 0, 3)])
+    def test_random_stacks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = self._assert_same(stack)
+        assert got.rank == shape[0] * min(shape[1:]) and not got.warnings
+
+    def test_values_straddling_the_tie_band(self):
+        # cut = 1e-8: 4e-8 and 2e-8 count, 7e-9 and 5e-9 do not; all four sit
+        # within a decade of the cut and 3e-10 below it.
+        rng = np.random.default_rng(5)
+        svals = [[1.0, 0.2], [4e-8, 2e-8], [7e-9, 3e-10], [0.5, 5e-9]]
+        stack = np.stack([_with_values(s, 3, 2, rng) for s in svals])
+        got = self._assert_same(stack)
+        assert got.rank == 5
+        assert got.warnings == [f"4 singular value(s) within a decade of the rank threshold "
+                                f"{1e-8 * got.singular_values[0]:.3e}; rank decision may be unstable"]
+
+    def test_zero_stack(self):
+        got = self._assert_same(np.zeros((3, 2, 2)))
+        assert got.rank == 0 and not got.singular_values.any()

@@ -87,6 +87,8 @@ BRANCHES = [
     ("greedy_l1_net-epsilon", lambda: greedy_l1_net([np.ones(2)], 0.0),
      ValueError, "epsilon must be positive"),
     ("rk_moduli-empty", lambda: rk_moduli([]), ValueError, "rk_moduli needs a nonempty family"),
+    ("rk_moduli-max-shift", lambda: rk_moduli([WindowedFunction(0, np.ones(3))], max_shift=-3),
+     PreconditionError, "max_shift must be at least 1, got -3"),
     ("regular_op_set-empty", lambda: regular_op_set([]), ValueError, "nonempty set of operators"),
     ("regular_op_set-dimensions", lambda: regular_op_set([identity_op(2), identity_op(3)]),
      ValueError, "operators must share one dimension"),

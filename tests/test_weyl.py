@@ -22,7 +22,6 @@ from qha.weyl import (
     op_modulate,
     op_parity,
     op_translate,
-    op_translate_stack,
     parity_op,
     random_op,
     rank_one,
@@ -227,7 +226,6 @@ class TestOperatorActions:
         ps = PhaseSpace(n)
         a = random_op(n, np.random.default_rng(20 + n))
         dense = ref.op_translate(ps, a)
-        assert np.abs(op_translate_stack(a, ps.points()) - dense).max() <= 1e-13
         for x, expected in zip(ps.points(), dense):
             assert np.abs(op_translate(a, x).matrix - expected).max() <= 1e-13
 

@@ -1,13 +1,15 @@
 """Regularity predicates: transform zero sets vs translate-span ranks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qha.conv import symplectic_fourier
 from qha.errors import PreconditionError
 from qha.groups import FiniteAbelianGroup, GroupFunction, constant, delta, random_function
-from qha.weyl import PhaseSpace, identity_op, random_op, rank_one
-from qha.numerics import DEFAULT_ZERO_TOL
+from qha.weyl import HilbertOp, PhaseSpace, identity_op, random_op, rank_one
+from qha.numerics import DEFAULT_ZERO_TOL, svd_rank
 from qha.wiener import (
     RegularityReport,
     corresponding_space,
@@ -109,38 +111,61 @@ class TestOperatorRegularity:
             rep = regular_op_set([op])
             assert rep.predicates_agree, name
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
-    def test_translate_rows_match_dense_reference(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_block_values_match_dense_reference(self, monkeypatch, n):
+        # The N circulant blocks against the SVD of the dense N^2 x N^2 stack
+        # of translates: same values, ranks and warnings.
         import qha.wiener
-        from qha.numerics import svd_rank
 
         seen = []
 
         def spy(rows, threshold):
-            seen.append(rows)
-            return svd_rank(rows, threshold)
+            seen.append(svd_rank(rows, threshold))
+            return seen[-1]
 
         monkeypatch.setattr(qha.wiener, "svd_rank", spy)
         ps = PhaseSpace(n)
         rng = np.random.default_rng(30 + n)
-        ops = [random_op(n, rng), rank_one(rng.standard_normal(n))]
-        regular_op_set(ops)
-        dense = np.concatenate([ref.op_translate(ps, op).reshape(n * n, n * n) for op in ops])
-        assert seen[0].shape == dense.shape
-        assert np.abs(seen[0] - dense).max() <= 1e-13
+        degenerate = list(degenerate_operator_set(n, seed=3).values())
+        near = identity_op(n).matrix + 3e-8 * random_op(n, rng).matrix  # values in the tie band
+        sets = [[random_op(n, rng)], [random_op(n, rng), rank_one(rng.standard_normal(n))],
+                [random_op(n, rng) for _ in range(3)], [HilbertOp(near)],
+                degenerate[:2], degenerate[3:6]] + [[op] for op in degenerate]
+        warned = 0
+        for ops in sets:
+            seen.clear()
+            rep = regular_op_set(ops)
+            dense = np.concatenate([ref.op_translate(ps, op).reshape(n * n, n * n) for op in ops])
+            want = svd_rank(dense)
+            got = seen[0]
+            assert got.singular_values.shape == want.singular_values.shape == (n * n,)
+            top = want.singular_values[0]
+            assert np.abs(got.singular_values - want.singular_values).max() <= 1e-13 * top
+            assert rep.translate_span_rank == got.rank == want.rank
+            assert len(got.warnings) == len(want.warnings)
+            warned += len(want.warnings)
+        assert warned or n == 1  # the tie-band operator warns for every N > 1
 
     def test_memory_budget_decides_before_allocating(self, monkeypatch):
-        # 40 bytes per operator and N^4 entry: one operator up to N = 71.
+        # Under 18 bytes per operator and N^3 entry: one operator up to N = 390.
         import qha.errors
 
-        assert 40 * 71**4 <= qha.errors.MEMORY_BUDGET < 40 * 72**4
-        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 40 * 2 * 4**4)
+        assert 18 * 390**3 <= qha.errors.MEMORY_BUDGET < 18 * 391**3
         rng = np.random.default_rng(2)
+        ops = [random_op(64, rng), random_op(64, rng)]
+        tracemalloc.start()
+        try:
+            regular_op_set(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * 2 * 64**3
+        monkeypatch.setattr(qha.errors, "MEMORY_BUDGET", 18 * 2 * 4**3)
         assert regular_op_set([random_op(4, rng), random_op(4, rng)]).translate_span_rank == 16
-        with pytest.raises(PreconditionError, match="3 operator.s. at N = 4 needs 30,720 bytes"):
+        with pytest.raises(PreconditionError, match="3 operator.s. at N = 4 needs 3,456 bytes"):
             regular_op_set([random_op(4, rng)] * 3)
-        with pytest.raises(PreconditionError, match="1 operator.s. at N = 5 needs 25,000 bytes"):
-            regular_op_set([random_op(5, rng)])
+        with pytest.raises(PreconditionError, match="1 operator.s. at N = 6 needs 3,888 bytes"):
+            regular_op_set([random_op(6, rng)])
 
     def test_weyl_operator_span_is_one_dimensional(self):
         from qha.weyl import weyl
