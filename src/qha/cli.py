@@ -37,10 +37,10 @@ from .conv import verify_norm_estimates
 from .errors import PreconditionError
 from .groups import FiniteAbelianGroup, convolve, fourier, read_group_function, write_group_function
 from .io import write_table
-from .numerics import DEFAULT_EQ_TOL
+from .numerics import DEFAULT_EQ_TOL, seeded_uniform
 from .tauber import (NetCertificate, certified_tail_bound, check_stft_profile_size, rk_moduli,
                      windowed_stft_profile)
-from .weyl import PhaseSpace, random_op, weyl_identity_residuals
+from .weyl import HilbertOp, PhaseSpace, weyl_identity_residuals
 from .wiener import degenerate_operator_set, regular_op_set
 
 
@@ -124,10 +124,11 @@ def _cmd_conv_audit(args) -> int:
 def _cmd_wiener_verify(args) -> int:
     if args.samples < (0 if args.degenerate else 1):
         raise ValueError("samples must be >= 1, or >= 0 with --degenerate")
-    PhaseSpace(args.n)  # rejects n < 1 before any draw
-    rng = np.random.default_rng(args.seed)
-    # Drawn one at a time: regular_op_set checks the budget, 18 bytes per N^3 entry (N <= 390), first.
-    cases = ((f"random_{i}", random_op(args.n, rng)) for i in range(args.samples))
+    n = PhaseSpace(args.n).n  # rejects n < 1 before any draw
+    # Operator i is re + i im from stream entries 2N^2 i on, drawn one at a time: regular_op_set
+    # checks the budget, 18 bytes per N^3 entry (N <= 390), before the next draw.
+    draws = (seeded_uniform(args.seed, (2, n, n), 2 * n * n * i) for i in range(args.samples))
+    cases = ((f"random_{i}", HilbertOp(re + 1j * im)) for i, (re, im) in enumerate(draws))
     if args.degenerate:
         cases = itertools.chain(cases, degenerate_operator_set(args.n, seed=args.seed).items())
     rows = []

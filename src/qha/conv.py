@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import GroupMismatchError, check_memory
 from .groups import GroupFunction, _convolve, _same_group, lp_norm
-from .numerics import DEFAULT_EQ_TOL
+from .numerics import DEFAULT_EQ_TOL, seeded_uniform
 from .weyl import (
     HilbertOp, PhaseSpace, _fourier_weyl, _fourier_weyl_inverse, rank_one,
     reflection_symmetric_unit,
@@ -154,13 +154,12 @@ _BLOCK_ENTRIES = 2**16
 
 def _sample_blocks(n: int, samples: int, seed: int):
     """(first index, f, g, A, B) per block of random samples, each a (k, N, N)
-    complex stack.  One draw per block gives the stream of one draw per part:
-    f re, f im, g re, g im, A re, A im, B re, B im, sample after sample."""
-    rng = np.random.default_rng(seed)
+    complex stack.  Sample i is entries [8N^2 i, 8N^2 (i + 1)) of the seed's
+    stream, whatever the block: f re, f im, g re, g im, A re, A im, B re, B im."""
     step = max(1, _BLOCK_ENTRIES // (n * n))
-    for start in range(0, samples, step):
-        x = rng.standard_normal((min(step, samples - start), 8, n, n))
-        yield start, *(x[:, i] + 1j * x[:, i + 1] for i in range(0, 8, 2))
+    for start in range(0, samples, step):  # the block has no name: freed once split
+        yield start, *(p[:, 0] + 1j * p[:, 1] for p in seeded_uniform(
+            seed, (min(step, samples - start), 4, 2, n, n), 8 * n * n * start).swapaxes(0, 1))
 
 
 def convolution_theorem_residuals(
@@ -173,7 +172,6 @@ def convolution_theorem_residuals(
     the m(xi,-xi) weight on the left-hand side.
     """
     s = _sign(variant)
-    w = self_pairing_weight(PhaseSpace(n)).reshape(n, n)
     out = {"fn_fn": 0.0, "fn_op": 0.0, "op_op": 0.0, "op_op_weighted": 0.0}
     for _, f, g, a, b in _sample_blocks(n, samples, seed):
         sf_f, sf_g = _symplectic_fourier(f, s), _symplectic_fourier(g, s)
@@ -183,7 +181,7 @@ def convolution_theorem_residuals(
             "fn_fn": (_symplectic_fourier(_convolve(f, g, 1.0 / n, (-2, -1)), s), sf_f * sf_g),
             "fn_op": (_fourier_weyl(_conv_fn_op(f, a)), sf_f * fw_a),
             "op_op": (op_lhs, op_rhs),
-            "op_op_weighted": (op_lhs * w, op_rhs),
+            "op_op_weighted": (op_lhs * self_pairing_weight(PhaseSpace(n)).reshape(n, n), op_rhs),
         }
         for key, (lhs, rhs) in pairs.items():
             out[key] = max(out[key], float(np.abs(lhs - rhs).max()))
@@ -248,14 +246,14 @@ def verify_norm_estimates(n: int, samples: int, seed: int) -> NormAuditReport:
 
     Reports the max observed ratio (bound side over product of norms) per
     inequality together with the sample index attaining it (the first one).
-    Deterministic given the seed.  A block of samples peaks at 288 bytes per
-    N^2 entry (257-287 measured as ru_maxrss growth, N = 256..1536), so
-    N <= 1930 fits MEMORY_BUDGET.
+    Deterministic given the seed.  A block, at most max(N^2, 2^16) sample
+    entries, peaks at 288 bytes per sample entry (tracemalloc: 192-198 at N =
+    16..256; ru_maxrss growth: 193-266 at N = 32..1024): N <= 1930 fits MEMORY_BUDGET.
     """
     PhaseSpace(n)  # rejects n < 1 before any draw
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    check_memory(288 * n**2, f"conv audit at N = {n}")
+    check_memory(288 * min(samples * n**2, max(n**2, _BLOCK_ENTRIES)), f"conv audit at N = {n}")
     report = NormAuditReport(dict.fromkeys(INEQUALITY_NAMES, 0.0), dict.fromkeys(INEQUALITY_NAMES, 0))
     for start, f, g, a, b in _sample_blocks(n, samples, seed):
         l1_f = np.abs(f).reshape(len(f), -1).sum(axis=1) * (1.0 / n)
@@ -276,7 +274,7 @@ def verify_norm_estimates(n: int, samples: int, seed: int) -> NormAuditReport:
 
 
 def sharpness_witness(n: int, seed: int = 0) -> float:
-    """Ratio ||A*B||_inf / (||A||_tr ||B||_op) for A = B = phi (x) phi with
-    a reflection-symmetric unit vector phi; equals 1, attained at the origin."""
-    a = rank_one(reflection_symmetric_unit(n, np.random.default_rng(seed)))
+    """Ratio ||A*B||_inf / (||A||_tr ||B||_op) for A = B = phi (x) phi, phi the
+    seed's reflection_symmetric_unit; equals 1, attained at the origin."""
+    a = rank_one(reflection_symmetric_unit(n, seed))
     return float(_ratio(lp_norm(conv_op_op(a, a), np.inf), a.trace_norm * a.op_norm))

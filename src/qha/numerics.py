@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import PreconditionError
+
 DEFAULT_EQ_TOL = 1e-10
 DEFAULT_ZERO_TOL = 1e-8
 
@@ -65,6 +67,23 @@ def svd_rank(rows: np.ndarray, rel_tol: float = DEFAULT_ZERO_TOL) -> RankResult:
             f"threshold {cut:.3e}; rank decision may be unstable"
         )
     return RankResult(rank, svals, warnings)
+
+
+def seeded_uniform(seed: int, shape, start: int = 0) -> np.ndarray:
+    """Entries start, start + 1, ... (C order) of the SplitMix64 stream of a seed in [0, 2^64):
+    entry k is mix(seed + (k + 1) gamma mod 2^64) as (mix >> 11) 2^-52 - 1 in [-1, 1), by exact
+    uint64 arithmetic and a dyadic scaling, so the bits are the same on every CPU."""
+    if not 0 <= seed < 2**64:
+        raise PreconditionError(f"seed must be in [0, 2**64), got {seed}")
+    z = np.arange(start + 1, start + 1 + np.prod(shape, dtype=int), dtype=np.uint64)
+    z *= 0x9E3779B97F4A7C15  # in place throughout: one uint64 temporary at a time
+    z += seed
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> 31
+    z >>= 11
+    return z.reshape(shape) * 2.0**-52 - 1.0
 
 
 def singular_values(m) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import PreconditionError, check_memory
 from .groups import FiniteAbelianGroup, GroupFunction
+from .numerics import seeded_uniform
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,11 @@ def rank_one(phi, psi=None) -> HilbertOp:
     return HilbertOp(np.outer(phi, psi.conj()))
 
 
-def reflection_symmetric_unit(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector along v + R v for one complex Gaussian draw v, or along
-    v + 1 when the draw is reflection-antisymmetric (|v + R v| < 1e-9)."""
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def reflection_symmetric_unit(n: int, seed: int) -> np.ndarray:
+    """Unit vector along v + R v, v = re + i im from the first 2N entries of the
+    seed's stream (re first), or along v + 1 when |v + R v| < 1e-9."""
+    re, im = seeded_uniform(seed, (2, n))
+    v = re + 1j * im
     phi = v + v[(-np.arange(n)) % n]
     if np.linalg.norm(phi) < 1e-9:
         phi = v + 1.0

@@ -124,10 +124,10 @@ def degenerate_operator_set(n: int, seed: int = 0) -> dict[str, HilbertOp]:
     """Fixed operators with structured transform zero sets, for audits.
 
     Identity, a diagonal point mass, three Weyl unitaries, the reflection
-    operator, and a rank-one built from a reflection-symmetric vector.
+    operator, and phi (x) phi for the seed's reflection_symmetric_unit phi.
     """
     ps = PhaseSpace(n)
-    phi = reflection_symmetric_unit(n, np.random.default_rng(seed))
+    phi = reflection_symmetric_unit(n, seed)
     e0 = np.zeros(n)
     e0[0] = 1.0
     ops = {

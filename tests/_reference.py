@@ -19,7 +19,10 @@ norm audit and the convolution-theorem residuals one sample at a time):
 they call the public single-item functions of ``qha`` and are oracles for
 the sample-stacked passes, which must equal them bit for bit.  The rk
 modulus loop, one shifted copy per member and shift, is likewise the bitwise
-oracle for the block-stacked strided differences in ``qha.tauber``.
+oracle for the block-stacked strided differences in ``qha.tauber``.  The
+audit samples come from :func:`splitmix64_uniform`, the textbook stepped
+generator in Python ints, which shares no code with the vectorised counter
+stream ``qha.numerics.seeded_uniform``.
 """
 
 import csv
@@ -200,9 +203,33 @@ def stft_loop(f, window) -> np.ndarray:
 # --- the audits, one sample at a time through the public products -------------
 
 
-def _random_phase_function(ps: PhaseSpace, rng: np.random.Generator):
-    m = ps.n * ps.n
-    return ps.function(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+def splitmix64_uniform(seed: int, count: int, start: int = 0) -> list[float]:
+    """Entries start, ..., start + count - 1 of the SplitMix64 generator of
+    Steele, Lea & Flood (2014) in its textbook form: a 64-bit state, starting
+    at seed, advanced by gamma before each output, and each output mixed and
+    mapped to (z >> 11) 2^-52 - 1.  Python ints masked to 64 bits, one value
+    at a time; skipping to `start` advances the state start times at once."""
+    mask = 2**64 - 1
+    state = (seed + start * 0x9E3779B97F4A7C15) & mask
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        out.append((z >> 11) / 2**52 - 1.0)
+    return out
+
+
+def audit_sample(n: int, seed: int, i: int) -> tuple:
+    """Sample i of the audits, (f, g, A, B): the 8 N^2 stream entries from
+    8 N^2 i on, as the N^2-vectors f re, f im, g re, g im, A re, ..., B im
+    (operators row by row)."""
+    ps = PhaseSpace(n)
+    m = n * n
+    parts = np.array(splitmix64_uniform(seed, 8 * m, 8 * m * i)).reshape(4, 2, m)
+    f, g, a, b = (re + 1j * im for re, im in parts)
+    return ps.function(f), ps.function(g), HilbertOp(a.reshape(n, n)), HilbertOp(b.reshape(n, n))
 
 
 def _ratio(num: float, den: float) -> float:
@@ -212,15 +239,10 @@ def _ratio(num: float, den: float) -> float:
 def convolution_theorem_residuals(n: int, seed: int, samples: int = 5,
                                   variant: str = PINNED_ORIENTATION) -> dict[str, float]:
     """Max residuals of the three transform identities and the weighted one."""
-    ps = PhaseSpace(n)
-    rng = np.random.default_rng(seed)
-    w = qha.conv.self_pairing_weight(ps)
+    w = qha.conv.self_pairing_weight(PhaseSpace(n))
     out = {"fn_fn": 0.0, "fn_op": 0.0, "op_op": 0.0, "op_op_weighted": 0.0}
-    for _ in range(samples):
-        f = _random_phase_function(ps, rng)
-        g = _random_phase_function(ps, rng)
-        a = qha.weyl.random_op(n, rng)
-        b = qha.weyl.random_op(n, rng)
+    for i in range(samples):
+        f, g, a, b = audit_sample(n, seed, i)
 
         lhs = qha.conv.symplectic_fourier(qha.groups.convolve(f, g), variant).values
         rhs = qha.conv.symplectic_fourier(f, variant).values * qha.conv.symplectic_fourier(g, variant).values
@@ -241,15 +263,10 @@ def convolution_theorem_residuals(n: int, seed: int, samples: int = 5,
 
 def verify_norm_estimates(n: int, samples: int, seed: int) -> tuple[dict, dict]:
     """(max ratio, index of the first sample attaining it) per inequality."""
-    ps = PhaseSpace(n)
-    rng = np.random.default_rng(seed)
     max_ratio = dict.fromkeys(INEQUALITY_NAMES, 0.0)
     argmax_index = dict.fromkeys(INEQUALITY_NAMES, 0)
     for i in range(samples):
-        f = _random_phase_function(ps, rng)
-        g = _random_phase_function(ps, rng)
-        a = qha.weyl.random_op(n, rng)
-        b = qha.weyl.random_op(n, rng)
+        f, g, a, b = audit_sample(n, seed, i)
         ratios = {
             "fn_fn_sup": _ratio(qha.groups.lp_norm(qha.groups.convolve(f, g), np.inf),
                                 qha.groups.lp_norm(f, 1) * qha.groups.lp_norm(g, np.inf)),

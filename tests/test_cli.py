@@ -19,6 +19,11 @@ from hypothesis import given, settings, strategies as st
 import qha.errors
 from qha.cli import build_parser, dispatch, emit_csv
 from qha.groups import FiniteAbelianGroup, delta, random_function, write_group_function
+from qha.numerics import svd_rank
+from qha.weyl import HilbertOp, PhaseSpace, rank_one
+from qha.wiener import degenerate_operator_set
+
+import _reference as ref
 
 
 def run(argv, capsys):
@@ -294,6 +299,81 @@ class TestDispatch:
         assert "tolerance" in err
         assert "classification" not in out
         assert not out_path.exists()
+
+
+class TestSeededDraws:
+    """conv audit and wiener verify draw from the SplitMix64 counter stream of
+    their seed, which must lie in [0, 2**64)."""
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize("argv", [
+        ["conv", "audit", "--n", "3", "--samples", "2"],
+        ["wiener", "verify", "--n", "3", "--samples", "2"],
+        ["wiener", "verify", "--n", "3", "--samples", "2", "--degenerate"],
+        ["wiener", "verify", "--n", "3", "--samples", "0", "--degenerate"],
+    ])
+    def test_seed_outside_range_is_exit_2(self, tmp_path, capsys, argv, seed):
+        out = tmp_path / "out.csv"
+        code, stdout, err = run(argv + ["--seed", seed, "--out", str(out)], capsys)
+        assert code == 2
+        assert err.splitlines() == [f"error: seed must be in [0, 2**64), got {seed}"]
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["0", "18446744073709551615"])
+    def test_seed_range_edges_run(self, tmp_path, capsys, seed):
+        for argv in (_conv_audit(3, 2, seed), ["wiener", "verify", "--n", "3", "--samples", "1",
+                                               "--seed", seed, "--degenerate"]):
+            assert run(argv, capsys)[0] == 0
+
+    @pytest.mark.parametrize("n,samples,seed", [(8, 50, 5), (16, 20, 7), (24, 5, 11)])
+    def test_audit_golden_matches_reference_draws(self, n, samples, seed):
+        # The golden's ratios against the per-sample loop on the textbook generator.
+        golden = (GOLDEN / f"conv_audit_n{n}_s{samples}_seed{seed}.csv").read_text().splitlines()
+        max_ratio, argmax = ref.verify_norm_estimates(n, samples, seed)
+        rows = [line.split(",") for line in golden[2:]]
+        assert sorted(name for name, *_ in rows) == sorted(max_ratio)
+        for name, ratio, index in rows:
+            assert float(ratio) == pytest.approx(max_ratio[name], rel=1e-12, abs=0)
+            assert int(index) == argmax[name]
+
+    def test_wiener_golden_ranks_match_dense_stack(self):
+        # Operator i is re + i im from stream entries 2 N^2 i on; the rank of
+        # each case is that of its dense N^2 x N^2 stack of translates.
+        n, seed = 12, 3
+        ps = PhaseSpace(n)
+        ops = {}
+        for i in range(10):
+            re, im = np.array(ref.splitmix64_uniform(seed, 2 * n * n, 2 * n * n * i)).reshape(2, n, n)
+            ops[f"random_{i}"] = HilbertOp(re + 1j * im)
+        ops.update(degenerate_operator_set(n, seed))
+        re, im = np.array(ref.splitmix64_uniform(seed, 2 * n)).reshape(2, n)
+        phi = (re + 1j * im) + (re + 1j * im)[(-np.arange(n)) % n]
+        ops["rank_one_symmetric"] = rank_one(phi / np.linalg.norm(phi))
+        golden = (GOLDEN / "wiener_verify_n12_s10_seed3_degenerate.csv").read_text().splitlines()
+        rows = [line.split(",") for line in golden[2:]]
+        assert [name for name, *_ in rows] == list(ops)
+        for name, _min_abs, rank, *_ in rows:
+            dense = ref.op_translate(ps, ops[name]).reshape(n * n, n * n)
+            assert int(rank) == svd_rank(dense).rank, name
+
+    @pytest.mark.parametrize("call, result", [
+        ("qha.cli.dispatch(['conv', 'audit', '--n', '8', '--samples', '50', '--seed', '5', "
+         "'--out', 'a.csv'])", "0"),
+        ("qha.cli.dispatch(['wiener', 'verify', '--n', '6', '--samples', '3', '--seed', '3', "
+         "'--degenerate', '--out', 'w.csv'])", "0"),
+        ("qha.cli.dispatch(['run', 'audit.json'])", "0"),
+        ("qha.conv.pin_orientation().pinned == qha.conv.PINNED_ORIENTATION", "True"),
+    ], ids=["conv-audit", "wiener-verify", "run-audit-manifest", "pin_orientation"])
+    def test_seeded_runs_leave_numpy_random_unloaded(self, tmp_path, monkeypatch, call, result):
+        # Importing numpy.random costs ~10 ms a process; no seeded draw needs it.
+        monkeypatch.chdir(tmp_path)
+        manifest = {"subcommand": "conv audit", "params": {"n": 8, "samples": 50}, "seed": 5,
+                    "outputs": {"out": "a.csv"}}
+        Path("audit.json").write_text(json.dumps(manifest))
+        proc = _run_under_memory_limit(
+            f"import sys, qha.cli, qha.conv; print({call}, 'numpy.random' in sys.modules)", [])
+        assert proc.stdout.split() == [result, "False"], proc.stderr
 
 
 class TestExampleAndProfileCommands:

@@ -7,11 +7,54 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qha import numerics
-from qha.numerics import singular_values, spectral_norm
+from qha.numerics import seeded_uniform, singular_values, spectral_norm
 
 import _reference as ref
 
 KINDS = ("hermitian", "centro", "skew-centro", "neither", "rectangular")
+
+#: float.hex of the first eight entries of seed 0; they freeze the stream.
+SEED_0 = ("0x1.8882a0e5ec772p-1", "-0x1.18761955e46a0p-3", "-0x1.e4ee8b9dffdb0p-1",
+          "0x1.e22ee2a1c9320p-1", "-0x1.9319da56b95e4p-1", "-0x1.61a3079c5c0b0p-2",
+          "-0x1.4df5950782eb4p-1", "0x1.16104ceb245aap-1")
+
+#: The first four 64-bit outputs of SplitMix64 from state 0, as published with
+#: the generator; an entry keeps their top 53 bits.
+SEED_0_WORDS = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC)
+
+
+class TestSeededUniform:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+           start=st.one_of(st.sampled_from([0, 2**40]), st.integers(0, 2**40)),
+           shape=st.lists(st.integers(0, 4), max_size=3).map(tuple))
+    def test_equals_textbook_generator(self, seed, start, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = seeded_uniform(seed, shape, start)
+        assert got.shape == shape and got.dtype == np.float64
+        want = ref.splitmix64_uniform(seed, int(np.prod(shape)), start)
+        assert [float(x).hex() for x in got.ravel()] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("start", [0, 1, 2**32 - 3, 2**40])
+    def test_fixed_seeds_and_far_starts(self, seed, start):
+        got = seeded_uniform(seed, (3, 7), start)
+        assert got.ravel().tolist() == ref.splitmix64_uniform(seed, 21, start)
+        # A stretch is the same wherever it is cut.
+        assert np.array_equal(got[1:], seeded_uniform(seed, (2, 7), start + 7))
+
+    def test_seed_0_is_frozen(self):
+        got = seeded_uniform(0, 8)
+        assert tuple(float(x).hex() for x in got) == SEED_0
+        assert [int((x + 1.0) * 2**52) for x in got[:4]] == [w >> 11 for w in SEED_0_WORDS]
+
+    def test_values_are_dyadic_in_the_half_open_interval(self):
+        x = seeded_uniform(2**63 + 12345, (50, 1000))
+        assert -1.0 <= x.min() and x.max() < 1.0
+        scaled = x * 2.0**52
+        assert np.array_equal(scaled, np.round(scaled))
+        assert x.min() < -0.999 and x.max() > 0.999  # the whole interval is reached
 
 
 def _block(kind: str, rows: int, cols: int, rng) -> np.ndarray:

@@ -25,13 +25,20 @@ from qha.asymptotics.windowed import (
     halmos_operator,
 )
 from qha.cli import dispatch
-from qha.conv import conv_op_op, symplectic_fourier
+from qha.conv import (
+    conv_op_op,
+    convolution_theorem_residuals,
+    pin_orientation,
+    sharpness_witness,
+    symplectic_fourier,
+    verify_norm_estimates,
+)
 from qha.errors import GroupMismatchError, PreconditionError
 from qha.groups import FiniteAbelianGroup, GroupFunction
-from qha.numerics import svd_rank
+from qha.numerics import seeded_uniform, svd_rank
 from qha.tauber import greedy_l1_net, rk_moduli, windowed_stft_profile
-from qha.weyl import identity_op
-from qha.wiener import regular_op_set, regular_set_fn
+from qha.weyl import identity_op, reflection_symmetric_unit
+from qha.wiener import degenerate_operator_set, regular_op_set, regular_set_fn
 
 
 def _stft_decay_on_gapped_indices() -> str:
@@ -62,7 +69,21 @@ def _overflowing_nonsymmetric_difference_norm() -> float:
     return ModulationOrbit(GridOperator(0.5, 0.0, 2.0, mat), 2 * np.pi, 2).difference_norm(1)
 
 
+#: Every seeded entry point, called with a seed: each must refuse one outside [0, 2**64).
+SEEDED = {
+    "seeded_uniform": lambda seed: seeded_uniform(seed, (2, 3)),
+    "verify_norm_estimates": lambda seed: verify_norm_estimates(3, 2, seed),
+    "convolution_theorem_residuals": lambda seed: convolution_theorem_residuals(3, seed),
+    "pin_orientation": lambda seed: pin_orientation(3, seed),
+    "sharpness_witness": lambda seed: sharpness_witness(3, seed),
+    "degenerate_operator_set": lambda seed: degenerate_operator_set(3, seed),
+    "reflection_symmetric_unit": lambda seed: reflection_symmetric_unit(3, seed),
+}
+
 BRANCHES = [
+    *((f"{name}-seed{seed}", lambda call=call, seed=seed: call(seed), PreconditionError,
+       f"seed must be in [0, 2**64), got {seed}")
+      for name, call in SEEDED.items() for seed in (-1, 2**64)),
     ("cli-stft-decay-gapped-indices", _stft_decay_on_gapped_indices, None,
      "exit 2, False: error: f.csv: indices must be contiguous"),
     ("conv_op_op-dimensions", lambda: conv_op_op(identity_op(2), identity_op(3)),

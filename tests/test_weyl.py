@@ -171,19 +171,28 @@ class TestIdentityResiduals:
 class TestReflectionSymmetricUnit:
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_unit_and_fixed_by_reflection(self, n):
-        phi = reflection_symmetric_unit(n, np.random.default_rng(n))
+        phi = reflection_symmetric_unit(n, n)
         assert np.linalg.norm(phi) == pytest.approx(1.0, rel=1e-15)
         assert np.array_equal(parity_op(PhaseSpace(n)).matrix @ phi, phi)
 
-    def test_antisymmetric_draw_falls_back_to_v_plus_one(self):
-        class Draws:  # v = (0, 1+2i, -1-2i), so v + R v = 0
-            parts = [np.array([0.0, 1.0, -1.0]), np.array([0.0, 2.0, -2.0])]
+    @pytest.mark.parametrize("n,seed", [(1, 0), (5, 2**64 - 1), (8, 12345)])
+    def test_draw_is_the_first_2n_stream_entries(self, n, seed):
+        parts = np.array(ref.splitmix64_uniform(seed, 2 * n)).reshape(2, n)
+        v = parts[0] + 1j * parts[1]
+        phi = v + v[(-np.arange(n)) % n]
+        assert np.array_equal(reflection_symmetric_unit(n, seed), phi / np.linalg.norm(phi))
 
-            def standard_normal(self, n):
-                return self.parts.pop(0)
+    def test_antisymmetric_draw_falls_back_to_v_plus_one(self, monkeypatch):
+        draws = []
 
+        def stream(seed, shape, start=0):  # v = (0, 1+2i, -1-2i), so v + R v = 0
+            draws.append((seed, shape, start))
+            return np.array([[0.0, 1.0, -1.0], [0.0, 2.0, -2.0]])
+
+        monkeypatch.setattr(qha.weyl, "seeded_uniform", stream)
         v = np.array([0, 1 + 2j, -1 - 2j])
-        phi = reflection_symmetric_unit(3, Draws())
+        phi = reflection_symmetric_unit(3, 4)
+        assert draws == [(4, (2, 3), 0)]
         assert np.array_equal(phi, (v + 1.0) / np.linalg.norm(v + 1.0))
 
 
