@@ -88,10 +88,8 @@ def box_convolution_operator(h: float, x_lo: float, x_hi: float) -> GridOperator
 
 
 def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows @ mat for complex rows; a real mat takes the real and imaginary
-    rows in one real product, never a complex copy of itself."""
-    if np.iscomplexobj(mat):
-        return rows @ mat
+    """rows @ mat for complex rows and a real mat: the real and imaginary rows
+    take one real product, never a complex copy of mat."""
     both = np.concatenate([rows.real, rows.imag]) @ mat
     return both[: len(rows)] + 1j * both[len(rows):]
 
@@ -100,6 +98,8 @@ class ModulationOrbit(Sequence):
     """Orbit M_k = Phi_k B Phi_k* of a grid operator B, where
     Phi_k = diag(e^(-i k step x)) and k = 0..steps-1; items are read-only
     matrices, each built on access from (B, step, steps), which is all it stores.
+    B must be exactly real, symmetric and Toeplitz (B_ij = b(|i - j|) bit for
+    bit, as a box convolution is), step finite and steps >= 1, else PreconditionError.
 
     Phi_i* Phi_j = Phi_(j-i), so ||M_i - M_j|| = ||M_0 - M_(j-i)||: a norm
     of a difference depends only on j - i.  :meth:`difference_norm` gives it,
@@ -108,10 +108,13 @@ class ModulationOrbit(Sequence):
     """
 
     def __init__(self, base: GridOperator, step: float, steps: int):
+        mat = base.matrix
+        if np.iscomplexobj(mat) or not (np.array_equal(mat, mat.T)
+                                        and np.array_equal(mat[1:, 1:], mat[:-1, :-1])):
+            raise PreconditionError("the base must be exactly real, symmetric and Toeplitz")
+        if steps < 1 or not math.isfinite(step):
+            raise PreconditionError("steps must be >= 1" if steps < 1 else f"step must be finite: {step}")
         self._base, self._step, self._ks = base, step, range(steps)
-        mat = base.matrix  # exactly real symmetric Toeplitz: B_ij = b(|i - j|) bit for bit
-        self._even_odd = (not np.iscomplexobj(mat) and np.array_equal(mat, mat.T)
-                          and np.array_equal(mat[1:, 1:], mat[:-1, :-1]))
 
     def __len__(self) -> int:
         return len(self._ks)
@@ -138,10 +141,12 @@ class ModulationOrbit(Sequence):
         return phase[:, None, :] * bx, yb * phase.conj()[:, None, :]
 
     def difference_norm(self, k: int) -> float:
-        """||M_0 - M_k||, finite or ValueError; any B but an exactly real
-        symmetric Toeplitz one takes spectral_norm of difference(k).
+        """||M_0 - M_k||, finite or ValueError, for the real symmetric Toeplitz B.
 
-        For that B, difference(k) is D_ij = d(n - 1 - i - j) with the taps
+        With t = k step, (M_0 - M_k)_ij = B_ij (1 - e^(-i t h (i - j))) is
+        Psi (2i sin(t h (i - j) / 2) B_ij) Psi* for the diagonal unitary
+        Psi = diag(e^(-i t x / 2)), so ||M_0 - M_k|| = ||D|| for the row
+        reversal D_ij = d(n - 1 - i - j) of that real matrix, with the taps
         d(q) = 2 sin(k step h q / 2) b(|q|), odd in q, b the first row of B.
         In the basis of J-even vectors (e_i + e_(n-1-i))/sqrt(2), and e_m for
         odd n = 2m + 1, then J-odd ones, D is [[0, X], [X^T, 0]]: X_ij =
@@ -149,12 +154,10 @@ class ModulationOrbit(Sequence):
         is the root of the top eigenvalue of X^T X, X two window views of the
         taps over max |d| (the Gram cannot overflow); no n x n array is formed.
         """
-        if not self._even_odd:
-            with np.errstate(over="ignore", invalid="ignore"):  # spectral_norm reports it
-                return spectral_norm(self.difference(k))
         n, m, b = self._base.size, self._base.size // 2, self._base.matrix[0]
-        with np.errstate(over="ignore"):  # the check below reports it
-            taps = self._sines(k) * np.concatenate([b[:0:-1], b])  # d(n - 1 - p)
+        taps = 2.0 * np.sin((0.5 * self._step * self._ks[k] * self._base.h) * np.arange(1, n))
+        with np.errstate(over="ignore"):  # the check below reports it; taps[p] = d(n - 1 - p)
+            taps = np.concatenate([taps[::-1], [0.0], -taps]) * np.concatenate([b[:0:-1], b])
         scale = float(np.abs(taps).max())
         if not math.isfinite(scale):
             raise ValueError("matrix entries must be finite")
@@ -170,24 +173,6 @@ class ModulationOrbit(Sequence):
         if not math.isfinite(norm):  # finite taps, a norm past the float range
             raise ValueError("matrix entries must be finite")
         return norm
-
-    def _sines(self, k: int) -> np.ndarray:
-        """s(n - 1 - p), p = 0..2n - 2, of the odd s(q) = 2 sin(k step h q / 2)."""
-        half = 2.0 * np.sin((0.5 * self._step * self._ks[k] * self._base.h)
-                            * np.arange(1, self._base.size))
-        return np.concatenate([half[::-1], [0.0], -half])
-
-    def difference(self, k: int) -> np.ndarray:
-        """A matrix with the singular values of M_0 - M_k, real for a real B.
-
-        With t = k step, (M_0 - M_k)_ij = B_ij (1 - e^(-i t h (i - j))) is
-        Psi (2i sin(t h (i - j) / 2) B_ij) Psi* for the diagonal unitary
-        Psi = diag(e^(-i t x / 2)).  The result is J (S o B), J the row
-        reversal and S the odd Toeplitz sine factor: (J S)_ij = s(n - 1 - i - j)
-        is a Hankel view of the 2n - 1 values :meth:`_sines`, from n - 1 sines.
-        For a symmetric Toeplitz B it is symmetric with J D J = -D.
-        """
-        return sliding_window_view(self._sines(k), self._base.size) * self._base.matrix[::-1]
 
 
 def _box_counts(idx: np.ndarray, i0: int, i1: int, below: int, above: int) -> np.ndarray:

@@ -185,6 +185,7 @@ def convolution_theorem_residuals(
         }
         for key, (lhs, rhs) in pairs.items():
             out[key] = max(out[key], float(np.abs(lhs - rhs).max()))
+        del f, g, a, b, sf_f, sf_g, fw_a, fw_b, op_lhs, op_rhs, pairs, lhs, rhs  # before the next draw
     return out
 
 
@@ -270,6 +271,7 @@ def verify_norm_estimates(n: int, samples: int, seed: int) -> NormAuditReport:
             i = int(r.argmax())
             if r[i] > report.max_ratio[name]:
                 report.max_ratio[name], report.argmax_index[name] = float(r[i]), start + i
+        del f, g, a, b  # freed before the next draw
     return report
 
 

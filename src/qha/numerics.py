@@ -17,8 +17,8 @@ connected components of the bipartite graph of the exact nonzero pattern
 alone, and equally shaped blocks take one batched ``svd``.  Nothing is
 discarded, so the values are exact SVDs of the exact blocks.
 
-Dense random operators (``weyl.HilbertOp``) keep a plain SVD; only the orbit
-norms of ``gridops.ModulationOrbit.difference_norm`` take a structured route.
+Dense random operators (``weyl.HilbertOp``) keep a plain SVD; only the norms of
+``gridops.ModulationOrbit``, on its real symmetric Toeplitz base, take a structured route.
 """
 from __future__ import annotations
 

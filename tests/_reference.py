@@ -317,6 +317,16 @@ def modulated_box(h: float, x_lo: float, x_hi: float, freq: float) -> np.ndarray
     return phase[:, None] * box * phase.conj()[None, :]
 
 
+def orbit_difference(matrix, h: float, step: float, k: int) -> np.ndarray:
+    """A real matrix with the singular values of M_0 - M_k for the orbit
+    M_k = Phi_k B Phi_k*, Phi_k = diag(e^(-i k step x)), of a real B on a step-h
+    grid: with t = k step, (M_0 - M_k)_ij = B_ij (1 - e^(-i t h (i - j))) is
+    Psi (2i sin(t h (i - j) / 2) B_ij) Psi* for the diagonal unitary
+    Psi = diag(e^(-i t x / 2)), so the dense sine factor times B has them."""
+    idx = np.arange(len(matrix))
+    return 2.0 * np.sin(0.5 * k * step * h * (idx[:, None] - idx[None, :])) * np.asarray(matrix)
+
+
 def parity_window(lo: int, hi: int) -> WindowedZOperator:
     """Reflection about 0; needs a symmetric window lo = -hi."""
     if lo != -hi:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from qha.asymptotics.gridops import GridOperator, ModulationOrbit, box_convolution_operator
-from qha.asymptotics.probes import parity_shift_case, topology_probe
+from qha.asymptotics.probes import box_modulation_case, parity_shift_case, topology_probe
 from qha.asymptotics.profiles import DecayProfile
 from qha.asymptotics.windowed import (
     WindowedFunction,
@@ -40,6 +40,8 @@ from qha.tauber import greedy_l1_net, rk_moduli, windowed_stft_profile
 from qha.weyl import identity_op, reflection_symmetric_unit
 from qha.wiener import degenerate_operator_set, regular_op_set, regular_set_fn
 
+import _reference as ref
+
 
 def _stft_decay_on_gapped_indices() -> str:
     Path("f.csv").write_text("index,re,im\n-1,1,0\n1,1,0\n")
@@ -59,14 +61,6 @@ def _huge_box_orbit(entry: float) -> ModulationOrbit:
 def _overflowing_difference_norm() -> float:
     # Entries 1e308: the sine factor 2 sin(pi/2) = 2 overflows the taps d(q).
     return _huge_box_orbit(1e308).difference_norm(1)
-
-
-def _overflowing_nonsymmetric_difference_norm() -> float:
-    # A real non-symmetric base takes spectral_norm of difference(k), whose
-    # product with the sine factor overflows entries 1e308.
-    mat = np.full((5, 5), 1e308)
-    mat[0, 1] = 5e307
-    return ModulationOrbit(GridOperator(0.5, 0.0, 2.0, mat), 2 * np.pi, 2).difference_norm(1)
 
 
 #: Every seeded entry point, called with a seed: each must refuse one outside [0, 2**64).
@@ -123,8 +117,13 @@ BRANCHES = [
     ("grid-operator-shape", lambda: GridOperator(0.5, 0.0, 1.0, np.eye(2)),
      ValueError, "matrix shape (2, 2) does not match grid size 3"),
     ("difference_norm-overflow", _overflowing_difference_norm, ValueError, "matrix entries must be finite"),
-    ("difference_norm-nonsymmetric-overflow", _overflowing_nonsymmetric_difference_norm, ValueError,
-     "matrix entries must be finite"),
+    ("modulation-orbit-nonsymmetric", lambda: ModulationOrbit(GridOperator(
+        0.5, 0.0, 2.0, np.triu(np.full((5, 5), 1e308))), 2 * np.pi, 2),
+     PreconditionError, "the base must be exactly real, symmetric and Toeplitz"),
+    *((f"box_modulation_case-freq-step-{step}", lambda step=step: box_modulation_case(freq_step=step),
+       PreconditionError, f"step must be finite: {step}") for step in (np.inf, -np.inf, np.nan)),
+    ("box_modulation_case-steps", lambda: box_modulation_case(steps=0), PreconditionError,
+     "steps must be >= 1"),
     # Entries 8e307 give finite taps (at most 1.6e308), but the norm of the
     # 17-point box is past the float range.
     ("difference_norm-norm-overflow",
@@ -174,9 +173,16 @@ def test_difference_norm_overflow_raises_without_errstate():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             _overflowing_difference_norm()
-        # The same for an overflow in the product of difference(k).
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
-            _overflowing_nonsymmetric_difference_norm()
+
+
+@pytest.mark.parametrize("step", [np.inf, np.nan])
+def test_non_finite_orbit_step_raises_without_errstate(step):
+    # The step is refused before any phase is computed: no RuntimeWarning
+    # from exp or sin comes first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="step must be finite"):
+            box_modulation_case(freq_step=step)
 
 
 def test_difference_norm_up_to_the_float_range_is_finite():
@@ -184,7 +190,7 @@ def test_difference_norm_up_to_the_float_range_is_finite():
     # is below the largest float: the Gram of the block over max |d| gives it
     # with no warning, matching one dense SVD of the difference over 1e307.
     orbit = _huge_box_orbit(3e307)
-    want = 1e307 * np.linalg.norm(orbit.difference(1) / 1e307, 2)
+    want = 1e307 * np.linalg.norm(ref.orbit_difference(orbit[0].real / 1e307, 0.5, 2 * np.pi, 1), 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert orbit.difference_norm(1) == pytest.approx(want, rel=1e-13)

@@ -170,26 +170,36 @@ def _names_read(tree: ast.AST) -> collections.Counter:
     return names
 
 
+def _private_candidates(tree: ast.Module):
+    """(name, its definition or None) for every top-level function, class and
+    assigned name, every method, and every attribute a class assigns on self."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        yield from ((node.name, node) for node in cls.body if isinstance(node, ast.FunctionDef))
+        yield from ((attr, None) for attr in {
+            node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"})
+
+
 def test_every_private_name_is_used():
-    # No underscore-prefixed top-level name of src/qha is left that nothing in
-    # src/ reads outside its own definition.
+    # No underscore-prefixed top-level name, method or self attribute of
+    # src/qha is left that nothing in src/ reads outside its own definition
+    # (an attribute: that nothing reads at all).
     trees = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src").rglob("*.py"))}
     read = sum(map(_names_read, trees.values()), collections.Counter())
-    unused, seen = [], 0
+    unused, seen, members = [], 0, 0
     for path, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            else:
-                names = []
-            for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    seen += 1
-                    if read[name] == _names_read(node)[name]:
-                        unused.append(f"{path.relative_to(ROOT)}:{name}")
-    assert seen > 20
+        for name, node in _private_candidates(tree):
+            if name.startswith("_") and not name.startswith("__"):
+                seen += 1
+                members += node is None or node not in tree.body
+                if read[name] == (_names_read(node)[name] if node else 0):
+                    unused.append(f"{path.relative_to(ROOT)}:{name}")
+    assert seen > 20 and members > 5
     assert unused == []
 
 
