@@ -10,7 +10,8 @@ no quadrature weight: a uniform weight scales every norm, every pairing and
 every normalization alike, so it cancels in each reported quantity.  The
 vector quantities come from per-item products, (A_i - A_j) v = A_i v - A_j v.
 Items come as a ModulationOrbit, a ShiftedCopies held as its base's nonzero
-entries, or a list of dense matrices (the independent route).
+entries, or a list of dense matrices (the independent route).  Pairs of items
+apart in rows and in columns take O(count) item norms, not one SVD per pair.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PreconditionError
+from ..errors import PreconditionError, check_memory
 from ..numerics import entry_singular_values
 from .gridops import ModulationOrbit, box_convolution_operator
 from .windowed import ShiftedCopies, halmos_operator
@@ -74,8 +75,10 @@ def topology_probe(
     The sequence is a ModulationOrbit, a ShiftedCopies or a list of matrices.
     An orbit builds no item: products come from its base, and one norm per shift
     difference j - i (``ModulationOrbit.difference_norm``) serves every pair.
-    Any other item gives its nonzero flat indices, cell function and products,
-    and a pair's norm reads A_i - A_j where A_i or A_j is nonzero.  trace_tests
+    Any other item gives its nonzero flat indices, cell function and products.
+    Items on disjoint row ranges and disjoint column ranges differ by a direct
+    sum: their pair's norm is max(||A_i||, ||A_j||), each item norm read once.
+    Any other pair's norm reads A_i - A_j where A_i or A_j is nonzero.  trace_tests
     are (u, w) pairs standing for the rank-one pairing B -> <Bu, w>; both
     factors are normalized so the pairing is dominated by the operator norm.
     """
@@ -93,6 +96,7 @@ def topology_probe(
     # (A_i - A_j) v = A_i v - A_j v: each item's products A v, A u and v* A
     # (||d* v|| = ||v* d||) are taken once.
     rights, lefts = np.stack(vecs + [u for u, _ in pairs]), np.stack(vecs)
+    check_memory(56 * count * (rights.size + lefts.size), f"the products of {count:,} items")
     if isinstance(sequence, ModulationOrbit):
         right, left = sequence.products(rights, lefts)
         by_shift = [0.0] + [sequence.difference_norm(k) for k in range(1, count)]
@@ -101,7 +105,13 @@ def topology_probe(
         form = (sequence.item_form if isinstance(sequence, ShiftedCopies)
                 else lambda k, *tests: _matrix_form(sequence[k], *tests))
         items, right, left = zip(*(form(k, rights, lefts) for k in range(count)))
-        norm = {(i, j): _difference_norm(items[i], items[j])
+        # First and last row, and column, of each item's nonzero cells (R or C, and -1, for none).
+        ends = np.array([[(x.min(initial=n), x.max(initial=-1)) for x, n in zip(np.divmod(f, s[1]), s)]
+                         for s, f, _ in items])
+        lo, hi = ends[..., 0], ends[..., 1]
+        apart = ((hi[:, None] < lo) | (hi < lo[:, None])).all(axis=2)
+        alone = {k: _difference_norm(items[k]) for k in np.flatnonzero(apart.any(axis=0))}
+        norm = {(i, j): max(alone[i], alone[j]) if apart[i, j] else _difference_norm(items[i], items[j])
                 for i in range(count) for j in range(i + 1, count)}
     nv = len(vecs)
     rows: list[ProbeRow] = []
@@ -127,10 +137,10 @@ def _matrix_form(item, right: np.ndarray, left: np.ndarray):
             np.stack([item @ r for r in right]), np.stack([v.conj() @ item for v in left]))
 
 
-def _difference_norm(first, second) -> float:
-    """||A - B|| read on the sorted union of A's and B's nonzero flat indices,
-    each cell the dense difference's own, signed zeros included."""
-    (shape, flat_a, a), (_, flat_b, b) = first, second
+def _difference_norm(first, second=None) -> float:
+    """||A - B||, or ||A|| with no B, read on the sorted union of A's and B's
+    nonzero flat indices, each cell the dense difference's own, signed zeros included."""
+    (shape, flat_a, a), (_, flat_b, b) = first, second or (None, first[1][:0], lambda ri, ci: 0.0)
     flat = np.concatenate([flat_a, flat_b])
     flat.sort()
     # A sorted union without np.union1d, whose first call imports numpy.ma.
@@ -165,10 +175,13 @@ def _chirp(n: int) -> np.ndarray:
 def halmos_shift_case(blocks: int = 8, steps: int = 8) -> ProbeCase:
     """Right-shifted copies of the block projection, spaced one full support
     apart: unit operator norm forever, vanishing action on any fixed vector.
-    Item phases cycle through 16 angles; the last test vector is _chirp."""
+    Item phases cycle through 16 angles; the last test vector is _chirp.  The
+    case takes 48 B per window point (steps <= 621,377 fits MEMORY_BUDGET at
+    8 blocks), and its probe 56 B per item, test and point (steps <= 230)."""
     total = blocks * (blocks + 1) // 2
     pad = blocks
     hi = total * steps + total - 1
+    check_memory(48 * (hi + pad + 1), f"a halmos-shift case on {hi + pad + 1:,} points")
     moves = _moves([total * i for i in range(steps)])
     base = halmos_operator(blocks, pad).matrix  # window [-pad, total - 1], zero up to hi
     mats = ShiftedCopies(-pad, hi, *np.nonzero(base), base[base != 0], moves)
@@ -184,9 +197,11 @@ def parity_shift_case(
     """Shifted reflections: every item is a partial isometry preserving the
     norm of centrally supported vectors exactly, yet all pairings with fixed
     trace-class tests die off.  Item phases cycle through 16 angles; the test
-    vectors are _chirp(2 support + 1) and its conjugate, centred on 0."""
+    vectors are _chirp(2 support + 1) and its conjugate, centred on 0.  The
+    case takes 50 B per window point: half_width <= 10,737,417 fits MEMORY_BUDGET."""
     if 2 * (step * (steps - 1)) + support > half_width:
         raise PreconditionError("window too small for the requested shifts")
+    check_memory(50 * (2 * half_width + 1), f"a parity-shift case on {2 * half_width + 1:,} points")
     moves = _moves([step * i for i in range(steps)])
     size = 2 * half_width + 1
     index = np.arange(size)  # the reflection j -> -j: one entry 1 per row

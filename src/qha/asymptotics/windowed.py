@@ -127,6 +127,8 @@ class ShiftedCopies(Sequence):
     def item_form(self, k: int, right: np.ndarray, left: np.ndarray):
         """((shape, sorted nonzero flat indices, cells), A r, l* A) of item k, in O(nnz)."""
         (shift, theta), (rows, cols, vals), size = self._moves[k], self._base, self._size
+        if right.shape[-1] != size or left.shape[-1] != size:
+            raise ValueError(f"test vectors must have the window's {size} entries")
         keep = (np.minimum(rows, cols) + shift >= 0) & (np.maximum(rows, cols) + shift < size)
         rows, cols = rows[keep] + shift, cols[keep] + shift
         flat, vals = np.append(rows * size + cols, -1), np.append(vals[keep], 0.0)  # end marks

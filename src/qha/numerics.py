@@ -10,8 +10,8 @@ Spectral norms and singular values of the sequence-space and grid models
 routine, :func:`entry_singular_values`.  It reads entries, not cells:
 finiteness and the block split come from a list of cells covering the
 nonzero ones, and a cell function reads each block (:func:`singular_values`
-lists a matrix's nonzero cells in one scan; the topology probe lists two
-items' and reads A_i - A_j there).  Rows and columns are grouped into the
+lists a matrix's nonzero cells in one scan; the topology probe lists one
+item's, or two items' and reads A_i - A_j there).  Rows and columns are grouped into the
 connected components of the bipartite graph of the exact nonzero pattern
 (never thresholded); each diagonal block of the permuted matrix is taken
 alone, and equally shaped blocks take one batched ``svd``.  Nothing is

@@ -201,7 +201,8 @@ def _sparse_item(rng, n, complex_):
 
 class TestListRouteNorms:
     """The list route reads a pair's norm from the cells where either item is
-    nonzero; it must give the bits of spectral_norm on the dense difference."""
+    nonzero; it must give the bits of spectral_norm on the dense difference.
+    Items apart in rows and in columns take the larger item norm instead."""
 
     @given(st.sampled_from(["real", "complex", "mixed"]), st.integers(1, 7), st.integers(3, 5),
            st.integers(0, 2**32 - 1))
@@ -230,6 +231,62 @@ class TestListRouteNorms:
         items[2][1, 3] = bad
         with pytest.raises(ValueError, match="finite"):
             topology_probe(items, [np.ones(5)], [(np.ones(5), np.ones(5))], 0.1)
+
+    @given(st.sampled_from(["real", "complex", "mixed"]), st.integers(4, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_apart_pairs_take_the_larger_item_norm(self, kind, count, seed):
+        # Sparse items as blocks of a 16 x 16 matrix of signed zeros, each with
+        # nonzero first and last rows and columns.  Item 1 starts on item 0's
+        # last row, right of its columns; item 2 on its last column, below its
+        # rows; item 3 is apart from item 0, and the others land anywhere.  A
+        # pair apart in rows and in columns is a direct sum: its norm is the
+        # larger item norm, bit for bit, and the dense difference's to rounding
+        # (an SVD of -B can differ from B's in the last bit where B's blocks
+        # hold zero cells).  Every other pair keeps the dense difference's bits.
+        rng = np.random.default_rng(seed)
+        kinds = {"real": [False], "complex": [True], "mixed": [False, True]}[kind]
+        size, items, boxes = 16, [], []
+        for k in range(count):
+            r, c = (int(x) for x in rng.integers(1, 6, size=2))
+            block = _sparse_item(rng, 5, kinds[k % len(kinds)])[:r, :c]
+            block[0, 0] = block[-1, -1] = 1.5 - 0.5j if np.iscomplexobj(block) else 1.5
+            if k == 0:  # last row and column <= 10: room for items 1 to 3
+                top, left = rng.integers(0, size - 9, size=2)
+            elif k in (1, 2):
+                r1, c1 = boxes[0][1]
+                top, left = (r1, c1 + 1) if k == 1 else (r1 + 1, c1)
+            elif k == 3:
+                top, left = size - r, size - c
+            else:
+                top, left = rng.integers(0, [size - r + 1, size - c + 1])
+            m = np.where(rng.random((size, size)) < 0.5, -0.0, 0.0).astype(block.dtype)
+            m[top:top + r, left:left + c] = block
+            items.append(m)
+            boxes.append(((top, left), (top + r - 1, left + c - 1)))
+        vecs = [np.ones(size)]
+        res = topology_probe(items, vecs, [(vecs[0], np.eye(size)[0])], 0.1)
+        apart = set()
+        for row in res.rows:
+            (lo_i, hi_i), (lo_j, hi_j) = boxes[row.i], boxes[row.j]
+            d = items[row.i] - items[row.j]
+            if all(hi_i[x] < lo_j[x] or hi_j[x] < lo_i[x] for x in (0, 1)):
+                apart.add((row.i, row.j))
+                assert row.norm_diff == max(spectral_norm(items[row.i]), spectral_norm(items[row.j]))
+            else:
+                assert row.norm_diff == spectral_norm(d)
+            assert abs(row.norm_diff - ref.spectral_norm(d)) <= 1e-12
+        assert (0, 3) in apart and (0, 1) not in apart and (0, 2) not in apart
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the products A v
+    def test_non_finite_item_apart_from_all_raises(self):
+        # Three diagonal blocks: every pair is apart, so only the item norms
+        # read the cells, and the one holding NaN must still be refused.
+        items = [np.zeros((6, 6)) for _ in range(3)]
+        for k, m in enumerate(items):
+            m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[1.0, 2.0], [0.0, 3.0]]
+        items[1][3, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            topology_probe(items, [np.ones(6)], [(np.ones(6), np.ones(6))], 0.1)
 
     @pytest.mark.parametrize("shape", [(5, 6), (6, 5), (6, 6)])
     def test_mismatched_shapes_raise(self, shape):
@@ -478,6 +535,19 @@ class TestShiftedCopies:
         for k in (5, -6):
             with pytest.raises(IndexError):
                 seq[k]
+
+    @pytest.mark.parametrize("name, calls", [("halmos-shift", 8), ("parity-shift", 28)])
+    def test_norm_reads_per_case(self, monkeypatch, name, calls):
+        # Halmos-shift copies sit a full support apart: one norm per item
+        # serves all 28 pairs.  Parity-shift reflections all overlap in the
+        # window, so each pair reads its difference.
+        seen = []
+        original = qha.asymptotics.probes.entry_singular_values
+        monkeypatch.setattr(qha.asymptotics.probes, "entry_singular_values",
+                            lambda *args: (seen.append(args[0]), original(*args))[1])
+        case = PROBE_CASES[name]()
+        res = topology_probe(case.matrices, case.test_vectors, case.trace_tests, 0.1)
+        assert len(res.rows) == 28 and len(seen) == calls
 
     @pytest.mark.parametrize("name", ["parity-shift", "halmos-shift"])
     @pytest.mark.parametrize("bad", [{"steps": 0}, {"steps": -1}])

@@ -11,12 +11,19 @@ import contextlib
 import io
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import qha.errors
 from qha.asymptotics.gridops import GridOperator, ModulationOrbit, box_convolution_operator
-from qha.asymptotics.probes import box_modulation_case, parity_shift_case, topology_probe
+from qha.asymptotics.probes import (
+    box_modulation_case,
+    halmos_shift_case,
+    parity_shift_case,
+    topology_probe,
+)
 from qha.asymptotics.profiles import DecayProfile
 from qha.asymptotics.windowed import (
     WindowedFunction,
@@ -61,6 +68,16 @@ def _huge_box_orbit(entry: float) -> ModulationOrbit:
 def _overflowing_difference_norm() -> float:
     # Entries 1e308: the sine factor 2 sin(pi/2) = 2 overflows the taps d(q).
     return _huge_box_orbit(1e308).difference_norm(1)
+
+
+def _under_budget(budget: int, call, *args):
+    """call(*args) with MEMORY_BUDGET set to `budget` bytes."""
+    with mock.patch.object(qha.errors, "MEMORY_BUDGET", budget):
+        return call(*args)
+
+
+def _probe(case) -> str:
+    return topology_probe(case.matrices, case.test_vectors, case.trace_tests, 0.1).classification
 
 
 #: Every seeded entry point, called with a seed: each must refuse one outside [0, 2**64).
@@ -137,6 +154,22 @@ BRANCHES = [
      ValueError, "need nonempty test vector and trace test sets"),
     ("parity_shift_case-window", lambda: parity_shift_case(half_width=10),
      PreconditionError, "window too small"),
+    # 48 B per window point of 36 (steps + 1) + 8; 50 B per point of 2 half_width + 1;
+    # 56 B per item, test vector and point for the probe's products.
+    ("halmos_shift_case-budget", lambda: _under_budget(48 * 3644 - 1, halmos_shift_case, 8, 100),
+     PreconditionError, "a halmos-shift case on 3,644 points needs 174,912 bytes"),
+    ("halmos_shift_case-at-budget",
+     lambda: str(len(_under_budget(48 * 3644, halmos_shift_case, 8, 100).test_vectors[0])), None, "3644"),
+    ("halmos_shift_case-steps-1e6", lambda: halmos_shift_case(steps=10**6),
+     PreconditionError, "a halmos-shift case on 36,000,044 points needs 1,728,002,112 bytes"),
+    ("parity_shift_case-budget", lambda: _under_budget(50 * 401 - 1, parity_shift_case),
+     PreconditionError, "a parity-shift case on 401 points needs 20,050 bytes"),
+    ("topology_probe-budget", lambda: _under_budget(56 * 8 * 10 * 332 - 1, _probe, halmos_shift_case()),
+     PreconditionError, "the products of 8 items needs 1,487,360 bytes"),
+    ("topology_probe-at-budget", lambda: _under_budget(56 * 8 * 10 * 332, _probe, halmos_shift_case()),
+     None, "strong*"),
+    ("topology_probe-halmos-steps-1000", lambda: _probe(halmos_shift_case(steps=1000)),
+     PreconditionError, "the products of 1,000 items needs 20,184,640,000 bytes"),
     ("decay-profile-shape", lambda: DecayProfile(np.arange(2.0), np.ones(3)),
      ValueError, "1d arrays of equal length"),
     ("decay-profile-negative", lambda: DecayProfile(np.arange(2.0), [1.0, -1.0]),
@@ -194,3 +227,20 @@ def test_difference_norm_up_to_the_float_range_is_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert orbit.difference_norm(1) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("extra", [-3, 3])
+@pytest.mark.parametrize("route", ["shifted-copies", "list", "orbit"])
+def test_wrong_length_test_vectors_raise_value_error(route, extra):
+    # Test vectors 3 entries short of the window, or 3 past it, on each of the
+    # probe's three routes: a ValueError, never an IndexError from a gather.
+    case = (box_modulation_case(steps=3) if route == "orbit"
+            else parity_shift_case(half_width=40, support=4, step=3, steps=5))
+    items = list(case.matrices) if route == "list" else case.matrices
+    fit = (lambda v: v[:extra]) if extra < 0 else (lambda v: np.pad(v, (0, extra)))
+    vecs = [fit(v) for v in case.test_vectors]
+    tests = [(fit(u), fit(w)) for u, w in case.trace_tests]
+    with pytest.raises(ValueError) as caught:
+        topology_probe(items, vecs, tests, 0.1)
+    if route == "shifted-copies":
+        assert "test vectors must have the window's 81 entries" in str(caught.value)
