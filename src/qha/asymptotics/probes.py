@@ -96,7 +96,8 @@ def topology_probe(
     # (A_i - A_j) v = A_i v - A_j v: each item's products A v, A u and v* A
     # (||d* v|| = ||v* d||) are taken once.
     rights, lefts = np.stack(vecs + [u for u, _ in pairs]), np.stack(vecs)
-    check_memory(56 * count * (rights.size + lefts.size), f"the products of {count:,} items")
+    per_entry = 32 if isinstance(sequence, ShiftedCopies) else 56  # bytes, by route (tracemalloc)
+    check_memory(per_entry * count * (rights.size + lefts.size), f"the products of {count:,} items")
     if isinstance(sequence, ModulationOrbit):
         right, left = sequence.products(rights, lefts)
         by_shift = [0.0] + [sequence.difference_norm(k) for k in range(1, count)]
@@ -177,7 +178,7 @@ def halmos_shift_case(blocks: int = 8, steps: int = 8) -> ProbeCase:
     apart: unit operator norm forever, vanishing action on any fixed vector.
     Item phases cycle through 16 angles; the last test vector is _chirp.  The
     case takes 48 B per window point (steps <= 621,377 fits MEMORY_BUDGET at
-    8 blocks), and its probe 56 B per item, test and point (steps <= 230)."""
+    8 blocks), and its probe 32 B per item, test and point (steps <= 304)."""
     total = blocks * (blocks + 1) // 2
     pad = blocks
     hi = total * steps + total - 1
@@ -197,8 +198,9 @@ def parity_shift_case(
     """Shifted reflections: every item is a partial isometry preserving the
     norm of centrally supported vectors exactly, yet all pairings with fixed
     trace-class tests die off.  Item phases cycle through 16 angles; the test
-    vectors are _chirp(2 support + 1) and its conjugate, centred on 0.  The
-    case takes 50 B per window point: half_width <= 10,737,417 fits MEMORY_BUDGET."""
+    vectors are _chirp(2 support + 1) and its conjugate, centred on 0.  The case
+    takes 50 B per window point (half_width <= 10,737,417 fits MEMORY_BUDGET), and
+    the block stacks of its probe's pair norms fit up to half_width = 9,658."""
     if 2 * (step * (steps - 1)) + support > half_width:
         raise PreconditionError("window too small for the requested shifts")
     check_memory(50 * (2 * half_width + 1), f"a parity-shift case on {2 * half_width + 1:,} points")

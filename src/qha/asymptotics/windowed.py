@@ -122,7 +122,8 @@ class ShiftedCopies(Sequence):
     def __getitem__(self, k):  # items built dense, from their cell functions
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
-        return self.item_form(k, *2 * [np.zeros((0, self._size))])[0][2](slice(None), slice(None))
+        i = np.arange(self._size)
+        return self.item_form(k, *2 * [np.zeros((0, self._size))])[0][2](i[:, None], i)
 
     def item_form(self, k: int, right: np.ndarray, left: np.ndarray):
         """((shape, sorted nonzero flat indices, cells), A r, l* A) of item k, in O(nnz)."""
@@ -135,8 +136,6 @@ class ShiftedCopies(Sequence):
         phase = np.exp(1j * theta * np.arange(self._lo, self._lo + size))
 
         def cells(ri, ci):
-            if isinstance(ri, slice):
-                ri, ci = np.arange(size)[ri, None], np.arange(size)[None, ci]
             cell = ri * size + ci
             at = np.searchsorted(flat[:-1], cell)
             at[flat[at] != cell] = -1  # no entry there: the 0.0 end mark

@@ -228,27 +228,21 @@ def _cmd_run(args) -> int:
         with open(args.manifest) as fh:
             man = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read manifest: {exc}", file=sys.stderr)
-        return 2
+        raise PreconditionError(f"cannot read manifest: {exc}")
     if not isinstance(man, dict) or "subcommand" not in man or "params" not in man:
-        print("error: manifest needs 'subcommand' and 'params' keys", file=sys.stderr)
-        return 2
+        raise PreconditionError("manifest needs 'subcommand' and 'params' keys")
     outputs = man.get("outputs")
     if (not isinstance(man["subcommand"], str) or not isinstance(man["params"], dict)
             or not isinstance(outputs, (dict, type(None)))):
-        print("error: manifest 'subcommand' must be a string, 'params' an object and "
-              "'outputs' an object or null", file=sys.stderr)
-        return 2
+        raise PreconditionError("manifest 'subcommand' must be a string, 'params' an object and "
+                                "'outputs' an object or null")
     argv = man["subcommand"].split()
     if argv[:1] == ["run"]:
-        print("error: a manifest cannot name the 'run' subcommand", file=sys.stderr)
-        return 2
+        raise PreconditionError("a manifest cannot name the 'run' subcommand")
     seed = {"seed": man["seed"]} if "seed" in man else {}
     fields = {**man["params"], **seed, **(outputs or {})}
     if any(value is None or isinstance(value, (list, dict)) for value in fields.values()):
-        print("error: manifest params, seed and outputs must be strings, numbers or booleans",
-              file=sys.stderr)
-        return 2
+        raise PreconditionError("manifest params, seed and outputs must be strings, numbers or booleans")
     for key, value in fields.items():
         if not isinstance(value, bool):
             argv.append(f"--{key}={value}")  # a value may start with '-'

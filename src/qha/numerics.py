@@ -9,13 +9,13 @@ Spectral norms and singular values of the sequence-space and grid models
 (topology probes, compactness trends, grid operator norms) come from one
 routine, :func:`entry_singular_values`.  It reads entries, not cells:
 finiteness and the block split come from a list of cells covering the
-nonzero ones, and a cell function reads each block (:func:`singular_values`
-lists a matrix's nonzero cells in one scan; the topology probe lists one
-item's, or two items' and reads A_i - A_j there).  Rows and columns are grouped into the
-connected components of the bipartite graph of the exact nonzero pattern
-(never thresholded); each diagonal block of the permuted matrix is taken
-alone, and equally shaped blocks take one batched ``svd``.  Nothing is
-discarded, so the values are exact SVDs of the exact blocks.
+nonzero ones, and a cell function reads each block at index arrays, never
+slices (:func:`singular_values` lists a matrix's nonzero cells in one scan; the
+topology probe lists one item's, or two items', and reads A_i - A_j there).
+Rows and columns are grouped into the connected components of the bipartite
+graph of the exact nonzero pattern (never thresholded); each diagonal block of
+the permuted matrix is taken alone, and equally shaped blocks take one batched
+``svd``.  Nothing is discarded, so the values are exact SVDs of the exact blocks.
 
 Dense random operators (``weyl.HilbertOp``) keep a plain SVD; only the norms of
 ``gridops.ModulationOrbit``, on its real symmetric Toeplitz base, take a structured route.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_memory
 
 DEFAULT_EQ_TOL = 1e-10
 DEFAULT_ZERO_TOL = 1e-8
@@ -104,8 +104,8 @@ def singular_values(m) -> np.ndarray:
 
 def entry_singular_values(shape, rows, cols, cells) -> np.ndarray:
     """:func:`singular_values` of an R x C float or complex matrix read through
-    ``cells(ri, ci)`` (the whole matrix for two full slices); (rows, cols)
-    lists, in row-major order, cells that include every nonzero one."""
+    ``cells(ri, ci)``, which takes index arrays only; (rows, cols) lists, in
+    row-major order, cells that include every nonzero one."""
     vals = cells(rows, cols)
     if not np.isfinite(vals).all():  # NaN and inf are nonzero: they are listed
         raise ValueError("matrix entries must be finite")
@@ -154,15 +154,13 @@ def _block_stacks(shape, rows: np.ndarray, cols: np.ndarray, cells):
     """Yield the diagonal blocks, read through `cells`, of the matrix with
     nonzero cells (rows, cols) permuted to block-diagonal form, as stacks of
     equally shaped blocks.  Empty rows and columns only add zero singular
-    values and are left out."""
+    values and are left out.  A stack of k blocks of r x c is read and SVD'd in
+    72 k (r + 1) (c + 1) bytes (tracemalloc: 56-65 on large blocks, 47 on 1 x 1)."""
     n_rows, n_cols = shape
     label = _components(rows, cols, shape)
     # np.unique would do, but its first call imports numpy.ma (~35 ms).
     root = label == np.arange(label.size)
     count = int(root.sum())
-    if count == 1:
-        yield cells(slice(None), slice(None))[None]
-        return
     comp = np.cumsum(root)[label] - 1
     row_comp, col_comp = comp[:n_rows], comp[n_rows:]
     r_count = np.bincount(row_comp, minlength=count)
@@ -175,6 +173,7 @@ def _block_stacks(shape, rows: np.ndarray, cols: np.ndarray, cells):
     for key in sorted(set(keys[keys >= 0].tolist())):
         ks = np.flatnonzero(keys == key)
         r, c = divmod(key, n_cols + 1)
+        check_memory(72 * ks.size * (r + 1) * (c + 1), f"a {ks.size:,} x {r:,} x {c:,} block stack")
         ri = r_order[r_start[ks][:, None] + np.arange(r)]
         ci = c_order[c_start[ks][:, None] + np.arange(c)]
         yield cells(ri[:, :, None], ci[:, None, :])

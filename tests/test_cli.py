@@ -810,6 +810,24 @@ class TestManifests:
         code, _, _ = run(["run", str(man_path)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("text, line", [
+        (None, "cannot read manifest: [Errno 2] No such file or directory: 'm.json'"),
+        ("{not json", "cannot read manifest: Expecting property name enclosed in double quotes: "
+                      "line 1 column 2 (char 1)"),
+        ('{"params": {}}', "manifest needs 'subcommand' and 'params' keys"),
+        ('{"subcommand": 5, "params": {}}', "manifest 'subcommand' must be a string, 'params' "
+                                            "an object and 'outputs' an object or null"),
+        ('{"subcommand": "run m.json", "params": {}}', "a manifest cannot name the 'run' subcommand"),
+        ('{"subcommand": "weyl check", "params": {"n": null}}',
+         "manifest params, seed and outputs must be strings, numbers or booleans"),
+    ], ids=["missing-file", "bad-json", "missing-keys", "wrong-types", "run-subcommand",
+            "null-value"])
+    def test_run_error_is_one_exact_line(self, tmp_path, capsys, monkeypatch, text, line):
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            Path("m.json").write_text(text)
+        assert run(["run", "m.json"], capsys) == (2, "", f"error: {line}\n")
+
     def test_weyl_check_manifest(self, tmp_path, capsys):
         man_path = tmp_path / "w.json"
         man_path.write_text(json.dumps({"subcommand": "weyl check", "params": {"n": 3}}))

@@ -160,6 +160,36 @@ class TestAgainstDenseSvd:
         _assert_matches_dense(m)
         assert ("svd", "c") in routes
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "tridiagonal"])
+    def test_one_component_is_the_svd_of_the_matrix(self, kind):
+        # One component and no empty row or column: the one block is the whole
+        # matrix in index order, so LAPACK gets the matrix itself.
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((7, 5) if kind == "real" else (6, 6))
+        if kind == "complex":
+            m = m + 1j * rng.standard_normal((6, 6))
+        if kind == "tridiagonal":
+            m = np.triu(np.tril(m, 1), -1)
+        got = singular_values(m)
+        assert got.tobytes() == np.linalg.svd(m, compute_uv=False).tobytes()
+
+    def test_cells_only_receive_index_arrays(self):
+        # Two blocks with an empty row and column between them, and one
+        # component filling the matrix: every read is at index arrays.
+        split = np.zeros((5, 6))
+        split[:2, :3], split[3:, 4:] = 1.0, [[1.0, 2.0], [3.0, 4.0]]
+        for m in (split, np.ones((3, 4)) + 1j):
+            seen = []
+
+            def cells(ri, ci, m=m):
+                seen.append((type(ri), type(ci)))
+                return m[ri, ci]
+
+            rows, cols = np.nonzero(m)
+            got = numerics.entry_singular_values(m.shape, rows, cols, cells)
+            assert got.tobytes() == singular_values(m).tobytes()
+            assert len(seen) > 1 and set(seen) == {(np.ndarray, np.ndarray)}
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
     def test_non_finite_raises(self, bad):
         m = np.eye(3, dtype=complex)

@@ -503,7 +503,8 @@ class TestShiftedCopies:
             for ri, ci in [(rows[:20].reshape(5, 4, 1), cols[:15].reshape(5, 1, 3)),
                            (rng.integers(size, size=(5, 4, 1)), rng.integers(size, size=(5, 1, 3)))]:
                 assert cells(ri, ci).tobytes() == want[ri, ci].tobytes()
-            assert cells(slice(None), slice(None)).tobytes() == want.tobytes()
+            whole = np.arange(size)  # every cell, at broadcast index vectors
+            assert cells(whole[:, None], whole).tobytes() == want.tobytes()
             scale = np.abs(right).max() * np.abs(want).sum(axis=1).max()
             assert np.abs(got_right - right @ want.T).max() <= 1e-15 * scale
             assert np.abs(got_left - left.conj() @ want).max() <= 1e-15 * scale

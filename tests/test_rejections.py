@@ -8,6 +8,7 @@ row runs in a fresh temporary directory, under the ``np.errstate`` the
 """
 
 import contextlib
+import dataclasses
 import io
 import warnings
 from pathlib import Path
@@ -74,6 +75,11 @@ def _under_budget(budget: int, call, *args):
     """call(*args) with MEMORY_BUDGET set to `budget` bytes."""
     with mock.patch.object(qha.errors, "MEMORY_BUDGET", budget):
         return call(*args)
+
+
+def _as_list(case):
+    """The case with its items as a list of dense matrices: the probe's list route."""
+    return dataclasses.replace(case, matrices=list(case.matrices))
 
 
 def _probe(case) -> str:
@@ -155,7 +161,8 @@ BRANCHES = [
     ("parity_shift_case-window", lambda: parity_shift_case(half_width=10),
      PreconditionError, "window too small"),
     # 48 B per window point of 36 (steps + 1) + 8; 50 B per point of 2 half_width + 1;
-    # 56 B per item, test vector and point for the probe's products.
+    # 32 B per item, test vector and point for the probe's products on shifted
+    # copies, 56 B on an orbit or a list.
     ("halmos_shift_case-budget", lambda: _under_budget(48 * 3644 - 1, halmos_shift_case, 8, 100),
      PreconditionError, "a halmos-shift case on 3,644 points needs 174,912 bytes"),
     ("halmos_shift_case-at-budget",
@@ -164,12 +171,28 @@ BRANCHES = [
      PreconditionError, "a halmos-shift case on 36,000,044 points needs 1,728,002,112 bytes"),
     ("parity_shift_case-budget", lambda: _under_budget(50 * 401 - 1, parity_shift_case),
      PreconditionError, "a parity-shift case on 401 points needs 20,050 bytes"),
-    ("topology_probe-budget", lambda: _under_budget(56 * 8 * 10 * 332 - 1, _probe, halmos_shift_case()),
-     PreconditionError, "the products of 8 items needs 1,487,360 bytes"),
-    ("topology_probe-at-budget", lambda: _under_budget(56 * 8 * 10 * 332, _probe, halmos_shift_case()),
+    ("topology_probe-budget", lambda: _under_budget(32 * 8 * 10 * 332 - 1, _probe, halmos_shift_case()),
+     PreconditionError, "the products of 8 items needs 849,920 bytes"),
+    ("topology_probe-at-budget", lambda: _under_budget(32 * 8 * 10 * 332, _probe, halmos_shift_case()),
      None, "strong*"),
     ("topology_probe-halmos-steps-1000", lambda: _probe(halmos_shift_case(steps=1000)),
-     PreconditionError, "the products of 1,000 items needs 20,184,640,000 bytes"),
+     PreconditionError, "the products of 1,000 items needs 11,534,080,000 bytes"),
+    ("topology_probe-list-budget",
+     lambda: _under_budget(56 * 8 * 10 * 332 - 1, _probe, _as_list(halmos_shift_case())),
+     PreconditionError, "the products of 8 items needs 1,487,360 bytes"),
+    ("topology_probe-orbit-budget", lambda: _under_budget(56 * 9 * 6 * 601 - 1, _probe, box_modulation_case()),
+     PreconditionError, "the products of 9 items needs 1,817,424 bytes"),
+    # 72 B per entry of a stack of k blocks of (r + 1) x (c + 1): parity-shift's
+    # pair (0, 1) at half_width 400 reads a stack of 15 blocks of 33 x 33, and a
+    # box convolution on 601 points one 601 x 601 block.
+    ("block-stack-budget",
+     lambda: _under_budget(72 * 15 * 34 * 34 - 1, _probe, parity_shift_case(half_width=400)),
+     PreconditionError, "a 15 x 33 x 33 block stack needs 1,248,480 bytes"),
+    ("block-stack-at-budget",
+     lambda: _under_budget(72 * 15 * 34 * 34, _probe, parity_shift_case(half_width=400)), None, "weak*"),
+    ("block-stack-op-norm",
+     lambda: _under_budget(72 * 602 * 602 - 1, lambda: box_convolution_operator(0.02, -6, 6).op_norm()),
+     PreconditionError, "a 1 x 601 x 601 block stack needs 26,093,088 bytes"),
     ("decay-profile-shape", lambda: DecayProfile(np.arange(2.0), np.ones(3)),
      ValueError, "1d arrays of equal length"),
     ("decay-profile-negative", lambda: DecayProfile(np.arange(2.0), [1.0, -1.0]),

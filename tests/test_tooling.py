@@ -292,3 +292,41 @@ def test_every_defaulted_parameter_has_a_caller():
                 unset.append(f"{path.relative_to(ROOT)}:{where}({param})")
     assert seen > 20
     assert unset == []
+
+
+def _owners(tree: ast.Module) -> dict[int, str]:
+    """The function (``name`` or ``Class.name``) of every node inside a
+    top-level function or method, by node id."""
+    owner = {}
+    for top in tree.body:
+        members = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in members:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name if node is top else f"{top.name}.{node.name}"
+                owner.update((id(n), name) for n in ast.walk(node))
+    return owner
+
+
+def test_cli_errors_leave_only_through_dispatch():
+    # dispatch is the one place an error becomes "error: ..." on stderr and
+    # exit 2: no handler writes to stderr or returns 2 itself.
+    tree = ast.parse((ROOT / "src" / "qha" / "cli.py").read_text())
+    owner = _owners(tree)
+    stderr = {owner.get(id(node), "<module>") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "stderr"}
+    twos = {owner.get(id(node), "<module>") for node in ast.walk(tree)
+            if isinstance(node, ast.Return) and getattr(node.value, "value", None) == 2}
+    assert stderr == twos == {"dispatch"}
+
+
+def test_only_the_sequences_getitem_tests_for_a_slice():
+    # Cell functions take index arrays only; ShiftedCopies and ModulationOrbit
+    # keep slicing in __getitem__.
+    found = set()
+    for path in sorted((ROOT / "src" / "qha").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        found |= {f"{path.stem}.{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if _called(node) == "isinstance"
+                  and any(getattr(n, "id", None) == "slice" for n in ast.walk(node.args[1]))}
+    assert found == {"windowed.ShiftedCopies.__getitem__", "gridops.ModulationOrbit.__getitem__"}
