@@ -216,9 +216,6 @@ class CacRecord:
     min_kernel_gap: float           # min over the grid of k' - k
     product_norms: dict[int, float]  # n -> ||CAC f_n|| with f_n = n^(-1/2) 1_{I_n}
 
-    def worst_g_error(self) -> float:
-        return max(self.g_max_errors.values()) if self.g_max_errors else 0.0
-
 
 def cac_example(h: float, n_max: int) -> CacRecord:
     """Verify C A C, A the block projection and C the box convolution on the

@@ -50,10 +50,6 @@ class TopologyProbeResult:
         ]
         return float(np.max(vals, initial=0.0))  # a NaN propagates and fails every <= tol
 
-    def all_min(self, kind: str) -> float:
-        vals = [getattr(r, kind) for r in self.rows]
-        return min(vals) if vals else 0.0
-
 
 def _normalize(vec: np.ndarray) -> np.ndarray:
     """vec / ||vec|| in plain l2: a uniform weight would cancel in every probe quantity."""
@@ -134,7 +130,8 @@ def topology_probe(
 def _matrix_form(item, right: np.ndarray, left: np.ndarray):
     """``ShiftedCopies.item_form`` of a plain matrix, by scan, gather and matvec."""
     item = np.asarray(item, dtype=complex if np.iscomplexobj(item) else float)
-    return ((item.shape, np.flatnonzero(item != 0), lambda ri, ci: item[ri, ci]),
+    rows, cols = np.nonzero(item)  # no S x S mask: the flat indices from the cells alone
+    return ((item.shape, rows * item.shape[1] + cols, lambda ri, ci: item[ri, ci]),
             np.stack([item @ r for r in right]), np.stack([v.conj() @ item for v in left]))
 
 

@@ -1,8 +1,7 @@
-"""Scalar decay profiles with a fitted decay rate.
+"""Scalar decay profiles.
 
 A DecayProfile is the numerical surrogate for a "tends to zero at
-infinity" claim: an ordered list of (parameter, value) pairs with a
-fitted log-log slope.  The slope is reported, never asserted.
+infinity" claim: an ordered list of (parameter, value) pairs.
 """
 from __future__ import annotations
 
@@ -29,17 +28,3 @@ class DecayProfile:
 
     def __len__(self) -> int:
         return int(self.params.size)
-
-    def loglog_slope(self) -> float:
-        """Least-squares slope of log(value) vs log(param) on the outer half.
-
-        Only strictly positive params/values enter the fit; NaN when fewer
-        than two usable points remain.
-        """
-        half = self.params.size // 2
-        p, v = self.params[half:], self.values[half:]
-        mask = (p > 0) & (v > 0)
-        if mask.sum() < 2:
-            return float("nan")
-        slope, _intercept = np.polyfit(np.log(p[mask]), np.log(v[mask]), 1)
-        return float(slope)

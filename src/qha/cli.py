@@ -3,8 +3,8 @@
 Every subcommand and option is declared in one table, ``_COMMANDS``, from
 which :func:`build_parser` builds the parser.  Each subcommand runs one
 diagnostic; the convolution-theorem residuals, the orientation oracle, the
-compactness profiles, b0_diagnostic and tail_bound_trial have none and run
-as library calls.  All numerical output goes to CSV (files or stdout).
+compactness profiles and b0_diagnostic have none and run as library
+calls.  All numerical output goes to CSV (files or stdout).
 Randomized audits require an explicit seed, outputs embed their
 reproducibility manifest in a leading comment line, and re-running a
 manifest via ``qha run`` produces byte-identical files.

@@ -38,12 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, check_memory
-from .groups import GroupFunction, _convolve, _same_group, lp_norm
+from .groups import GroupFunction, _convolve, _same_group
 from .numerics import DEFAULT_EQ_TOL, seeded_uniform
-from .weyl import (
-    HilbertOp, PhaseSpace, _fourier_weyl, _fourier_weyl_inverse, rank_one,
-    reflection_symmetric_unit,
-)
+from .weyl import HilbertOp, PhaseSpace, _fourier_weyl, _fourier_weyl_inverse
 
 #: Sign s per kernel variant, as formulas in (x, xi): the kernel is
 #: omega^(s * (p*b - q*a)) at x = (a,b), xi = (p,q).  By antisymmetry
@@ -273,10 +270,3 @@ def verify_norm_estimates(n: int, samples: int, seed: int) -> NormAuditReport:
                 report.max_ratio[name], report.argmax_index[name] = float(r[i]), start + i
         del f, g, a, b  # freed before the next draw
     return report
-
-
-def sharpness_witness(n: int, seed: int = 0) -> float:
-    """Ratio ||A*B||_inf / (||A||_tr ||B||_op) for A = B = phi (x) phi, phi the
-    seed's reflection_symmetric_unit; equals 1, attained at the origin."""
-    a = rank_one(reflection_symmetric_unit(n, seed))
-    return float(_ratio(lp_norm(conv_op_op(a, a), np.inf), a.trace_norm * a.op_norm))

@@ -131,23 +131,6 @@ def _same_group(a: FiniteAbelianGroup, b: FiniteAbelianGroup) -> None:
         raise GroupMismatchError(f"group mismatch: {a} vs {b}")
 
 
-def delta(group: FiniteAbelianGroup, at=None) -> GroupFunction:
-    """Indicator of a single point (value 1 there, 0 elsewhere)."""
-    vals = np.zeros(group.cardinality, dtype=complex)
-    vals[group.index(at if at is not None else group.identity)] = 1.0
-    return GroupFunction(group, vals)
-
-
-def constant(group: FiniteAbelianGroup) -> GroupFunction:
-    """The constant function 1."""
-    return GroupFunction(group, np.full(group.cardinality, 1.0, dtype=complex))
-
-
-def random_function(group: FiniteAbelianGroup, rng: np.random.Generator) -> GroupFunction:
-    vals = rng.standard_normal(group.cardinality) + 1j * rng.standard_normal(group.cardinality)
-    return GroupFunction(group, vals)
-
-
 def lp_norm(f: GroupFunction, p: float) -> float:
     """Weighted L^p norm for p >= 1; p = inf gives the sup norm (no weight)."""
     if not p >= 1:

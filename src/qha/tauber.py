@@ -21,7 +21,7 @@ from .asymptotics.profiles import DecayProfile
 from .asymptotics.windowed import WindowedFunction
 from .conv import _conv_op_op, conv_fn_op
 from .errors import GroupMismatchError, PreconditionError, check_memory
-from .groups import FiniteAbelianGroup, GroupFunction, _same_group
+from .groups import GroupFunction, _same_group
 from .weyl import HilbertOp, _shift_tables, rank_one
 
 
@@ -47,11 +47,6 @@ def stft(f: GroupFunction, window: GroupFunction) -> np.ndarray:
     phi = window.values.reshape(1, *orders)
     v = np.fft.ifftn(phi * moved.reshape(card, *orders), axes=tuple(range(1, len(orders) + 1)))
     return (group.haar_weight * card) * v.reshape(card, card)
-
-
-def stft_energy(v: np.ndarray, group: FiniteAbelianGroup) -> float:
-    """Weighted energy of a transform matrix."""
-    return float((np.abs(v) ** 2).sum() * group.haar_weight * group.dual().haar_weight)
 
 
 #: Complex entries of the (shifts, angles) product per block in ``windowed_stft_profile``
@@ -155,50 +150,6 @@ def greedy_l1_net(functions: list[np.ndarray], epsilon: float):
         default=0.0,
     )
     return centers, assignment, radius
-
-
-def tail_bound_trial(rng: np.random.Generator) -> tuple[float, float]:
-    """One randomized soundness instance: (measured sup-tail, certified bound).
-
-    Three generators are convolvers supported on [-6, 6], each with four
-    l1-perturbations of radius <= epsilon = 0.05; they convolve three
-    functions on the lattice window [-48, 48], sup-bounded by C = 3, and the
-    tail region is the outer third of the valid shift range.
-    """
-    window, support, bound_c, epsilon = 48, 6, 3.0, 0.05
-    width = 2 * support + 1
-    gens = [
-        rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        for _ in range(3)
-    ]
-    fs = []
-    for _ in range(3):
-        f = rng.standard_normal(2 * window + 1) + 1j * rng.standard_normal(2 * window + 1)
-        f = f / max(1.0, np.abs(f).max() / bound_c)
-        fs.append(f)
-    valid = slice(2 * support, 2 * window + 1)  # where np.convolve's window played no role
-    # tail region: outer third of the valid range, both ends
-    n_valid = valid.stop - valid.start
-
-    def tail_values(h):
-        out = []
-        for f in fs:
-            conv = np.convolve(h, f, mode="full")[valid]
-            third = max(1, n_valid // 3)
-            out.append(np.abs(np.concatenate([conv[:third], conv[-third:]])))
-        return np.concatenate(out)
-
-    tails = tuple(float(tail_values(g).max()) for g in gens)
-    cert = NetCertificate(tails, epsilon, bound_c)
-    bound = certified_tail_bound(cert)
-
-    measured = 0.0
-    for g in gens:
-        for _ in range(4):
-            d = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-            d = d * (epsilon * rng.random() / max(np.abs(d).sum(), 1e-300))
-            measured = max(measured, float(tail_values(g + d).max()))
-    return measured, bound
 
 
 # --- relative-compactness moduli ----------------------------------------------

@@ -118,9 +118,6 @@ class HilbertOp:
     def trace_norm(self) -> float:
         return float(self.singular_values.sum())
 
-    def __repr__(self) -> str:
-        return f"HilbertOp(dim={self.dim})"
-
 
 def identity_op(n: int) -> HilbertOp:
     return HilbertOp(np.eye(n))
@@ -142,10 +139,6 @@ def reflection_symmetric_unit(n: int, seed: int) -> np.ndarray:
     if np.linalg.norm(phi) < 1e-9:
         phi = v + 1.0
     return phi / np.linalg.norm(phi)
-
-
-def random_op(n: int, rng: np.random.Generator) -> HilbertOp:
-    return HilbertOp(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 def weyl(ps: PhaseSpace, x) -> HilbertOp:

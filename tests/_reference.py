@@ -23,6 +23,13 @@ oracle for the block-stacked strided differences in ``qha.tauber``.  The
 audit samples come from :func:`splitmix64_uniform`, the textbook stepped
 generator in Python ints, which shares no code with the vectorised counter
 stream ``qha.numerics.seeded_uniform``.
+
+The last two sections are not oracles.  Test inputs: point masses, the
+constant function and functions and operators drawn from a caller's
+``numpy.random.Generator``.  Checks that run the library on fixed inputs:
+the tail-bound soundness trial (``qha.tauber.certified_tail_bound``), the
+STFT energy, the rank-one sharpness witness (``qha.conv.conv_op_op`` and
+the norms) and the log-log slope of a decay profile.
 """
 
 import csv
@@ -33,6 +40,7 @@ import numpy as np
 
 import qha.conv
 import qha.groups
+import qha.tauber
 import qha.weyl
 from qha.asymptotics.windowed import WindowedZOperator
 from qha.conv import INEQUALITY_NAMES, PINNED_ORIENTATION
@@ -499,3 +507,101 @@ def emit_csv(path, header, rows, manifest: dict | None = None) -> None:
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+
+
+# --- test inputs -----------------------------------------------------------------
+
+
+def delta(group, at=None):
+    """Indicator of a single point (value 1 there, 0 elsewhere)."""
+    vals = np.zeros(group.cardinality, dtype=complex)
+    vals[group.index(at if at is not None else group.identity)] = 1.0
+    return qha.groups.GroupFunction(group, vals)
+
+
+def constant(group):
+    """The constant function 1."""
+    return qha.groups.GroupFunction(group, np.full(group.cardinality, 1.0, dtype=complex))
+
+
+def random_function(group, rng: np.random.Generator):
+    vals = rng.standard_normal(group.cardinality) + 1j * rng.standard_normal(group.cardinality)
+    return qha.groups.GroupFunction(group, vals)
+
+
+def random_op(n: int, rng: np.random.Generator) -> HilbertOp:
+    return HilbertOp(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+# --- checks that run the library on fixed inputs ------------------------------------
+
+
+def tail_bound_trial(rng: np.random.Generator) -> tuple[float, float]:
+    """One randomized soundness instance: (measured sup-tail, the library's
+    certified bound).
+
+    Three generators are convolvers supported on [-6, 6], each with four
+    l1-perturbations of radius <= epsilon = 0.05; they convolve three
+    functions on the lattice window [-48, 48], sup-bounded by C = 3, and the
+    tail region is the outer third of the valid shift range.
+    """
+    window, support, bound_c, epsilon = 48, 6, 3.0, 0.05
+    width = 2 * support + 1
+    gens = [
+        rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        for _ in range(3)
+    ]
+    fs = []
+    for _ in range(3):
+        f = rng.standard_normal(2 * window + 1) + 1j * rng.standard_normal(2 * window + 1)
+        f = f / max(1.0, np.abs(f).max() / bound_c)
+        fs.append(f)
+    valid = slice(2 * support, 2 * window + 1)  # where np.convolve's window played no role
+    # tail region: outer third of the valid range, both ends
+    n_valid = valid.stop - valid.start
+
+    def tail_values(h):
+        out = []
+        for f in fs:
+            conv = np.convolve(h, f, mode="full")[valid]
+            third = max(1, n_valid // 3)
+            out.append(np.abs(np.concatenate([conv[:third], conv[-third:]])))
+        return np.concatenate(out)
+
+    tails = tuple(float(tail_values(g).max()) for g in gens)
+    bound = qha.tauber.certified_tail_bound(qha.tauber.NetCertificate(tails, epsilon, bound_c))
+
+    measured = 0.0
+    for g in gens:
+        for _ in range(4):
+            d = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+            d = d * (epsilon * rng.random() / max(np.abs(d).sum(), 1e-300))
+            measured = max(measured, float(tail_values(g + d).max()))
+    return measured, bound
+
+
+def stft_energy(v: np.ndarray, group) -> float:
+    """Weighted energy of a transform matrix."""
+    return float((np.abs(v) ** 2).sum() * group.haar_weight * group.dual().haar_weight)
+
+
+def sharpness_witness(n: int, seed: int) -> float:
+    """Ratio ||A*B||_inf / (||A||_tr ||B||_op) for A = B = phi (x) phi, phi the
+    seed's reflection_symmetric_unit; equals 1, attained at the origin."""
+    a = qha.weyl.rank_one(qha.weyl.reflection_symmetric_unit(n, seed))
+    return _ratio(qha.groups.lp_norm(qha.conv.conv_op_op(a, a), np.inf), a.trace_norm * a.op_norm)
+
+
+def loglog_slope(profile) -> float:
+    """Least-squares slope of log(value) vs log(param) on a profile's outer half.
+
+    Only strictly positive params/values enter the fit; NaN when fewer
+    than two usable points remain.
+    """
+    half = profile.params.size // 2
+    p, v = profile.params[half:], profile.values[half:]
+    mask = (p > 0) & (v > 0)
+    if mask.sum() < 2:
+        return float("nan")
+    slope, _intercept = np.polyfit(np.log(p[mask]), np.log(v[mask]), 1)
+    return float(slope)

@@ -18,12 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 import qha.errors
 from qha.cli import build_parser, dispatch, emit_csv
-from qha.groups import FiniteAbelianGroup, delta, random_function, write_group_function
+from qha.groups import FiniteAbelianGroup, write_group_function
 from qha.numerics import svd_rank
 from qha.weyl import HilbertOp, PhaseSpace, rank_one
 from qha.wiener import degenerate_operator_set
 
 import _reference as ref
+from _reference import delta
 
 
 def run(argv, capsys):

@@ -17,12 +17,11 @@ from qha.conv import (
     convolution_theorem_residuals,
     pin_orientation,
     self_pairing_weight,
-    sharpness_witness,
     symplectic_fourier,
     verify_norm_estimates,
 )
 from qha.errors import GroupMismatchError, PreconditionError
-from qha.groups import _convolve, convolve, delta, lp_norm, translate
+from qha.groups import _convolve, convolve, lp_norm, translate
 from qha.numerics import seeded_uniform
 from qha.weyl import (
     HilbertOp,
@@ -34,13 +33,13 @@ from qha.weyl import (
     identity_op,
     op_translate,
     parity_op,
-    random_op,
     rank_one,
     reflection_symmetric_unit,
     weyl,
 )
 
 import _reference as ref
+from _reference import delta, random_op, sharpness_witness
 
 
 def _phase_fn(ps, seed):

@@ -141,7 +141,7 @@ class TestCacExample:
     def test_discrete_convolution_matches_formula_within_2h(self):
         h = 0.05
         rec = cac_example(h, 4)
-        assert rec.worst_g_error() <= 2 * h
+        assert max(rec.g_max_errors.values()) <= 2 * h
 
     def test_plateau_exact_at_interior_points(self):
         rec = cac_example(0.05, 4)
@@ -225,8 +225,8 @@ class TestCacExample:
             assert rec.product_norms[n] >= 1.0 - 1e-12
 
     def test_halving_h_halves_g_error(self):
-        coarse = cac_example(0.05, 3).worst_g_error()
-        fine = cac_example(0.025, 3).worst_g_error()
+        coarse = max(cac_example(0.05, 3).g_max_errors.values())
+        fine = max(cac_example(0.025, 3).g_max_errors.values())
         assert coarse / fine == pytest.approx(2.0, rel=0.5)
 
     def test_holds_no_grid_sized_matrix(self):

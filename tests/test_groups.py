@@ -10,20 +10,19 @@ from qha.errors import GroupMismatchError, PreconditionError
 from qha.groups import (
     FiniteAbelianGroup,
     GroupFunction,
-    constant,
     convolve,
-    delta,
     fourier,
     lp_norm,
     modulate,
     parity,
-    random_function,
     read_group_function,
     translate,
     write_group_function,
 )
 from qha.tauber import stft
-from qha.weyl import PhaseSpace, random_op
+from qha.weyl import PhaseSpace
+
+from _reference import constant, delta, random_function, random_op
 
 GROUPS = st.sampled_from([(4,), (5,), (6,), (2, 3), (2, 2, 2)])
 

@@ -29,6 +29,7 @@ from qha.errors import PreconditionError
 from qha.numerics import singular_values, spectral_norm
 
 import _reference as ref
+from _reference import loglog_slope
 
 
 def _constant_case(n=6, items=4):
@@ -129,7 +130,7 @@ class TestCanonicalCases:
         case = halmos_shift_case()
         res = topology_probe(case.matrices, case.test_vectors, case.trace_tests, tol=0.1)
         assert res.classification == "strong*"
-        assert res.all_min("norm_diff") >= 0.99
+        assert min(r.norm_diff for r in res.rows) >= 0.99
         assert res.tail_max("strongstar_diff") <= 0.1
         norms = [np.linalg.norm(m, 2) for m in case.matrices]
         assert min(norms) == pytest.approx(1.0, abs=1e-12)
@@ -166,7 +167,7 @@ class TestCanonicalCases:
             [np.sqrt(h) * np.linalg.norm(m @ gauss) for m in case.matrices]
         )
         profile = DecayProfile(freqs[1:], vals[1:])  # skip freq 0 for the log fit
-        assert profile.loglog_slope() < -0.5
+        assert loglog_slope(profile) < -0.5
         assert vals[-1] < 0.05 < vals[0]
 
 
@@ -608,6 +609,37 @@ def test_shift_probe_holds_under_half_an_item(name):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 16 * len(case.test_vectors[0]) ** 2
+
+
+def test_list_route_scan_peaks_far_below_a_mask():
+    # The list route lists an item's nonzero cells with np.nonzero, so the
+    # scan of a sparse S x S item peaks at its products, ~100 S bytes, not at
+    # an S x S boolean mask of S^2 bytes.
+    from qha.asymptotics.probes import _matrix_form
+
+    s = 1000
+    item = np.zeros((s, s), dtype=complex)
+    item[np.arange(0, s, 100), np.arange(s - 1, 0, -100)] = 1.0 - 2.0j
+    tests = np.ones((2, s), dtype=complex)
+    tracemalloc.start()
+    try:
+        (_, flat, _), *_ = _matrix_form(item, tests, tests)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flat.tolist() == np.flatnonzero(item).tolist()
+    assert peak < s * s / 8
+
+
+def test_list_route_lists_nonzero_cells_row_major():
+    # Row-major flat indices for any memory layout; NaN is nonzero, and -0.0
+    # and 0-0j are not.
+    from qha.asymptotics.probes import _matrix_form
+
+    m = np.array([[0.0, -0.0, np.nan], [2.0, 0.0, -1.0]])
+    for item in (m, np.asfortranarray(m), np.repeat(m, 2, axis=1)[:, ::2], m * complex(1.0, -0.0)):
+        (_, flat, _), *_ = _matrix_form(item, np.ones((1, 3)), np.ones((1, 2)))
+        assert flat.tolist() == [2, 3, 5]
 
 
 @pytest.mark.parametrize("case", ["parity-shift", "halmos-shift", "box-modulation"])

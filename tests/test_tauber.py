@@ -16,12 +16,9 @@ from qha.errors import GroupMismatchError, PreconditionError
 from qha.groups import (
     FiniteAbelianGroup,
     GroupFunction,
-    constant,
     convolve,
-    delta,
     modulate,
     parity,
-    random_function,
 )
 from qha.tauber import (
     NetCertificate,
@@ -31,14 +28,13 @@ from qha.tauber import (
     modulate_family_is_regular,
     rk_moduli,
     stft,
-    stft_energy,
-    tail_bound_trial,
     uniform_compactness_profile,
     windowed_stft_profile,
 )
 from qha.weyl import HilbertOp, PhaseSpace, identity_op, rank_one
 
 import _reference as ref
+from _reference import constant, delta, random_function, random_op, stft_energy, tail_bound_trial
 
 
 class TestStft:
@@ -561,6 +557,4 @@ class TestUniformCompactnessProfile:
 
 
 def qha_random_op(n, seed):
-    from qha.weyl import random_op
-
     return random_op(n, np.random.default_rng(seed))

@@ -8,8 +8,8 @@ so that import must load them.  Both files are only read.
 
 The source's own bookkeeping is checked here too: derandomized hypothesis
 tests, a command-table row for every CLI handler, a reader for every
-private name, a caller for every defaulted public parameter, and numpy.random
-reached only where a caller seeds a draw.
+private name, a caller or a stated reason for every public name, a caller
+for every defaulted public parameter, and no numpy.random in the source.
 """
 
 import ast
@@ -203,10 +203,60 @@ def test_every_private_name_is_used():
     assert unused == []
 
 
-def _draws_from_numpy_random(node: ast.AST, annotations: set[int]) -> bool:
-    """Whether node reads np.random / numpy.random or imports it; annotations
-    (the ids of their nodes) are never evaluated and do not count."""
-    if isinstance(node, ast.Attribute) and id(node) not in annotations:
+#: Public names of src/qha that nothing in src/ reads and perfbench/ does not
+#: name, each with the reason it stays in the library: a workbench object
+#: whose tests check library code.
+UNCALLED_PUBLIC = {
+    "groups.lp_norm": "the weighted L^p norm of the convolution inequalities",
+    "weyl.PhaseSpace.multiplier": "the Heisenberg multiplier m(x, y)",
+    "weyl.PhaseSpace.pairing": "the symplectic pairing sigma(x, y)",
+    "weyl.HilbertOp.op_norm": "the operator norm of the convolution inequalities",
+    "weyl.HilbertOp.trace_norm": "the trace norm of the convolution inequalities",
+    "weyl.op_parity": "the operator parity beta(A) = R A R",
+    "weyl.op_modulate": "the operator modulation gamma_xi(B) = U_{-xi/2} B U_{-xi/2}",
+    "wiener.corresponding_space": "the Wiener correspondence: the span of f * A over a function set",
+    "tauber.greedy_l1_net": "the eps-net half of a NetCertificate",
+    "tauber.localization_operator": "the localization operator f * (phi (x) psi)",
+    "tauber.modulate_family_is_regular": "Wiener-type regularity of a window's modulations",
+    "asymptotics.windowed.b0_diagnostic": "the vanishing-at-infinity verdict, a library call with no subcommand",
+    "asymptotics.gridops.GridOperator.op_norm": "the grid operator's norm, the README's BLAS-thread example",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, definition) for every public top-level function and
+    class and every public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{member.name}", member) for member in node.body
+                        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"))
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    # The public twin of test_every_private_name_is_used: every public
+    # top-level def, class and method of src/qha is read in src/ outside its
+    # own definition or named in perfbench/, or it is on UNCALLED_PUBLIC with
+    # its reason.  A ledger name that gains a caller fails too, so the ledger
+    # cannot go stale; a name only the tests reach belongs in tests/.
+    trees = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src").rglob("*.py"))}
+    read = sum(map(_names_read, trees.values()), collections.Counter())
+    named = set(re.findall(r"\w+", "".join(p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py")))))
+    uncalled, seen = set(), 0
+    for path, tree in trees.items():
+        module = ".".join(path.relative_to(ROOT / "src" / "qha").with_suffix("").parts)
+        for qualname, node in _public_definitions(tree):
+            seen += 1
+            if read[node.name] == _names_read(node)[node.name] and node.name not in named:
+                uncalled.add(f"{module}.{qualname}")
+    assert seen > 100
+    assert uncalled == set(UNCALLED_PUBLIC)
+
+
+def _names_numpy_random(node: ast.AST) -> bool:
+    """Whether node reads np.random / numpy.random, in an annotation too, or imports it."""
+    if isinstance(node, ast.Attribute):
         return node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
     if isinstance(node, ast.Import):
         return any(a.name.startswith("numpy.random") for a in node.names)
@@ -216,21 +266,19 @@ def _draws_from_numpy_random(node: ast.AST, annotations: set[int]) -> bool:
     return False
 
 
-def test_numpy_random_only_where_a_caller_seeds_a_draw():
+def test_src_never_names_numpy_random():
     # Importing numpy.random costs ~10 ms a process, so nothing in the package
-    # reaches it: every seeded draw comes from numerics.seeded_uniform, and
-    # the routines that take a caller's Generator only call its methods.
+    # reaches it: every seeded draw comes from numerics.seeded_uniform.  No
+    # routine takes a caller's Generator either, so not even an annotation
+    # names it; test inputs drawn from a Generator live in tests/_reference.py.
     found = set()
     for path in sorted((ROOT / "src" / "qha").rglob("*.py")):
         tree = ast.parse(path.read_text())
         module = ".".join(path.relative_to(ROOT / "src" / "qha").with_suffix("").parts)
-        annotations = {id(n) for node in ast.walk(tree)
-                       for note in (getattr(node, "annotation", None), getattr(node, "returns", None))
-                       if note is not None for n in ast.walk(note)}
         owner = {id(n): node.name for node in tree.body if isinstance(node, ast.FunctionDef)
                  for n in ast.walk(node)}
         found |= {f"{module}.{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
-                  if _draws_from_numpy_random(node, annotations)}
+                  if _names_numpy_random(node)}
     assert found == set()
 
 

@@ -23,7 +23,6 @@ from qha.weyl import (
     op_parity,
     op_translate,
     parity_op,
-    random_op,
     rank_one,
     reflection_symmetric_unit,
     weyl,
@@ -31,6 +30,7 @@ from qha.weyl import (
 )
 
 import _reference as ref
+from _reference import random_op
 
 
 class TestPhaseSpace:

@@ -7,8 +7,8 @@ import pytest
 
 from qha.conv import symplectic_fourier
 from qha.errors import PreconditionError
-from qha.groups import FiniteAbelianGroup, GroupFunction, constant, delta, random_function
-from qha.weyl import HilbertOp, PhaseSpace, identity_op, random_op, rank_one
+from qha.groups import FiniteAbelianGroup, GroupFunction
+from qha.weyl import HilbertOp, PhaseSpace, identity_op, rank_one
 from qha.numerics import DEFAULT_ZERO_TOL, svd_rank
 from qha.wiener import (
     RegularityReport,
@@ -19,6 +19,7 @@ from qha.wiener import (
 )
 
 import _reference as ref
+from _reference import constant, delta, random_function, random_op
 
 
 def regular_fn(g: GroupFunction, threshold: float = DEFAULT_ZERO_TOL) -> RegularityReport:
